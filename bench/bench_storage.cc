@@ -9,6 +9,7 @@
 #include <map>
 
 #include "core/db/timeslice.h"
+#include "query/interpreter.h"
 #include "storage/deserializer.h"
 #include "storage/journal.h"
 #include "storage/serializer.h"
@@ -124,7 +125,9 @@ void BM_JournalReplay(benchmark::State& state) {
   for (auto _ : state) {
     Database db;
     Interpreter interp(&db);
-    auto applied = Journal::Replay(path, &interp);
+    auto applied = Journal::Replay(path, [&interp](const std::string& stmt) {
+      return interp.Execute(stmt).status();
+    });
     if (!applied.ok()) {
       state.SkipWithError(applied.status().ToString().c_str());
     }

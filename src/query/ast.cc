@@ -2,6 +2,45 @@
 
 namespace tchimera {
 
+StatementTraits TraitsOf(Statement::Kind kind) {
+  using Kind = Statement::Kind;
+  switch (kind) {
+    // Read-only verbs: they touch only const Database members. `explain`
+    // lowers its inner statement but never executes it.
+    case Kind::kSelect:
+    case Kind::kSnapshot:
+    case Kind::kHistory:
+    case Kind::kWhen:
+    case Kind::kShow:
+    case Kind::kExplain:
+      return {.read = true};
+    // Schema changes conflict with every concurrent commit, so an
+    // optimistic attempt would only burn a doomed copy; `create index`
+    // scans every object shard, a schema-wide footprint; trigger and
+    // constraint definitions mutate engine-level registries, not the
+    // database copy a transaction owns.
+    case Kind::kDefineClass:
+    case Kind::kDropClass:
+    case Kind::kCreateIndex:
+    case Kind::kDropIndex:
+    case Kind::kDefineTrigger:
+    case Kind::kDefineConstraint:
+      return {.durable = true, .needs_exclusive = true};
+    case Kind::kCreate:
+    case Kind::kUpdate:
+    case Kind::kMigrate:
+    case Kind::kDelete:
+    case Kind::kTick:
+    case Kind::kAdvance:
+      return {.durable = true};
+    // `check` changes nothing, but it evaluates the registered temporal
+    // constraints, which live in the write-side ActiveDatabase facade.
+    case Kind::kCheck:
+      return {};
+  }
+  return {};
+}
+
 const char* BinaryOpName(BinaryOp op) {
   switch (op) {
     case BinaryOp::kEq:

@@ -224,6 +224,12 @@ struct Statement {
     kWhen,
     kShow,
     kExplain,
+    // The Section 7 definition forms (triggers/trigger.h,
+    // constraints/constraint.h). Their bodies hold text the TQL lexer
+    // does not accept (`$self`), so the parser keeps them verbatim in
+    // `definition_text` and the ActiveDatabase facade parses them.
+    kDefineTrigger,
+    kDefineConstraint,
   };
   Kind kind = Kind::kCheck;
   // Byte offset of the statement's first token in the parsed input (for
@@ -250,7 +256,24 @@ struct Statement {
   // kExplain: the statement being explained (`explain <stmt>` prints its
   // lowered ExecProgram, or the reason it falls back to the tree-walker).
   std::unique_ptr<Statement> explain_inner;
+  // kDefineTrigger / kDefineConstraint: the whole definition, from its
+  // leading keyword on, whitespace-trimmed.
+  std::optional<std::string> definition_text;
 };
+
+// How the engine routes a statement. This is the one place a statement
+// is classified; every layer asks it about the parsed kind.
+//   read            — runs on a pinned snapshot and never mutates;
+//   durable         — a committed execution goes to the CommitSink
+//                     (journal, group commit, replicas);
+//   needs_exclusive — runs under the writer lock, never optimistically.
+struct StatementTraits {
+  bool read = false;
+  bool durable = false;
+  bool needs_exclusive = false;
+};
+
+StatementTraits TraitsOf(Statement::Kind kind);
 
 }  // namespace tchimera
 

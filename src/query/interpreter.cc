@@ -56,18 +56,159 @@ Result<std::string> Interpreter::ExecuteScript(std::string_view script) {
   return out;
 }
 
+Result<std::string> ExecuteReadStatement(Statement* stmt, const Database& db,
+                                         DiagnosticEngine* lint) {
+  if (lint != nullptr) {
+    switch (stmt->kind) {
+      case Statement::Kind::kSelect:
+        AnalyzeSelect(&*stmt->select, db, lint);
+        break;
+      case Statement::Kind::kWhen:
+        AnalyzeWhen(&*stmt->when, db, lint);
+        break;
+      case Statement::Kind::kSnapshot:
+        AnalyzeSnapshot(*stmt->snapshot, stmt->position, db, lint);
+        break;
+      case Statement::Kind::kHistory:
+        AnalyzeHistory(*stmt->history, stmt->position, db, lint);
+        break;
+      default:
+        break;
+    }
+  }
+  switch (stmt->kind) {
+    case Statement::Kind::kSelect: {
+      SelectStmt& s = *stmt->select;
+      TCH_RETURN_IF_ERROR(TypeCheckSelect(&s, db).status());
+      TCH_ASSIGN_OR_RETURN(std::vector<SelectRow> rows,
+                           EvaluateSelect(s, db));
+      return FormatSelectRows(rows);
+    }
+    case Statement::Kind::kSnapshot: {
+      TimePoint t = stmt->snapshot->at.value_or(db.now());
+      TCH_ASSIGN_OR_RETURN(Value v, db.SnapshotOf(stmt->snapshot->oid, t));
+      return v.ToString();
+    }
+    case Statement::Kind::kHistory: {
+      TCH_ASSIGN_OR_RETURN(const Object* obj,
+                           db.FindObject(stmt->history->oid));
+      const Value* v = obj->Attribute(stmt->history->attr);
+      if (v == nullptr) {
+        return Status::NotFound("object " + stmt->history->oid.ToString() +
+                                " has no attribute '" + stmt->history->attr +
+                                "'");
+      }
+      if (stmt->history->during.has_value() &&
+          v->kind() == ValueKind::kTemporal) {
+        // Clip the reported function to the window: keep each segment's
+        // intersection with `during [a,b]`. (Non-temporal attributes are
+        // constant functions over the lifespan; the window does not
+        // change what there is to report.)
+        const Interval window = stmt->history->during->Resolve(db.now());
+        std::vector<TemporalFunction::Segment> clipped;
+        for (const TemporalFunction::Segment& seg :
+             v->AsTemporal().segments()) {
+          Interval cut = seg.interval.Intersect(window, db.now());
+          if (!cut.empty()) {
+            clipped.push_back(TemporalFunction::Segment{cut, seg.value});
+          }
+        }
+        TCH_ASSIGN_OR_RETURN(TemporalFunction clipped_fn,
+                             TemporalFunction::Make(std::move(clipped)));
+        return Value::Temporal(std::move(clipped_fn)).ToString();
+      }
+      return v->ToString();
+    }
+    case Statement::Kind::kWhen: {
+      WhenStmt& w = *stmt->when;
+      TCH_ASSIGN_OR_RETURN(const Type* t,
+                           TypeCheckExpr(w.condition.get(), db, TypeEnv{}));
+      if (t->kind() != TypeKind::kBool) {
+        return Status::TypeError("WHEN condition must be bool, got " +
+                                 t->ToString());
+      }
+      // Temporal selection restricted to the window: evaluate only the
+      // pieces inside `during [a,b]` (resolved against the clock), then
+      // intersect the answer with it. Passing the window down also means
+      // a data-dependent error outside it never fires — matching the
+      // compiled path, which clips its boundary set the same way.
+      std::optional<Interval> window;
+      if (w.during.has_value()) window = w.during->Resolve(db.now());
+      TCH_ASSIGN_OR_RETURN(
+          IntervalSet held,
+          EvaluateWhen(*w.condition, db,
+                       window.has_value() ? &*window : nullptr));
+      if (window.has_value()) {
+        held = held.Intersect(IntervalSet::Of(*window));
+      }
+      return held.ToString();
+    }
+    case Statement::Kind::kExplain: {
+      // `explain <stmt>` lowers the inner statement and prints the
+      // compiled program, or the reason it falls back to tree-walking.
+      // Type errors in the inner statement surface unchanged.
+      TCH_ASSIGN_OR_RETURN(LowerOutcome outcome,
+                           LowerStatement(stmt->explain_inner.get(), db));
+      if (!outcome.compiled()) {
+        return "fallback: " + outcome.fallback_reason;
+      }
+      return outcome.plan->ToString();
+    }
+    case Statement::Kind::kShow: {
+      ShowStmt& sh = *stmt->show;
+      switch (sh.what) {
+        case ShowStmt::What::kNow:
+          return "now = " + InstantToString(db.now());
+        case ShowStmt::What::kClasses: {
+          std::string out;
+          for (const std::string& name : db.ClassNames()) {
+            if (!out.empty()) out += "\n";
+            out += name;
+          }
+          return out.empty() ? std::string("(no classes)") : out;
+        }
+        case ShowStmt::What::kClass: {
+          TCH_ASSIGN_OR_RETURN(const ClassDef* cls, db.FindClass(sh.name));
+          std::string out = "class " + cls->name() + " (" +
+                            ClassKindName(cls->kind()) + ", lifespan " +
+                            cls->lifespan().ToString() + ")";
+          for (const AttributeDef& a : cls->attributes()) {
+            out += "\n  " + a.name + ": " + a.type->ToString();
+          }
+          for (const MethodDef& m : cls->methods()) {
+            out += "\n  method " + m.ToString();
+          }
+          out += "\n  history: " + cls->History().ToString();
+          return out;
+        }
+        case ShowStmt::What::kObject: {
+          TCH_ASSIGN_OR_RETURN(const Object* obj, db.FindObject(sh.oid));
+          std::string out = obj->id().ToString() + " (lifespan " +
+                            obj->lifespan().ToString() + ", class-history " +
+                            obj->NormalizedClassHistory(db.now())
+                                .ToString() +
+                            ")";
+          out += "\n  v = " + obj->AttributeRecord().ToString();
+          return out;
+        }
+      }
+      return Status::Internal("unhandled SHOW");
+    }
+    default:
+      return Status::InvalidArgument(
+          "not a read statement; it needs a writable database");
+  }
+}
+
 Result<std::string> Interpreter::ExecuteStatement(Statement* stmt) {
+  if (TraitsOf(stmt->kind).read) {
+    return ExecuteReadStatement(stmt, *db_, lint_);
+  }
   if (lint_ != nullptr) {
     switch (stmt->kind) {
       case Statement::Kind::kDefineClass:
         AnalyzeClassSpec(stmt->define_class->spec, stmt->position, db_,
                          lint_);
-        break;
-      case Statement::Kind::kSelect:
-        AnalyzeSelect(&*stmt->select, *db_, lint_);
-        break;
-      case Statement::Kind::kWhen:
-        AnalyzeWhen(&*stmt->when, *db_, lint_);
         break;
       case Statement::Kind::kUpdate:
         AnalyzeUpdate(*stmt->update, stmt->position, *db_, lint_);
@@ -78,12 +219,6 @@ Result<std::string> Interpreter::ExecuteStatement(Statement* stmt) {
         break;
       case Statement::Kind::kDropIndex:
         AnalyzeDropIndex(*stmt->drop_index, stmt->position, *db_, lint_);
-        break;
-      case Statement::Kind::kSnapshot:
-        AnalyzeSnapshot(*stmt->snapshot, stmt->position, *db_, lint_);
-        break;
-      case Statement::Kind::kHistory:
-        AnalyzeHistory(*stmt->history, stmt->position, *db_, lint_);
         break;
       default:
         break;
@@ -153,48 +288,6 @@ Result<std::string> Interpreter::ExecuteStatement(Statement* stmt) {
       TCH_RETURN_IF_ERROR(db_->DeleteObject(stmt->del->oid));
       return std::string("ok");
     }
-    case Statement::Kind::kSelect: {
-      SelectStmt& s = *stmt->select;
-      TCH_RETURN_IF_ERROR(TypeCheckSelect(&s, *db_).status());
-      TCH_ASSIGN_OR_RETURN(std::vector<SelectRow> rows,
-                           EvaluateSelect(s, *db_));
-      return FormatSelectRows(rows);
-    }
-    case Statement::Kind::kSnapshot: {
-      TimePoint t = stmt->snapshot->at.value_or(db_->now());
-      TCH_ASSIGN_OR_RETURN(Value v, db_->SnapshotOf(stmt->snapshot->oid, t));
-      return v.ToString();
-    }
-    case Statement::Kind::kHistory: {
-      TCH_ASSIGN_OR_RETURN(const Object* obj,
-                           db_->FindObject(stmt->history->oid));
-      const Value* v = obj->Attribute(stmt->history->attr);
-      if (v == nullptr) {
-        return Status::NotFound("object " + stmt->history->oid.ToString() +
-                                " has no attribute '" + stmt->history->attr +
-                                "'");
-      }
-      if (stmt->history->during.has_value() &&
-          v->kind() == ValueKind::kTemporal) {
-        // Clip the reported function to the window: keep each segment's
-        // intersection with `during [a,b]`. (Non-temporal attributes are
-        // constant functions over the lifespan; the window does not
-        // change what there is to report.)
-        const Interval window = stmt->history->during->Resolve(db_->now());
-        std::vector<TemporalFunction::Segment> clipped;
-        for (const TemporalFunction::Segment& seg :
-             v->AsTemporal().segments()) {
-          Interval cut = seg.interval.Intersect(window, db_->now());
-          if (!cut.empty()) {
-            clipped.push_back(TemporalFunction::Segment{cut, seg.value});
-          }
-        }
-        TCH_ASSIGN_OR_RETURN(TemporalFunction clipped_fn,
-                             TemporalFunction::Make(std::move(clipped)));
-        return Value::Temporal(std::move(clipped_fn)).ToString();
-      }
-      return v->ToString();
-    }
     case Statement::Kind::kTick: {
       db_->Tick(stmt->tick->steps);
       return "now = " + InstantToString(db_->now());
@@ -203,89 +296,18 @@ Result<std::string> Interpreter::ExecuteStatement(Statement* stmt) {
       TCH_RETURN_IF_ERROR(db_->AdvanceTo(stmt->advance->to));
       return "now = " + InstantToString(db_->now());
     }
-    case Statement::Kind::kWhen: {
-      WhenStmt& w = *stmt->when;
-      TCH_ASSIGN_OR_RETURN(const Type* t,
-                           TypeCheckExpr(w.condition.get(), *db_,
-                                         TypeEnv{}));
-      if (t->kind() != TypeKind::kBool) {
-        return Status::TypeError("WHEN condition must be bool, got " +
-                                 t->ToString());
-      }
-      // Temporal selection restricted to the window: evaluate only the
-      // pieces inside `during [a,b]` (resolved against the clock), then
-      // intersect the answer with it. Passing the window down also means
-      // a data-dependent error outside it never fires — matching the
-      // compiled path, which clips its boundary set the same way.
-      std::optional<Interval> window;
-      if (w.during.has_value()) window = w.during->Resolve(db_->now());
-      TCH_ASSIGN_OR_RETURN(
-          IntervalSet held,
-          EvaluateWhen(*w.condition, *db_,
-                       window.has_value() ? &*window : nullptr));
-      if (window.has_value()) {
-        held = held.Intersect(IntervalSet::Of(*window));
-      }
-      return held.ToString();
-    }
     case Statement::Kind::kCheck: {
       Status s = CheckDatabaseConsistency(*db_);
       if (!s.ok()) return s;
       return std::string("consistent");
     }
-    case Statement::Kind::kExplain: {
-      // `explain <stmt>` lowers the inner statement and prints the
-      // compiled program, or the reason it falls back to tree-walking.
-      // Type errors in the inner statement surface unchanged.
-      TCH_ASSIGN_OR_RETURN(
-          LowerOutcome outcome,
-          LowerStatement(stmt->explain_inner.get(), *db_));
-      if (!outcome.compiled()) {
-        return "fallback: " + outcome.fallback_reason;
-      }
-      return outcome.plan->ToString();
-    }
-    case Statement::Kind::kShow: {
-      ShowStmt& sh = *stmt->show;
-      switch (sh.what) {
-        case ShowStmt::What::kNow:
-          return "now = " + InstantToString(db_->now());
-        case ShowStmt::What::kClasses: {
-          std::string out;
-          for (const std::string& name : db_->ClassNames()) {
-            if (!out.empty()) out += "\n";
-            out += name;
-          }
-          return out.empty() ? std::string("(no classes)") : out;
-        }
-        case ShowStmt::What::kClass: {
-          TCH_ASSIGN_OR_RETURN(const ClassDef* cls,
-                               db_->FindClass(sh.name));
-          std::string out = "class " + cls->name() + " (" +
-                            ClassKindName(cls->kind()) + ", lifespan " +
-                            cls->lifespan().ToString() + ")";
-          for (const AttributeDef& a : cls->attributes()) {
-            out += "\n  " + a.name + ": " + a.type->ToString();
-          }
-          for (const MethodDef& m : cls->methods()) {
-            out += "\n  method " + m.ToString();
-          }
-          out += "\n  history: " + cls->History().ToString();
-          return out;
-        }
-        case ShowStmt::What::kObject: {
-          TCH_ASSIGN_OR_RETURN(const Object* obj, db_->FindObject(sh.oid));
-          std::string out = obj->id().ToString() + " (lifespan " +
-                            obj->lifespan().ToString() + ", class-history " +
-                            obj->NormalizedClassHistory(db_->now())
-                                .ToString() +
-                            ")";
-          out += "\n  v = " + obj->AttributeRecord().ToString();
-          return out;
-        }
-      }
-      return Status::Internal("unhandled SHOW");
-    }
+    case Statement::Kind::kDefineTrigger:
+    case Statement::Kind::kDefineConstraint:
+      return Status::InvalidArgument(
+          "trigger and constraint definitions run through the "
+          "ActiveDatabase facade (triggers/trigger.h)");
+    default:
+      break;  // the read kinds, dispatched above
   }
   return Status::Internal("unhandled statement kind");
 }

@@ -21,6 +21,13 @@ namespace tchimera {
 // compiled read path (query/session.cc) so both render identically.
 std::string FormatSelectRows(const std::vector<SelectRow>& rows);
 
+// Executes a read statement (TraitsOf(stmt->kind).read) against `db`,
+// which it cannot mutate: this is what makes running reads on a pinned,
+// published snapshot sound. Lint findings for the read kinds go to `lint`
+// when it is non-null. A non-read statement is InvalidArgument.
+Result<std::string> ExecuteReadStatement(Statement* stmt, const Database& db,
+                                         DiagnosticEngine* lint = nullptr);
+
 class Interpreter {
  public:
   // Does not take ownership; `db` must outlive the interpreter.
@@ -41,7 +48,9 @@ class Interpreter {
   // outputs, one line per statement. Stops at the first error.
   Result<std::string> ExecuteScript(std::string_view script);
 
-  // Executes an already-parsed statement.
+  // Executes an already-parsed statement. Read kinds delegate to
+  // ExecuteReadStatement; the trigger / constraint definition kinds need
+  // the ActiveDatabase facade and are rejected here.
   Result<std::string> ExecuteStatement(Statement* stmt);
 
  private:

@@ -23,19 +23,26 @@ class Lexer {
   Result<std::vector<Token>> Run() {
     std::vector<Token> out;
     while (true) {
-      SkipSpaceAndComments();
       Token tok;
-      tok.position = pos_;
-      if (pos_ >= input_.size()) {
-        tok.kind = TokenKind::kEnd;
-        tok.end = pos_;
-        out.push_back(tok);
-        return out;
-      }
-      TCH_RETURN_IF_ERROR(Next(&tok));
-      tok.end = pos_;
+      TCH_RETURN_IF_ERROR(LexOne(&tok));
+      const bool end = tok.kind == TokenKind::kEnd;
       out.push_back(std::move(tok));
+      if (end) return out;
     }
+  }
+
+  // Lexes the token at the cursor (kEnd at the end of the input).
+  Status LexOne(Token* tok) {
+    SkipSpaceAndComments();
+    tok->position = pos_;
+    if (pos_ >= input_.size()) {
+      tok->kind = TokenKind::kEnd;
+      tok->end = pos_;
+      return Status::OK();
+    }
+    TCH_RETURN_IF_ERROR(Next(tok));
+    tok->end = pos_;
+    return Status::OK();
   }
 
  private:
@@ -273,6 +280,12 @@ class Lexer {
 
 Result<std::vector<Token>> Tokenize(std::string_view input) {
   return Lexer(input).Run();
+}
+
+Result<Token> FirstToken(std::string_view input) {
+  Token tok;
+  TCH_RETURN_IF_ERROR(Lexer(input).LexOne(&tok));
+  return tok;
 }
 
 }  // namespace tchimera

@@ -17,6 +17,10 @@ namespace tchimera {
 // InvalidArgument on malformed literals or stray characters.
 Result<std::vector<Token>> Tokenize(std::string_view input);
 
+// Lexes only the first token of `input` (kEnd for blank input), with the
+// same whitespace and comment rules as Tokenize.
+Result<Token> FirstToken(std::string_view input);
+
 }  // namespace tchimera
 
 #endif  // TCHIMERA_QUERY_LEXER_H_

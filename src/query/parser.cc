@@ -1,7 +1,9 @@
 #include "query/parser.h"
 
+#include <optional>
 #include <utility>
 
+#include "common/string_util.h"
 #include "core/types/type_parser.h"
 #include "core/types/type_registry.h"
 #include "query/lexer.h"
@@ -864,11 +866,47 @@ class Parser {
   size_t pos_ = 0;
 };
 
+// The Section 7 definition forms, recognised by their leading word
+// (lower case, as Trigger::Parse and TemporalConstraint::Parse accept):
+//   trigger NAME on EVENT [of CLASS[.ATTR]] do <stmt>
+//   constraint NAME on CLASS ...
+// Their bodies are not TQL tokens (`$self`), so the statement keeps the
+// text verbatim for those parsers.
+std::optional<Statement> ParseDefinitionForm(std::string_view input,
+                                             const Token& first) {
+  if (first.kind != TokenKind::kIdentifier) return std::nullopt;
+  Statement s;
+  if (first.text == "trigger") {
+    s.kind = Statement::Kind::kDefineTrigger;
+  } else if (first.text == "constraint") {
+    s.kind = Statement::Kind::kDefineConstraint;
+  } else {
+    return std::nullopt;
+  }
+  s.position = first.position;
+  s.definition_text = std::string(StripWhitespace(input.substr(s.position)));
+  return s;
+}
+
 }  // namespace
 
 Result<Statement> ParseStatement(std::string_view input) {
-  TCH_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(input));
-  return Parser(std::move(tokens)).ParseOneStatement();
+  Result<std::vector<Token>> tokens = Tokenize(input);
+  if (tokens.ok()) {
+    if (std::optional<Statement> def =
+            ParseDefinitionForm(input, tokens->front())) {
+      return *std::move(def);
+    }
+    return Parser(std::move(tokens).value()).ParseOneStatement();
+  }
+  // A definition body need not lex; only its leading word must.
+  Result<Token> first = FirstToken(input);
+  if (first.ok()) {
+    if (std::optional<Statement> def = ParseDefinitionForm(input, *first)) {
+      return *std::move(def);
+    }
+  }
+  return tokens.status();
 }
 
 Result<std::vector<Statement>> ParseScript(std::string_view input) {

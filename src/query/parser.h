@@ -21,6 +21,10 @@
 //                                      closed boolean condition hold?)
 //         | CHECK
 //         | SHOW CLASS name | SHOW OBJECT oid | SHOW CLASSES | SHOW NOW
+//         | EXPLAIN stmt
+//         | TRIGGER text | CONSTRAINT text
+//                                     (Section 7 definitions, kept
+//                                      verbatim; single statements only)
 //
 //   field    := name ':' type          (type in the canonical type syntax)
 //   msig     := name '(' [type (, type)*] ')' ':' type

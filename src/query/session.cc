@@ -8,80 +8,8 @@
 #include "query/interpreter.h"
 #include "query/parser.h"
 #include "query/vm.h"
-#include "storage/journal.h"
 
 namespace tchimera {
-namespace {
-
-// The read-only TQL verbs. The parser dispatches on the first keyword,
-// so first-token classification agrees exactly with Statement::Kind; and
-// these kinds touch only const Database members, which is what makes the
-// lock-free-for-writers snapshot read path sound. `explain` only lowers
-// its inner statement — it never executes it, so it is a read too.
-bool IsReadStatement(std::string_view statement) {
-  std::string token = FirstTokenLower(statement);
-  for (std::string_view kw : {"select", "snapshot", "history", "when",
-                              "show", "explain"}) {
-    if (token == kw) return true;
-  }
-  return false;
-}
-
-bool IsReadKind(Statement::Kind kind) {
-  switch (kind) {
-    case Statement::Kind::kSelect:
-    case Statement::Kind::kSnapshot:
-    case Statement::Kind::kHistory:
-    case Statement::Kind::kWhen:
-    case Statement::Kind::kShow:
-    case Statement::Kind::kExplain:
-      return true;
-    default:
-      return false;
-  }
-}
-
-// The verbs that must run on the exclusive path: schema changes conflict
-// with every concurrent commit anyway (running them optimistically would
-// only burn a doomed copy), and trigger/constraint definitions mutate
-// engine-level registries, not the database copy a transaction owns.
-// `create index` joins them: the initial build scans every object shard,
-// so its footprint is schema-wide and an optimistic attempt is doomed
-// the moment any concurrent writer commits. (`drop index` is covered by
-// the `drop` first token.)
-bool RequiresExclusiveWrite(std::string_view statement) {
-  std::string token = FirstTokenLower(statement);
-  for (std::string_view kw : {"define", "drop", "trigger", "constraint"}) {
-    if (token == kw) return true;
-  }
-  if (token == "create") {
-    std::string_view rest = statement;
-    size_t i = rest.find_first_not_of(" \t\r\n");
-    if (i != std::string_view::npos) rest.remove_prefix(i);
-    // Skip the `create` token, then whitespace, then compare the verb.
-    i = rest.find_first_of(" \t\r\n");
-    if (i == std::string_view::npos) return false;
-    rest.remove_prefix(i);
-    i = rest.find_first_not_of(" \t\r\n");
-    if (i == std::string_view::npos) return false;
-    rest.remove_prefix(i);
-    std::string second;
-    for (char c : rest.substr(0, rest.find_first_of(" \t\r\n("))) {
-      second.push_back(
-          static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
-    }
-    return second == "index";
-  }
-  return false;
-}
-
-}  // namespace
-
-bool IsDurableStatement(std::string_view statement) {
-  if (IsMutatingStatement(statement)) return true;
-  std::string token = FirstTokenLower(statement);
-  return token == "trigger" || token == "constraint";
-}
 
 // --- plan cache --------------------------------------------------------------
 
@@ -244,27 +172,29 @@ Status Engine::WithExclusive(
   return status;
 }
 
-Result<std::string> Engine::ExecuteWrite(std::string_view statement,
+Result<std::string> Engine::ExecuteWrite(Statement* stmt,
+                                         std::string_view text,
                                          DiagnosticEngine* lint,
                                          const WriteRetryPolicy& policy) {
-  if (RequiresExclusiveWrite(statement)) {
-    return ExecuteWriteExclusive(statement, lint);
+  const StatementTraits traits = TraitsOf(stmt->kind);
+  if (sink_ != nullptr && traits.durable &&
+      text.find('\n') != std::string_view::npos) {
+    // The journal frames one statement per line, and the exclusive path
+    // cannot roll an applied statement back: a statement the sink would
+    // refuse must be refused before anything is applied, or the refusal
+    // poisons the sink for every later writer.
+    return Status::InvalidArgument(
+        "a durable statement cannot contain a raw newline");
+  }
+  if (traits.needs_exclusive) {
+    return ExecuteWriteExclusive(stmt, text, lint);
   }
   const int attempts = std::max(policy.max_optimistic_attempts, 1);
   Result<std::string> result = Status::Internal("write never attempted");
   for (int attempt = 0; attempt < attempts; ++attempt) {
-    // Lint only on the first attempt — retries re-execute the same text
-    // and would only duplicate every finding.
-    bool needs_exclusive = false;
-    result = TryOptimisticWrite(statement, attempt == 0 ? lint : nullptr,
-                                &needs_exclusive);
-    if (needs_exclusive) {
-      // Not contention: the statement can only publish through the
-      // exclusive facade (a cascaded definition change). Retrying
-      // optimistically — ours or the client's — would loop forever, so
-      // the policy's fallback choice does not apply.
-      return ExecuteWriteExclusive(statement, nullptr);
-    }
+    // Lint only on the first attempt — retries re-execute the same
+    // statement and would only duplicate every finding.
+    result = TryOptimisticWrite(stmt, text, attempt == 0 ? lint : nullptr);
     if (result.ok() || result.status().code() != StatusCode::kConflict) {
       return result;
     }
@@ -280,52 +210,38 @@ Result<std::string> Engine::ExecuteWrite(std::string_view statement,
   // Contention this persistent means the writers genuinely serialize;
   // stop burning copies and take the lock. This also guarantees progress
   // for worst-case workloads (every writer on the same slot).
-  return ExecuteWriteExclusive(statement, nullptr);
+  return ExecuteWriteExclusive(stmt, text, nullptr);
 }
 
-Result<std::string> Engine::TryOptimisticWrite(std::string_view statement,
-                                               DiagnosticEngine* lint,
-                                               bool* needs_exclusive) {
+Result<std::string> Engine::TryOptimisticWrite(Statement* stmt,
+                                               std::string_view text,
+                                               DiagnosticEngine* lint) {
   OptimisticTransaction txn = vdb_.BeginTransaction();
   // A per-transaction facade over the private copy: triggers fire and
   // constraints check against the transaction's own state, and their
-  // mutations land in its write footprint like any others.
+  // mutations land in its write footprint like any others. Definitions
+  // never change here: they are needs_exclusive kinds, and a trigger
+  // action cannot be one (ActiveDatabase::DefineTrigger).
   ActiveDatabase facade(&txn.db(), max_cascade_depth_);
-  size_t copied_triggers;
-  size_t copied_constraints;
   {
     std::lock_guard<std::mutex> defs_lock(defs_mu_);
     facade.CopyDefinitionsFrom(active_);
-    copied_triggers = facade.TriggerNames().size();
-    copied_constraints = facade.constraints().size();
   }
   facade.set_lint(lint);
-  Result<std::string> result = facade.Execute(statement);
+  Result<std::string> result = facade.ExecuteStatement(stmt);
   facade.set_lint(nullptr);
   if (!result.ok()) return result;  // rejected before mutating anything
-  if (facade.TriggerNames().size() != copied_triggers ||
-      facade.constraints().size() != copied_constraints) {
-    // A cascaded trigger action defined or dropped a trigger/constraint.
-    // Those live in engine-level registries, which a per-transaction
-    // facade cannot publish — the exclusive path (whose facade IS the
-    // engine's) handles this. Flagged distinctly from a validation loss:
-    // no retry budget applies (retrying optimistically can never work).
-    *needs_exclusive = true;
-    return Status::Conflict(
-        "statement changed trigger/constraint definitions; retrying on "
-        "the exclusive path");
-  }
   CommitSink::Ticket ticket;
-  const bool durable = sink_ != nullptr && IsDurableStatement(statement);
+  const bool durable = sink_ != nullptr && TraitsOf(stmt->kind).durable;
   Result<uint64_t> committed = vdb_.CommitTransaction(
-      &txn, [this, statement, durable, &ticket]() -> Status {
+      &txn, [this, text, durable, &ticket]() -> Status {
         // Runs under the writer mutex, after validation succeeded:
         // enqueue order is commit order. A fail-fast enqueue (closed or
         // poisoned sink) aborts the commit before anything publishes —
         // the optimistic path never applies a statement it cannot
         // journal.
         if (!durable) return Status::OK();
-        ticket = sink_->Enqueue(statement);
+        ticket = sink_->Enqueue(text);
         if (ticket.seq == 0 && !ticket.status.ok()) return ticket.status;
         return Status::OK();
       });
@@ -336,14 +252,15 @@ Result<std::string> Engine::TryOptimisticWrite(std::string_view statement,
   return result;
 }
 
-Result<std::string> Engine::ExecuteWriteExclusive(std::string_view statement,
+Result<std::string> Engine::ExecuteWriteExclusive(Statement* stmt,
+                                                  std::string_view text,
                                                   DiagnosticEngine* lint) {
   WriteGuard guard = vdb_.BeginWrite();
   // Definition verbs mutate active_'s registries; hold defs_mu_ so
   // concurrent optimistic writers copy a consistent definition set.
   std::unique_lock<std::mutex> defs_lock(defs_mu_);
   active_.set_lint(lint);
-  Result<std::string> result = active_.Execute(statement);
+  Result<std::string> result = active_.ExecuteStatement(stmt);
   active_.set_lint(nullptr);
   defs_lock.unlock();
   if (!result.ok()) return result;  // nothing mutated, nothing to publish
@@ -353,8 +270,8 @@ Result<std::string> Engine::ExecuteWriteExclusive(std::string_view statement,
   // buffer append; the expensive part (fdatasync) happens in Await,
   // outside the lock, where commits from concurrent sessions batch.
   CommitSink::Ticket ticket;
-  if (sink_ != nullptr && IsDurableStatement(statement)) {
-    ticket = sink_->Enqueue(statement);
+  if (sink_ != nullptr && TraitsOf(stmt->kind).durable) {
+    ticket = sink_->Enqueue(text);
   }
   // Commit publishes the new version AND releases the writer lock (the
   // two are fused — see WriteGuard). Await happens after, outside the
@@ -373,10 +290,11 @@ Result<std::string> Engine::ExecuteWriteExclusive(std::string_view statement,
 }
 
 Result<std::string> Session::Execute(std::string_view statement) {
-  if (!IsReadStatement(statement)) {
-    Result<std::string> result =
-        engine_->ExecuteWrite(statement, lint_enabled_ ? diags_.get() : nullptr,
-                              write_retry_policy_);
+  TCH_ASSIGN_OR_RETURN(Statement stmt, ParseStatement(statement));
+  if (!TraitsOf(stmt.kind).read) {
+    Result<std::string> result = engine_->ExecuteWrite(
+        &stmt, statement, lint_enabled_ ? diags_.get() : nullptr,
+        write_retry_policy_);
     if (result.ok()) {
       // Remember the engine tip for read-your-writes routing. The tip is
       // >= our write's version (others may have committed since), which
@@ -386,21 +304,9 @@ Result<std::string> Session::Execute(std::string_view statement) {
     return result;
   }
   // Read path: pin a snapshot and evaluate on this thread, concurrently
-  // with other readers. The const_cast is sound: the interpreter's read
-  // kinds (guarded by IsReadKind below) call only const Database members,
-  // and Database has no mutable caches.
+  // with other readers. The snapshot is const; the read executor takes
+  // it as such.
   ReadSnapshot snap = engine_->OpenSnapshot();
-  TCH_ASSIGN_OR_RETURN(Statement stmt, ParseStatement(statement));
-  if (!IsReadKind(stmt.kind)) {
-    // Unreachable by construction (the parser keys on the first token);
-    // defend anyway rather than mutate a published immutable version.
-    snap = ReadSnapshot();
-    Result<std::string> result =
-        engine_->ExecuteWrite(statement, lint_enabled_ ? diags_.get() : nullptr,
-                              write_retry_policy_);
-    if (result.ok()) last_write_version_ = engine_->version();
-    return result;
-  }
   if (compile_enabled_ && (stmt.kind == Statement::Kind::kSelect ||
                            stmt.kind == Statement::Kind::kWhen)) {
     TCH_ASSIGN_OR_RETURN(
@@ -409,9 +315,8 @@ Result<std::string> Session::Execute(std::string_view statement) {
     if (compiled.has_value()) return *std::move(compiled);
     // Negative cache entry: fall through to the tree-walker below.
   }
-  Interpreter interp(const_cast<Database*>(&snap.db()));
-  if (lint_enabled_) interp.set_lint(diags_.get());
-  return interp.ExecuteStatement(&stmt);
+  return ExecuteReadStatement(&stmt, snap.db(),
+                              lint_enabled_ ? diags_.get() : nullptr);
 }
 
 Result<std::optional<std::string>> Session::TryCompiledRead(

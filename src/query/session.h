@@ -2,13 +2,15 @@
 //
 // Layering (top to bottom):
 //
-//   Session   — one per client (thread). Classifies each statement:
-//               read-only TQL (select / snapshot / history / when /
-//               show) runs against a ReadSnapshot, concurrently with
-//               every other reader; everything else is routed to the
-//               Engine's write path. Owns its own DiagnosticEngine, so
-//               the "one engine per lint run" contract
-//               (analysis/diagnostic.h) holds without locks.
+//   Session   — one per client (thread). Parses each statement once
+//               and routes it on TraitsOf(kind) (query/ast.h), the one
+//               statement classification: read kinds (select / snapshot
+//               / history / when / show / explain) run on a ReadSnapshot
+//               through the const read executor, concurrently with every
+//               other reader; everything else goes to the Engine's write
+//               path with the parsed statement. Owns its own
+//               DiagnosticEngine, so the "one engine per lint run"
+//               contract (analysis/diagnostic.h) holds without locks.
 //   Engine    — wraps the database in a VersionedDatabase (MVCC: reads
 //               are lock-free loads of the published version) and owns
 //               the ActiveDatabase facade (triggers, constraints,
@@ -22,8 +24,11 @@
 //               (Status::Conflict) is retried a bounded number of times
 //               against a fresh base; persistent losers fall back to
 //               the exclusive WriteGuard path, which also serves the
-//               schema-level verbs (define / drop / trigger /
-//               constraint) outright. Durability is awaited after the
+//               kinds TraitsOf marks needs_exclusive (define / drop /
+//               create index / trigger / constraint) outright. A
+//               durable statement with a raw newline is refused before
+//               it executes: the journal cannot frame it. Durability is
+//               awaited after the
 //               lock is released — the group-commit window: many
 //               sessions can be between enqueue and durable at once,
 //               and one fdatasync acknowledges them all.
@@ -109,12 +114,8 @@ class PlanCache {
   Stats stats_;
 };
 
-// True for the statements the engine must hand to its CommitSink: the
-// journaled verbs (IsMutatingStatement) plus the trigger / constraint
-// definition forms the ActiveDatabase facade accepts.
-bool IsDurableStatement(std::string_view statement);
-
-// Where committed statements go to become durable. Enqueue is called by
+// Where committed statements go to become durable (the statements whose
+// TraitsOf(kind).durable is set). Enqueue is called by
 // the engine while it still holds the writer lock (cheap: buffer the
 // statement, assign a ticket); Await is called after the lock is
 // released and may block (this is where group commit batches form).
@@ -146,8 +147,8 @@ struct WriteRetryPolicy {
   // What "giving up" means: true = fall back to the exclusive writer
   // lock (progress is guaranteed even when every writer touches the same
   // slot); false = surface the final kConflict to the caller, who owns
-  // the retry. Statements that *require* the exclusive path (DDL,
-  // definition-changing cascades) always take it, whatever this says.
+  // the retry. Statements that *require* the exclusive path
+  // (TraitsOf(kind).needs_exclusive) always take it, whatever this says.
   bool exclusive_fallback = true;
 };
 
@@ -260,22 +261,22 @@ class Engine {
  private:
   friend class Session;
 
-  // The write path: optimistic with retry per `policy`, then exclusive
-  // fallback or a surfaced kConflict (see WriteRetryPolicy).
-  Result<std::string> ExecuteWrite(std::string_view statement,
+  // The write path for a parsed, non-read statement; `text` is its
+  // source, which is what the CommitSink journals. Optimistic with retry
+  // per `policy`, then exclusive fallback or a surfaced kConflict (see
+  // WriteRetryPolicy). Retries re-execute the same parsed statement.
+  Result<std::string> ExecuteWrite(Statement* stmt, std::string_view text,
                                    DiagnosticEngine* lint,
                                    const WriteRetryPolicy& policy);
   // One optimistic attempt: execute on a private transaction copy, then
-  // validate+publish. Status::Conflict means "lost the race, retry" —
-  // except when `*needs_exclusive` is set: the statement did something
-  // only the exclusive path can publish (definition-changing cascade),
-  // so no number of optimistic retries can ever succeed.
-  Result<std::string> TryOptimisticWrite(std::string_view statement,
-                                         DiagnosticEngine* lint,
-                                         bool* needs_exclusive);
+  // validate+publish. Status::Conflict means "lost the race, retry".
+  Result<std::string> TryOptimisticWrite(Statement* stmt,
+                                         std::string_view text,
+                                         DiagnosticEngine* lint);
   // The serialized fallback: writer lock held across execute + enqueue +
-  // publish. Also the only path for schema/definition verbs.
-  Result<std::string> ExecuteWriteExclusive(std::string_view statement,
+  // publish. Also the only path for needs_exclusive kinds.
+  Result<std::string> ExecuteWriteExclusive(Statement* stmt,
+                                            std::string_view text,
                                             DiagnosticEngine* lint);
 
   // Replica leases (weak: a dropped lease is an unregistered replica).

@@ -15,6 +15,7 @@
 #include <unordered_map>
 #include <utility>
 
+#include "query/parser.h"
 #include "query/session.h"
 #include "server/net.h"
 #include "server/wire.h"
@@ -26,6 +27,13 @@ namespace {
 constexpr uint64_t kListenId = 0;
 constexpr uint64_t kEventId = 1;
 constexpr uint64_t kFirstConnId = 2;
+
+// True when the statement would join the group-commit pipeline. A parse
+// error is not durable: it fails in the worker without touching the sink.
+bool IsDurable(std::string_view statement) {
+  Result<Statement> parsed = ParseStatement(statement);
+  return parsed.ok() && TraitsOf(parsed->kind).durable;
+}
 
 struct Conn {
   uint64_t id = 0;
@@ -198,9 +206,11 @@ struct Server::Impl {
       return true;
     }
     // ...and a saturated group-commit pipeline rejects statements that
-    // would join it (reads still flow: they never touch the sink).
-    if (opts.commit_backlog && IsDurableStatement(statement) &&
-        opts.commit_backlog() > opts.max_commit_backlog) {
+    // would join it (reads still flow: they never touch the sink). Only
+    // an over-limit backlog pays for the parse that classifies.
+    if (opts.commit_backlog &&
+        opts.commit_backlog() > opts.max_commit_backlog &&
+        IsDurable(statement)) {
       stats->admission_rejections.fetch_add(1, std::memory_order_relaxed);
       std::string frame;
       AppendError(&frame, StatusCode::kUnavailable, true,

@@ -1,6 +1,6 @@
 #include "storage/journal.h"
 
-#include <cctype>
+#include <algorithm>
 #include <limits>
 
 #include "common/crc32.h"
@@ -40,6 +40,75 @@ std::string RecordPayload(uint64_t seq, std::string_view statement) {
   return payload;
 }
 
+// True when `content` starts with the v2 magic, or with a proper prefix
+// of it (a v2 header torn at creation time).
+bool HasV2Magic(std::string_view content) {
+  size_t probe = std::min(content.size(), kJournalMagic.size());
+  return content.substr(0, probe) == kJournalMagic.substr(0, probe);
+}
+
+// The v2 header line "TCHIMERA-JOURNAL <version> <epoch>" (without its
+// newline). Callers decide what a malformed field means to them.
+struct HeaderLine {
+  bool framed = false;  // magic and version parsed
+  uint64_t version = 0;
+  bool epoch_ok = false;
+  uint64_t epoch = 0;
+};
+
+HeaderLine ParseHeaderLine(std::string_view line) {
+  HeaderLine header;
+  size_t pos = 0;
+  std::string_view magic, version_text;
+  header.framed = NextToken(line, &pos, &magic) && magic == kJournalMagic &&
+                  NextToken(line, &pos, &version_text) &&
+                  ParseU64(version_text, &header.version);
+  if (header.framed) {
+    header.epoch_ok = ParseU64(line.substr(pos), &header.epoch);
+  }
+  return header;
+}
+
+struct RecordLine {
+  uint64_t seq = 0;
+  uint32_t crc = 0;
+  std::string_view statement;
+};
+
+// One record line "R <seq> <len> <crc32> <statement>" (without its
+// newline), checked in order: framing, length, sequence (`expected_seq`;
+// 0 accepts any), checksum. The error names the first failed check.
+Status ParseRecordLine(std::string_view line, uint64_t expected_seq,
+                       RecordLine* record) {
+  size_t pos = 0;
+  std::string_view tag, seq_text, len_text, crc_text;
+  uint64_t len = 0;
+  if (!NextToken(line, &pos, &tag) || tag != "R" ||
+      !NextToken(line, &pos, &seq_text) ||
+      !ParseU64(seq_text, &record->seq) ||
+      !NextToken(line, &pos, &len_text) || !ParseU64(len_text, &len) ||
+      !NextToken(line, &pos, &crc_text) ||
+      !ParseCrc32Hex(crc_text, &record->crc)) {
+    return Status::Corruption("malformed record framing");
+  }
+  record->statement = line.substr(pos);
+  if (record->statement.size() != len) {
+    return Status::Corruption(
+        "record length mismatch (framed " + std::to_string(len) +
+        ", actual " + std::to_string(record->statement.size()) + ")");
+  }
+  if (expected_seq != 0 && record->seq != expected_seq) {
+    return Status::Corruption(
+        "sequence gap (expected " + std::to_string(expected_seq) +
+        ", found " + std::to_string(record->seq) + ")");
+  }
+  if (Crc32(RecordPayload(record->seq, record->statement)) != record->crc) {
+    return Status::Corruption("checksum mismatch at record " +
+                              std::to_string(record->seq));
+  }
+  return Status::OK();
+}
+
 // Parses the v2 records of `content` starting at `offset` into `scan`.
 void ScanV2Records(std::string_view content, size_t offset,
                    JournalScan* scan) {
@@ -51,38 +120,12 @@ void ScanV2Records(std::string_view content, size_t offset,
       scan->tail_error = Status::Corruption("torn record (no newline)");
       break;
     }
-    std::string_view line = content.substr(offset, newline - offset);
-    size_t pos = 0;
-    std::string_view tag, seq_text, len_text, crc_text;
-    uint64_t seq = 0, len = 0;
-    uint32_t crc = 0;
-    if (!NextToken(line, &pos, &tag) || tag != "R" ||
-        !NextToken(line, &pos, &seq_text) || !ParseU64(seq_text, &seq) ||
-        !NextToken(line, &pos, &len_text) || !ParseU64(len_text, &len) ||
-        !NextToken(line, &pos, &crc_text) || !ParseCrc32Hex(crc_text, &crc)) {
-      scan->tail_error = Status::Corruption("malformed record framing");
-      break;
-    }
-    std::string_view statement = line.substr(pos);
-    if (statement.size() != len) {
-      scan->tail_error = Status::Corruption(
-          "record length mismatch (framed " + std::to_string(len) +
-          ", actual " + std::to_string(statement.size()) + ")");
-      break;
-    }
-    if (seq != expected_seq) {
-      scan->tail_error = Status::Corruption(
-          "sequence gap (expected " + std::to_string(expected_seq) +
-          ", found " + std::to_string(seq) + ")");
-      break;
-    }
-    if (Crc32(RecordPayload(seq, statement)) != crc) {
-      scan->tail_error = Status::Corruption(
-          "checksum mismatch at record " + std::to_string(seq));
-      break;
-    }
-    scan->statements.emplace_back(statement);
-    scan->last_seq = seq;
+    RecordLine record;
+    scan->tail_error = ParseRecordLine(
+        content.substr(offset, newline - offset), expected_seq, &record);
+    if (!scan->tail_error.ok()) break;
+    scan->statements.emplace_back(record.statement);
+    scan->last_seq = record.seq;
     ++expected_seq;
     offset = newline + 1;
     scan->valid_bytes = offset;
@@ -92,42 +135,13 @@ void ScanV2Records(std::string_view content, size_t offset,
 
 }  // namespace
 
-std::string FirstTokenLower(std::string_view statement) {
-  std::string_view s = StripWhitespace(statement);
-  size_t end = 0;
-  while (end < s.size() &&
-         std::isspace(static_cast<unsigned char>(s[end])) == 0) {
-    ++end;
-  }
-  std::string token;
-  token.reserve(end);
-  for (char c : s.substr(0, end)) {
-    token.push_back(
-        static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
-  }
-  return token;
-}
-
-bool IsMutatingStatement(std::string_view statement) {
-  std::string token = FirstTokenLower(statement);
-  for (std::string_view kw : {"define", "drop", "create", "update",
-                              "migrate", "delete", "tick", "advance"}) {
-    if (token == kw) return true;
-  }
-  return false;
-}
-
 Result<JournalScan> ScanJournal(const std::string& path, FileSystem* fs) {
   if (fs == nullptr) fs = FileSystem::Default();
   TCH_ASSIGN_OR_RETURN(std::string content, fs->ReadFileToString(path));
   JournalScan scan;
   if (content.empty()) return scan;  // format 0: a fresh, empty journal
 
-  // v2 files start with the magic; a file whose bytes are a proper prefix
-  // of the magic is a v2 header torn at creation time.
-  size_t probe = std::min(content.size(), kJournalMagic.size());
-  if (std::string_view(content).substr(0, probe) !=
-      kJournalMagic.substr(0, probe)) {
+  if (!HasV2Magic(content)) {
     // v1: bare statements, one per line, nothing to verify.
     scan.format = 1;
     size_t offset = 0;
@@ -150,26 +164,23 @@ Result<JournalScan> ScanJournal(const std::string& path, FileSystem* fs) {
     scan.dropped_bytes = content.size();
     return scan;
   }
-  std::string_view header = std::string_view(content).substr(0, header_end);
-  size_t pos = 0;
-  std::string_view magic, version_text;
-  uint64_t version = 0;
-  if (!NextToken(header, &pos, &magic) || magic != kJournalMagic ||
-      !NextToken(header, &pos, &version_text) ||
-      !ParseU64(version_text, &version)) {
+  HeaderLine header =
+      ParseHeaderLine(std::string_view(content).substr(0, header_end));
+  if (!header.framed) {
     scan.tail_error = Status::Corruption("malformed journal header");
     scan.dropped_bytes = content.size();
     return scan;
   }
-  if (version != 2) {
+  if (header.version != 2) {
     return Status::Corruption("unsupported journal version " +
-                              std::to_string(version) + " in " + path);
+                              std::to_string(header.version) + " in " + path);
   }
-  if (!ParseU64(header.substr(pos), &scan.epoch)) {
+  if (!header.epoch_ok) {
     scan.tail_error = Status::Corruption("malformed journal epoch");
     scan.dropped_bytes = content.size();
     return scan;
   }
+  scan.epoch = header.epoch;
   ScanV2Records(content, header_end + 1, &scan);
   return scan;
 }
@@ -195,9 +206,7 @@ Result<TailScan> ScanJournalTail(const std::string& path, uint64_t offset,
       scan.partial_tail = true;
       return scan;
     }
-    size_t probe = std::min(content.size(), kJournalMagic.size());
-    if (std::string_view(content).substr(0, probe) !=
-        kJournalMagic.substr(0, probe)) {
+    if (!HasV2Magic(content)) {
       return Status::FailedPrecondition(
           "journal " + path + " is v1 (unframed); v1 journals cannot be "
           "tail-followed");
@@ -208,17 +217,13 @@ Result<TailScan> ScanJournalTail(const std::string& path, uint64_t offset,
       scan.partial_tail = true;
       return scan;
     }
-    std::string_view header = std::string_view(content).substr(0, header_end);
-    size_t pos = 0;
-    std::string_view magic, version_text;
-    uint64_t version = 0;
-    if (!NextToken(header, &pos, &magic) || magic != kJournalMagic ||
-        !NextToken(header, &pos, &version_text) ||
-        !ParseU64(version_text, &version) || version != 2 ||
-        !ParseU64(header.substr(pos), &scan.epoch)) {
+    HeaderLine header =
+        ParseHeaderLine(std::string_view(content).substr(0, header_end));
+    if (!header.framed || header.version != 2 || !header.epoch_ok) {
       scan.error = Status::Corruption("malformed journal header in " + path);
       return scan;
     }
+    scan.epoch = header.epoch;
     scan.format = 2;
     offset = header_end + 1;
   } else {
@@ -235,46 +240,20 @@ Result<TailScan> ScanJournalTail(const std::string& path, uint64_t offset,
       scan.partial_tail = true;
       break;
     }
-    std::string_view line = body.substr(offset, newline - offset);
-    size_t pos = 0;
-    std::string_view tag, seq_text, len_text, crc_text;
-    uint64_t seq = 0, len = 0;
-    uint32_t crc = 0;
-    if (!NextToken(line, &pos, &tag) || tag != "R" ||
-        !NextToken(line, &pos, &seq_text) || !ParseU64(seq_text, &seq) ||
-        !NextToken(line, &pos, &len_text) || !ParseU64(len_text, &len) ||
-        !NextToken(line, &pos, &crc_text) || !ParseCrc32Hex(crc_text, &crc)) {
-      // A complete line that does not frame: real damage, not a torn
+    RecordLine record;
+    Status parsed = ParseRecordLine(body.substr(offset, newline - offset),
+                                    expected_seq, &record);
+    if (!parsed.ok()) {
+      // A complete line that does not verify: real damage, not a torn
       // append (torn appends have no newline).
-      scan.error = Status::Corruption("malformed record framing at offset " +
-                                      std::to_string(offset) + " in " + path);
+      scan.error = Status::Corruption(parsed.message() + " at offset " +
+                                      std::to_string(offset) + " in " +
+                                      path);
       break;
     }
-    std::string_view statement = line.substr(pos);
-    if (statement.size() != len) {
-      scan.error = Status::Corruption(
-          "record length mismatch at offset " + std::to_string(offset) +
-          " in " + path);
-      break;
-    }
-    if (expected_seq != 0 && seq != expected_seq) {
-      scan.error = Status::Corruption(
-          "sequence discontinuity in " + path + " (expected " +
-          std::to_string(expected_seq) + ", found " + std::to_string(seq) +
-          ")");
-      break;
-    }
-    if (Crc32(RecordPayload(seq, statement)) != crc) {
-      scan.error = Status::Corruption("checksum mismatch at record " +
-                                      std::to_string(seq) + " in " + path);
-      break;
-    }
-    TailRecord record;
-    record.seq = seq;
-    record.crc = crc;
-    record.statement.assign(statement);
-    scan.records.push_back(std::move(record));
-    expected_seq = seq + 1;
+    scan.records.push_back(
+        TailRecord{record.seq, record.crc, std::string(record.statement)});
+    expected_seq = record.seq + 1;
     offset = newline + 1;
     scan.end_offset = offset;
   }
@@ -424,20 +403,6 @@ Result<std::string> Journal::Rotate() {
   return rotated;
 }
 
-Status Journal::Truncate() {
-  if (file_ == nullptr) {
-    return Status::FailedPrecondition("journal is not open");
-  }
-  TCH_RETURN_IF_ERROR(file_->Close());
-  file_.reset();
-  TCH_ASSIGN_OR_RETURN(file_, fs()->OpenWritable(path_, /*truncate=*/true));
-  format_ = 2;
-  next_seq_ = 1;
-  appended_ = 0;
-  unsynced_ = 0;
-  return WriteHeader();
-}
-
 void Journal::Close() {
   if (file_ != nullptr) {
     (void)file_->Sync();
@@ -446,22 +411,23 @@ void Journal::Close() {
   }
 }
 
-Result<size_t> Journal::Replay(const std::string& path, Interpreter* interp) {
-  return ReplayPrefix(path, interp, std::numeric_limits<size_t>::max());
+Result<size_t> Journal::Replay(const std::string& path,
+                               const StatementExecutor& exec) {
+  return ReplayPrefix(path, exec, std::numeric_limits<size_t>::max());
 }
 
 Result<size_t> Journal::ReplayPrefix(const std::string& path,
-                                     Interpreter* interp,
+                                     const StatementExecutor& exec,
                                      size_t max_statements) {
   TCH_ASSIGN_OR_RETURN(JournalScan scan, ScanJournal(path));
   size_t applied = 0;
   for (const std::string& statement : scan.statements) {
     if (applied >= max_statements) break;
-    Result<std::string> r = interp->Execute(statement);
-    if (!r.ok()) {
+    Status s = exec(statement);
+    if (!s.ok()) {
       return Status::Corruption(
           "journal " + path + " statement " + std::to_string(applied + 1) +
-          " failed to replay: " + r.status().ToString());
+          " failed to replay: " + s.ToString());
     }
     ++applied;
   }
@@ -472,26 +438,6 @@ Result<size_t> Journal::ReplayPrefix(const std::string& path,
                               scan.tail_error.message());
   }
   return applied;
-}
-
-JournaledDatabase::JournaledDatabase(const std::string& journal_path,
-                                     const JournalOptions& options)
-    : interp_(&db_) {
-  status_ = journal_.Open(journal_path, options);
-}
-
-Result<std::string> JournaledDatabase::Execute(std::string_view statement) {
-  TCH_RETURN_IF_ERROR(status_);
-  if (!IsMutatingStatement(statement)) return interp_.Execute(statement);
-  // Execute first, journal on success: the journal then contains exactly
-  // the statements that applied cleanly, so strict replay can treat any
-  // replay failure as corruption. Durability is not weakened — callers
-  // are acknowledged only after Append (and its sync policy) returns, so
-  // an acknowledged statement is always on disk; a crash between
-  // execution and append loses only a statement nobody was told about.
-  TCH_ASSIGN_OR_RETURN(std::string result, interp_.Execute(statement));
-  TCH_RETURN_IF_ERROR(journal_.Append(statement));
-  return result;
 }
 
 }  // namespace tchimera

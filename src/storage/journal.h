@@ -1,8 +1,11 @@
 // A durable journal of TQL statements. Every successfully executed
-// mutating statement is appended (and synced per policy) before the
-// caller is acknowledged; recovery is deterministic replay through the
-// interpreter — oids are assigned sequentially, so a replayed journal
-// reproduces the exact database state.
+// durable statement is appended (and synced per policy) before the
+// caller is acknowledged — the engine hands them over through a
+// CommitSink (query/session.h; storage/group_commit.h is the real one).
+// Recovery is deterministic replay through a StatementExecutor — oids are
+// assigned sequentially, so a replayed journal reproduces the exact
+// database state. This file treats statements as opaque text and depends
+// only on common/.
 //
 // On-disk formats:
 //
@@ -34,6 +37,7 @@
 #define TCHIMERA_STORAGE_JOURNAL_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -41,21 +45,14 @@
 
 #include "common/fault_fs.h"
 #include "common/result.h"
-#include "query/interpreter.h"
 
 namespace tchimera {
 
-// True when the statement's first whitespace-delimited token is exactly
-// one of the mutating TQL verbs (define, drop, create, update, migrate,
-// delete, tick, advance) — the statements a write-ahead journal must
-// capture. Matching is token-exact: `deletion_report ...` or `ticket ...`
-// are not mutations.
-bool IsMutatingStatement(std::string_view statement);
-
-// The first whitespace-delimited token of `statement`, lowercased
-// (callers with extra journaled verbs — the REPL journals `trigger` and
-// `constraint` definitions — compare against it directly).
-std::string FirstTokenLower(std::string_view statement);
+// Executes one replayed statement (typically through an Interpreter or
+// an ActiveDatabase bound to the database being rebuilt). A failure stops
+// the replay: the journal only ever holds statements that applied
+// cleanly when first executed, so a replay failure is corruption.
+using StatementExecutor = std::function<Status(const std::string&)>;
 
 enum class SyncPolicy {
   kEveryAppend,  // fdatasync per record: Append OK == durable
@@ -221,20 +218,15 @@ class Journal {
   // Where Rotate parks the journal of `epoch`.
   static std::string RotatedPath(const std::string& path, uint64_t epoch);
 
-  // DEPRECATED: truncating the journal while the latest snapshot may not
-  // be durable loses every statement since the previous snapshot. Use
-  // RecoveryManager::Checkpoint (rotate, snapshot, then delete) instead.
-  // Kept for legacy callers; rewrites the v2 header with the same epoch.
-  Status Truncate();
-
   void Close();
 
-  // Replays a journal file into `interp`, statement by statement. Returns
-  // the number of statements applied. Fails fast (Corruption) on the
-  // first statement the interpreter rejects, and on a torn v2 tail —
-  // strict semantics for callers that need an exact transaction count;
-  // recovery goes through RecoveryManager, which salvages instead.
-  static Result<size_t> Replay(const std::string& path, Interpreter* interp);
+  // Replays a journal file through `exec`, statement by statement.
+  // Returns the number of statements applied. Fails fast (Corruption) on
+  // the first statement `exec` rejects, and on a torn v2 tail — strict
+  // semantics for callers that need an exact transaction count; recovery
+  // goes through RecoveryManager, which salvages instead.
+  static Result<size_t> Replay(const std::string& path,
+                               const StatementExecutor& exec);
 
   // Replays at most the first `max_statements` statements. Since the
   // journal totally orders all transactions, a prefix replay reconstructs
@@ -242,7 +234,7 @@ class Journal {
   // primitive on top of the valid-time model (the "different notions of
   // time" extension the paper's Section 1.1 anticipates).
   static Result<size_t> ReplayPrefix(const std::string& path,
-                                     Interpreter* interp,
+                                     const StatementExecutor& exec,
                                      size_t max_statements);
 
  private:
@@ -258,32 +250,6 @@ class Journal {
   size_t appended_ = 0;
   size_t unsynced_ = 0;
   size_t sync_count_ = 0;
-};
-
-// A convenience facade bundling a database, an interpreter and a journal:
-// Execute() applies a mutating statement and journals it on success, so
-// the log contains exactly the statements that applied cleanly (replay
-// failures are then always corruption). Callers are acknowledged only
-// after the append returns, so an acknowledged statement is durable per
-// the journal's sync policy.
-class JournaledDatabase {
- public:
-  explicit JournaledDatabase(const std::string& journal_path,
-                             const JournalOptions& options = {});
-
-  Status status() const { return status_; }
-  Database& db() { return db_; }
-  const Database& db() const { return db_; }
-  Journal& journal() { return journal_; }
-
-  // Journals (if mutating) then executes.
-  Result<std::string> Execute(std::string_view statement);
-
- private:
-  Database db_;
-  Interpreter interp_;
-  Journal journal_;
-  Status status_;
 };
 
 }  // namespace tchimera

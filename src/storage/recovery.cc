@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "core/db/consistency.h"
+#include "query/interpreter.h"
 #include "storage/deserializer.h"
 #include "storage/serializer.h"
 

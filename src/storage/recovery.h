@@ -35,7 +35,6 @@
 #define TCHIMERA_STORAGE_RECOVERY_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -79,11 +78,6 @@ struct RecoveryStats {
 
 class RecoveryManager {
  public:
-  // Executes one replayed statement; any failure aborts recovery with
-  // Corruption (the journal only ever contains statements that applied
-  // cleanly when first executed).
-  using StatementExecutor = std::function<Status(const std::string&)>;
-
   RecoveryManager(std::string snapshot_path, std::string journal_path,
                   RecoveryOptions options = {});
 
@@ -99,6 +93,7 @@ class RecoveryManager {
   // snapshot_definitions() through the facade, ReplayJournals with an
   // executor bound to the returned database, then Audit.
   Result<std::unique_ptr<Database>> LoadSnapshot(RecoveryStats* stats);
+  // Any statement `exec` rejects aborts recovery with Corruption.
   Status ReplayJournals(const StatementExecutor& exec, RecoveryStats* stats);
   static Status Audit(Database* db, AuditMode mode, RecoveryStats* stats);
 

@@ -110,18 +110,21 @@ Status ActiveDatabase::DefineTrigger(std::string_view text) {
                                    "' already defined");
     }
   }
-  // The action must at least parse now, not at firing time.
-  TCH_RETURN_IF_ERROR(ParseStatement(
-                          [&t] {
-                            std::string probe = t.action;
-                            size_t pos;
-                            while ((pos = probe.find("$self")) !=
-                                   std::string::npos) {
-                              probe.replace(pos, 5, "i1");
-                            }
-                            return probe;
-                          }())
-                          .status());
+  // The action must at least parse now, not at firing time. It may not
+  // itself be a definition: those publish only through the engine's
+  // exclusive path, never from inside a cascade.
+  std::string probe = t.action;
+  size_t pos;
+  while ((pos = probe.find("$self")) != std::string::npos) {
+    probe.replace(pos, 5, "i1");
+  }
+  TCH_ASSIGN_OR_RETURN(Statement action, ParseStatement(probe));
+  if (action.kind == Statement::Kind::kDefineTrigger ||
+      action.kind == Statement::Kind::kDefineConstraint) {
+    return Status::InvalidArgument("trigger '" + t.name +
+                                   "' action cannot define a trigger or "
+                                   "constraint");
+  }
   triggers_.push_back(std::move(t));
   return Status::OK();
 }
@@ -169,27 +172,24 @@ bool ActiveDatabase::Matches(const Trigger& trigger,
 }
 
 Result<std::string> ActiveDatabase::Execute(std::string_view statement) {
-  std::string_view trimmed = StripWhitespace(statement);
+  TCH_ASSIGN_OR_RETURN(Statement stmt, ParseStatement(statement));
+  return ExecuteStatement(&stmt);
+}
+
+Result<std::string> ActiveDatabase::ExecuteStatement(Statement* stmt) {
   // The Section 7 definition forms are handled by this facade directly.
-  std::string head;
-  for (char c : trimmed.substr(0, 11)) {
-    if (std::isspace(static_cast<unsigned char>(c))) break;
-    head.push_back(
-        static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
-  }
-  if (head == "trigger") {
-    TCH_RETURN_IF_ERROR(DefineTrigger(trimmed));
+  if (stmt->kind == Statement::Kind::kDefineTrigger) {
+    TCH_RETURN_IF_ERROR(DefineTrigger(*stmt->definition_text));
     return "trigger " + triggers_.back().name + " defined";
   }
-  if (head == "constraint") {
-    TCH_RETURN_IF_ERROR(constraints_.Define(trimmed));
+  if (stmt->kind == Statement::Kind::kDefineConstraint) {
+    TCH_RETURN_IF_ERROR(constraints_.Define(*stmt->definition_text));
     return "constraint " + constraints_.Names().back() + " defined";
   }
   std::vector<std::string> chain;
-  TCH_ASSIGN_OR_RETURN(std::string out,
-                       ExecuteInternal(trimmed, &chain));
+  TCH_ASSIGN_OR_RETURN(std::string out, ExecuteInternal(stmt, &chain));
   // `check` additionally evaluates the registered constraints.
-  if (head == "check" && constraints_.size() > 0) {
+  if (stmt->kind == Statement::Kind::kCheck && constraints_.size() > 0) {
     TCH_RETURN_IF_ERROR(constraints_.CheckAll(*db_));
     out += " (and " + std::to_string(constraints_.size()) +
            " temporal constraints hold)";
@@ -198,19 +198,18 @@ Result<std::string> ActiveDatabase::Execute(std::string_view statement) {
 }
 
 Result<std::string> ActiveDatabase::ExecuteInternal(
-    std::string_view statement, std::vector<std::string>* chain) {
+    Statement* stmt, std::vector<std::string>* chain) {
   if (chain->size() > max_depth_) {
     std::string path = Join(*chain, " -> ");
     return Status::FailedPrecondition(
         "trigger cascade exceeded depth " + std::to_string(max_depth_) +
         " (non-terminating rule set? chain: " + path + ")");
   }
-  TCH_ASSIGN_OR_RETURN(Statement stmt, ParseStatement(statement));
-  TCH_ASSIGN_OR_RETURN(std::string out, interp_.ExecuteStatement(&stmt));
+  TCH_ASSIGN_OR_RETURN(std::string out, interp_.ExecuteStatement(stmt));
 
   // Derive the event (if any) from the executed statement.
   Event event;
-  switch (stmt.kind) {
+  switch (stmt->kind) {
     case Statement::Kind::kCreate: {
       event.kind = TriggerEvent::kCreate;
       // CREATE's output is the new oid ("i<n>").
@@ -219,16 +218,16 @@ Result<std::string> ActiveDatabase::ExecuteInternal(
     }
     case Statement::Kind::kUpdate:
       event.kind = TriggerEvent::kUpdate;
-      event.subject = stmt.update->oid;
-      event.attr = stmt.update->attr;
+      event.subject = stmt->update->oid;
+      event.attr = stmt->update->attr;
       break;
     case Statement::Kind::kMigrate:
       event.kind = TriggerEvent::kMigrate;
-      event.subject = stmt.migrate->oid;
+      event.subject = stmt->migrate->oid;
       break;
     case Statement::Kind::kDelete:
       event.kind = TriggerEvent::kDelete;
-      event.subject = stmt.del->oid;
+      event.subject = stmt->del->oid;
       break;
     default:
       return out;  // queries and clock ops fire nothing
@@ -252,8 +251,10 @@ Status ActiveDatabase::Fire(const Event& event,
     while ((pos = action.find("$self")) != std::string::npos) {
       action.replace(pos, 5, self);
     }
+    Result<Statement> parsed = ParseStatement(action);
     chain->push_back(t.name);
-    Result<std::string> r = ExecuteInternal(action, chain);
+    Result<std::string> r = parsed.ok() ? ExecuteInternal(&*parsed, chain)
+                                        : parsed.status();
     chain->pop_back();
     if (!r.ok()) {
       // A cascade-depth error already names the whole chain; propagate it

@@ -99,6 +99,10 @@ class ActiveDatabase {
   // and extends `check` to also evaluate every registered constraint.
   Result<std::string> Execute(std::string_view statement);
 
+  // Executes an already-parsed statement (the engine's write path parses
+  // once and hands the statement here). Same semantics as Execute.
+  Result<std::string> ExecuteStatement(Statement* stmt);
+
   // Trigger firings since construction (diagnostics / benchmarks).
   size_t fired_count() const { return fired_; }
 
@@ -114,7 +118,7 @@ class ActiveDatabase {
   // Runs all matching triggers for `event`; `chain` carries the firing
   // path for the termination diagnostic.
   Status Fire(const Event& event, std::vector<std::string>* chain);
-  Result<std::string> ExecuteInternal(std::string_view statement,
+  Result<std::string> ExecuteInternal(Statement* stmt,
                                       std::vector<std::string>* chain);
 
   Database* db_;

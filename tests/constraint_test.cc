@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "constraints/constraint.h"
+#include "triggers/trigger.h"
 #include "workload/project_schema.h"
 
 namespace tchimera {
@@ -62,6 +63,31 @@ TEST_F(ConstraintTest, Parsing) {
           .value();
   EXPECT_EQ(c.ToString(),
             "constraint pay on employee nondecreasing salary");
+}
+
+// The facade folds the registered constraints into `check` however the
+// statement is spelled: it routes on the parsed kind, not on the text.
+TEST_F(ConstraintTest, CheckEvaluatesConstraintsForEverySpelling) {
+  ActiveDatabase active(&db_);
+  ASSERT_TRUE(
+      active.Execute("constraint pay on employee nondecreasing salary").ok());
+  const char* spellings[] = {"check", "check;", "  CHECK ;",
+                             "-- audit\ncheck"};
+  for (const char* spelling : spellings) {
+    Result<std::string> out = active.Execute(spelling);
+    ASSERT_TRUE(out.ok()) << spelling << ": " << out.status();
+    EXPECT_EQ(*out, "consistent (and 1 temporal constraints hold)")
+        << spelling;
+  }
+  ASSERT_TRUE(db_.AdvanceTo(10).ok());
+  ASSERT_TRUE(db_.UpdateAttribute(ann_, "salary", I(1000)).ok());
+  Status reference = active.Execute("check").status();
+  ASSERT_FALSE(reference.ok());
+  for (const char* spelling : spellings) {
+    Status s = active.Execute(spelling).status();
+    EXPECT_EQ(s.code(), reference.code()) << spelling;
+    EXPECT_EQ(s.message(), reference.message()) << spelling;
+  }
 }
 
 TEST_F(ConstraintTest, AlwaysHoldsOverWholeHistory) {

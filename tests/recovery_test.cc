@@ -20,6 +20,7 @@
 #include "core/values/temporal_function.h"
 #include "core/values/value.h"
 #include "query/interpreter.h"
+#include "query/session.h"
 #include "storage/deserializer.h"
 #include "storage/journal.h"
 #include "storage/recovery.h"
@@ -127,30 +128,68 @@ struct WorkloadRun {
   size_t committed = 0;
 };
 
-// Runs the workload through a JournaledDatabase on `ffs`, checkpointing
-// once mid-way. Stops at the first failure (the injected crash).
-WorkloadRun RunWorkload(FaultInjectionFileSystem* ffs,
-                        const std::string& snapshot_path,
-                        const std::string& journal_path,
-                        SyncPolicy sync = SyncPolicy::kEveryAppend) {
+// A CommitSink over one Journal whose sync policy the test pins: each
+// enqueue appends (and syncs per that policy) before the commit is
+// acknowledged — the I/O a write-ahead journal issues per statement.
+class JournalSink : public CommitSink {
+ public:
+  Status Open(const std::string& path, const JournalOptions& options) {
+    return journal_.Open(path, options);
+  }
+  Journal& journal() { return journal_; }
+
+  Ticket Enqueue(std::string_view statement) override {
+    Status appended = journal_.Append(statement);
+    if (!appended.ok()) return Ticket{0, appended};
+    return Ticket{++appended_};
+  }
+  Status Await(Ticket) override { return Status::OK(); }
+
+ private:
+  Journal journal_;
+  uint64_t appended_ = 0;
+};
+
+// Runs `statements` through an Engine journaling to `journal_path` on
+// `ffs`, checkpointing once before statement `checkpoint_before`. Stops
+// at the first failure (the injected crash).
+WorkloadRun RunStatements(FaultInjectionFileSystem* ffs,
+                          const std::string& snapshot_path,
+                          const std::string& journal_path,
+                          const std::vector<std::string>& statements,
+                          size_t checkpoint_before,
+                          SyncPolicy sync = SyncPolicy::kEveryAppend) {
   WorkloadRun run;
   JournalOptions options;
   options.fs = ffs;
   options.sync = sync;
-  JournaledDatabase jdb(journal_path, options);
-  if (!jdb.status().ok()) return run;
-  const std::vector<std::string>& statements = Workload();
+  JournalSink sink;
+  if (!sink.Open(journal_path, options).ok()) return run;
+  Engine engine;
+  engine.set_commit_sink(&sink);
+  Session session = engine.OpenSession();
   for (size_t i = 0; i < statements.size(); ++i) {
-    if (i == kCheckpointBefore) {
+    if (i == checkpoint_before) {
       // A checkpoint killed by the injected crash is not fatal here; the
       // next append fails and ends the run.
-      (void)RecoveryManager::Checkpoint(jdb.db(), &jdb.journal(),
-                                        snapshot_path, ffs);
+      (void)engine.WithExclusive([&](Database& db, ActiveDatabase&) {
+        return RecoveryManager::Checkpoint(db, &sink.journal(),
+                                           snapshot_path, ffs);
+      });
     }
-    if (!jdb.Execute(statements[i]).ok()) break;
+    if (!session.Execute(statements[i]).ok()) break;
     ++run.committed;
   }
   return run;
+}
+
+// The canonical workload, checkpointed once mid-way.
+WorkloadRun RunWorkload(FaultInjectionFileSystem* ffs,
+                        const std::string& snapshot_path,
+                        const std::string& journal_path,
+                        SyncPolicy sync = SyncPolicy::kEveryAppend) {
+  return RunStatements(ffs, snapshot_path, journal_path, Workload(),
+                       kCheckpointBefore, sync);
 }
 
 // The tentpole proof obligation: crash at every single mutating I/O
@@ -254,20 +293,8 @@ TEST(CrashRecoveryTest, EveryCrashPointLeavesIndexesConsistentWithObjects) {
   auto run_workload = [&](FaultInjectionFileSystem* ffs,
                           const std::string& snap,
                           const std::string& journal) {
-    size_t committed = 0;
-    JournalOptions options;
-    options.fs = ffs;
-    JournaledDatabase jdb(journal, options);
-    if (!jdb.status().ok()) return committed;
-    for (size_t i = 0; i < workload.size(); ++i) {
-      if (i == kCheckpointAt) {
-        (void)RecoveryManager::Checkpoint(jdb.db(), &jdb.journal(), snap,
-                                          ffs);
-      }
-      if (!jdb.Execute(workload[i]).ok()) break;
-      ++committed;
-    }
-    return committed;
+    return RunStatements(ffs, snap, journal, workload, kCheckpointAt)
+        .committed;
   };
 
   uint64_t total_ops = 0;
@@ -610,7 +637,10 @@ TEST(BackCompatTest, V1JournalReplaysAndUpgradesAtTheNextCheckpoint) {
 
   Database reference;
   Interpreter reference_interp(&reference);
-  auto applied = Journal::Replay(journal_path, &reference_interp);
+  auto applied = Journal::Replay(
+      journal_path, [&reference_interp](const std::string& statement) {
+        return reference_interp.Execute(statement).status();
+      });
   ASSERT_TRUE(applied.ok()) << applied.status();
   EXPECT_EQ(*applied, kCheckpointBefore);
 

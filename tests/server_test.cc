@@ -360,6 +360,43 @@ TEST(ServerTest, CommitBacklogShedsWritesButServesReads) {
   EXPECT_TRUE(c.Execute("update i1 set v = 2").ok());
 }
 
+// One client's multi-line write must not poison the shared group-commit
+// sink (the journal cannot frame it). The engine refuses it before it
+// applies, so every client's later writes keep committing durably.
+TEST(ServerTest, MultiLineWriteCannotDisableWritesForOtherClients) {
+  const std::string dir = FreshDir("multiline");
+  Engine engine;
+  GroupCommitJournal sink;
+  ASSERT_TRUE(sink.Open(dir + "/journal.tql").ok());
+  engine.set_commit_sink(&sink);
+  ServerOptions options;
+  options.port = 0;
+  Server server(&engine, options);
+  ASSERT_TRUE(server.Start().ok());
+  Result<std::unique_ptr<Client>> a = Client::Connect("127.0.0.1",
+                                                      server.port());
+  Result<std::unique_ptr<Client>> b = Client::Connect("127.0.0.1",
+                                                      server.port());
+  ASSERT_TRUE(a.ok() && b.ok());
+  ASSERT_TRUE((*a)->Execute("define class d attributes v: integer end").ok());
+  ASSERT_TRUE((*a)->Execute("create d (v: 1)").ok());
+
+  Result<std::string> bad = (*a)->Execute("update i1\nset v = 9");
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
+  Result<std::string> v = (*b)->Execute("select x.v from x in d");
+  ASSERT_TRUE(v.ok()) << v.status().ToString();
+  EXPECT_EQ(*v, "1");  // nothing was applied
+
+  Result<std::string> other = (*b)->Execute("update i1 set v = 2");
+  EXPECT_TRUE(other.ok()) << other.status().ToString();
+  Result<std::string> same = (*a)->Execute("create d (v: 3)");
+  EXPECT_TRUE(same.ok()) << same.status().ToString();
+  server.Stop();
+  EXPECT_EQ(sink.durable(), 4u);
+  sink.Close();
+}
+
 // --- retry policy (the refactor the server motivated) ----------------------
 
 TEST(ServerTest, WriteRetryPolicySurfacesConflictWithoutFallback) {

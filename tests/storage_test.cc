@@ -5,11 +5,16 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <set>
 
 #include "common/crc32.h"
 #include "core/db/consistency.h"
 #include "core/db/equality.h"
+#include "query/interpreter.h"
+#include "query/parser.h"
+#include "query/session.h"
 #include "storage/deserializer.h"
+#include "storage/group_commit.h"
 #include "storage/journal.h"
 #include "storage/recovery.h"
 #include "storage/serializer.h"
@@ -120,6 +125,14 @@ TEST(DeserializerTest, DetectsCorruption) {
   EXPECT_FALSE(LoadDatabaseFromString(mangled).ok());
 }
 
+// A replay executor applying each statement to `db` through an
+// Interpreter.
+StatementExecutor ApplyTo(Database* db) {
+  return [interp = Interpreter(db)](const std::string& statement) mutable {
+    return interp.Execute(statement).status();
+  };
+}
+
 TEST(JournalTest, ReplayReproducesState) {
   std::string path = TempPath("journal.tql");
   std::remove(path.c_str());
@@ -134,19 +147,22 @@ TEST(JournalTest, ReplayReproducesState) {
       "delete i2",
   };
   {
-    JournaledDatabase jdb(path);
-    ASSERT_TRUE(jdb.status().ok());
+    Engine engine;
+    GroupCommitJournal sink;
+    ASSERT_TRUE(sink.Open(path).ok());
+    engine.set_commit_sink(&sink);
+    Session session = engine.OpenSession();
     for (const char* stmt : statements) {
-      Result<std::string> r = jdb.Execute(stmt);
+      Result<std::string> r = session.Execute(stmt);
       ASSERT_TRUE(r.ok()) << stmt << ": " << r.status();
     }
     // Queries are not journaled.
-    ASSERT_TRUE(jdb.Execute("select x from x in person").ok());
+    ASSERT_TRUE(session.Execute("select x from x in person").ok());
+    sink.Close();
   }
   // Recovery: replay into a fresh database.
   Database recovered;
-  Interpreter interp(&recovered);
-  Result<size_t> applied = Journal::Replay(path, &interp);
+  Result<size_t> applied = Journal::Replay(path, ApplyTo(&recovered));
   ASSERT_TRUE(applied.ok()) << applied.status();
   EXPECT_EQ(*applied, 7u);  // the SELECT was not journaled
   EXPECT_EQ(recovered.now(), 35);
@@ -170,25 +186,32 @@ TEST(JournalTest, CheckpointPlusLogRecovery) {
   // Phase 1: base state, then a safe checkpoint (rotate + snapshot +
   // delete, see storage/recovery.h).
   {
-    JournaledDatabase jdb(journal_path);
-    ASSERT_TRUE(jdb.status().ok()) << jdb.status();
+    Engine engine;
+    GroupCommitJournal sink;
+    ASSERT_TRUE(sink.Open(journal_path).ok());
+    engine.set_commit_sink(&sink);
+    Session session = engine.OpenSession();
     for (const char* stmt :
          {"define class task attributes description: string, "
           "effort: temporal(integer) end",
           "create task (description: 'build', effort: 10)"}) {
-      Result<std::string> r = jdb.Execute(stmt);
+      Result<std::string> r = session.Execute(stmt);
       ASSERT_TRUE(r.ok()) << stmt << ": " << r.status();
     }
-    Status ckpt =
-        RecoveryManager::Checkpoint(jdb.db(), &jdb.journal(), snap_path);
+    Status ckpt = engine.WithExclusive([&](Database& db, ActiveDatabase&) {
+      return sink.WithQuiesced([&](Journal& journal) {
+        return RecoveryManager::Checkpoint(db, &journal, snap_path);
+      });
+    });
     ASSERT_TRUE(ckpt.ok()) << ckpt;
     // The rotated pre-checkpoint journal was deleted once the snapshot
     // became durable.
     EXPECT_FALSE(
         std::filesystem::exists(Journal::RotatedPath(journal_path, 0)));
     // Phase 2: more work lands in the fresh journal tail only.
-    ASSERT_TRUE(jdb.Execute("tick 10").ok());
-    ASSERT_TRUE(jdb.Execute("update i1 set effort = 20").ok());
+    ASSERT_TRUE(session.Execute("tick 10").ok());
+    ASSERT_TRUE(session.Execute("update i1 set effort = 20").ok());
+    sink.Close();
   }
   // Recovery: snapshot, then the journal tail on top.
   RecoveryManager manager(snap_path, journal_path);
@@ -227,8 +250,7 @@ TEST(JournalTest, ReplayPrefixBoundaries) {
   }
   auto replay_prefix = [&](size_t max) {
     Database db;
-    Interpreter interp(&db);
-    Result<size_t> applied = Journal::ReplayPrefix(path, &interp, max);
+    Result<size_t> applied = Journal::ReplayPrefix(path, ApplyTo(&db), max);
     EXPECT_TRUE(applied.ok()) << applied.status();
     return std::make_pair(applied.ok() ? *applied : 0, db.now());
   };
@@ -247,8 +269,7 @@ TEST(JournalTest, ReplaySkipsBlankLinesInV1Journals) {
     out << "tick 1\n\n\ntick 2\n   \n";
   }
   Database db;
-  Interpreter interp(&db);
-  Result<size_t> applied = Journal::Replay(path, &interp);
+  Result<size_t> applied = Journal::Replay(path, ApplyTo(&db));
   ASSERT_TRUE(applied.ok()) << applied.status();
   EXPECT_EQ(*applied, 2u);
   EXPECT_EQ(db.now(), 3);
@@ -258,8 +279,6 @@ TEST(JournalTest, ReplaySkipsBlankLinesInV1Journals) {
 TEST(JournalTest, OperationsOnClosedJournalFail) {
   Journal never_opened;
   EXPECT_EQ(never_opened.Append("tick").code(),
-            StatusCode::kFailedPrecondition);
-  EXPECT_EQ(never_opened.Truncate().code(),
             StatusCode::kFailedPrecondition);
   EXPECT_EQ(never_opened.Sync().code(), StatusCode::kFailedPrecondition);
   EXPECT_EQ(never_opened.Rotate().status().code(),
@@ -273,28 +292,9 @@ TEST(JournalTest, OperationsOnClosedJournalFail) {
   journal.Close();
   EXPECT_EQ(journal.Append("tick").code(),
             StatusCode::kFailedPrecondition);
-  EXPECT_EQ(journal.Truncate().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(journal.Rotate().status().code(),
+            StatusCode::kFailedPrecondition);
   std::remove(path.c_str());
-}
-
-TEST(JournalTest, MutatingStatementMatchesWholeTokenOnly) {
-  EXPECT_TRUE(IsMutatingStatement("delete i1"));
-  EXPECT_TRUE(IsMutatingStatement("  Update i1 set a = 1"));
-  EXPECT_TRUE(IsMutatingStatement("tick"));
-  // Index DDL must journal / replicate / group-commit like any other
-  // mutation — a non-mutating classification would silently drop it
-  // from the durability pipeline.
-  EXPECT_TRUE(IsMutatingStatement("create index iv on item (v)"));
-  EXPECT_TRUE(IsMutatingStatement("  CREATE index iv on item lifespan"));
-  EXPECT_TRUE(IsMutatingStatement("drop index iv"));
-  // Prefix look-alikes are queries, not mutations.
-  EXPECT_FALSE(IsMutatingStatement("deletion_report from x in c"));
-  EXPECT_FALSE(IsMutatingStatement("ticket from x in c"));
-  EXPECT_FALSE(IsMutatingStatement("updates from x in c"));
-  EXPECT_FALSE(IsMutatingStatement("created from x in c"));
-  EXPECT_FALSE(IsMutatingStatement(""));
-  EXPECT_FALSE(IsMutatingStatement("   "));
-  EXPECT_EQ(FirstTokenLower("  TRIGGER t on create do tick"), "trigger");
 }
 
 TEST(JournalTest, ReplayFailsFastOnBadStatement) {
@@ -304,12 +304,176 @@ TEST(JournalTest, ReplayFailsFastOnBadStatement) {
     out << "tick 1\nnot a statement\ntick 1\n";
   }
   Database db;
-  Interpreter interp(&db);
-  Result<size_t> r = Journal::Replay(path, &interp);
+  Result<size_t> r = Journal::Replay(path, ApplyTo(&db));
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kCorruption);
   EXPECT_EQ(db.now(), 1);  // the first statement applied before the stop
   std::remove(path.c_str());
+}
+
+// Records what the engine hands to its durability boundary.
+class RecordingSink : public CommitSink {
+ public:
+  Ticket Enqueue(std::string_view statement) override {
+    statements.emplace_back(statement);
+    return Ticket{statements.size()};
+  }
+  Status Await(Ticket) override { return Status::OK(); }
+
+  std::vector<std::string> statements;
+};
+
+// Every Statement::Kind, classified once from the parse (TraitsOf) — and
+// the engine journals exactly the durable ones, spelled any which way.
+TEST(StatementTraitsTest, EveryKindRoutesFromItsParsedKind) {
+  using Kind = Statement::Kind;
+  struct Row {
+    const char* text;
+    Kind kind;
+    bool read;
+    bool durable;
+    bool needs_exclusive;
+  };
+  const Row table[] = {
+      {"define class item attributes v: temporal(integer) end",
+       Kind::kDefineClass, false, true, true},
+      {"define class gadget under item end", Kind::kDefineClass, false, true,
+       true},
+      {"define class spare attributes w: integer end", Kind::kDefineClass,
+       false, true, true},
+      {"create item (v: 1)", Kind::kCreate, false, true, false},
+      {"CREATE index iv on item (v)", Kind::kCreateIndex, false, true, true},
+      {"update i1 set v = 2;", Kind::kUpdate, false, true, false},
+      {"select x from x in item", Kind::kSelect, true, false, false},
+      {"snapshot i1", Kind::kSnapshot, true, false, false},
+      {"history i1.v", Kind::kHistory, true, false, false},
+      {"when i1.v = 2", Kind::kWhen, true, false, false},
+      {"show classes", Kind::kShow, true, false, false},
+      {"explain select x from x in item", Kind::kExplain, true, false, false},
+      {"tick;", Kind::kTick, false, true, false},
+      {"  Advance to 10", Kind::kAdvance, false, true, false},
+      {"check;", Kind::kCheck, false, false, false},
+      {"trigger bump on update of item.v do tick", Kind::kDefineTrigger,
+       false, true, true},
+      {"constraint up on item nondecreasing v", Kind::kDefineConstraint,
+       false, true, true},
+      {"migrate i1 to gadget", Kind::kMigrate, false, true, false},
+      {"drop index iv", Kind::kDropIndex, false, true, true},
+      {"drop class spare", Kind::kDropClass, false, true, true},
+      {"delete i1", Kind::kDelete, false, true, false},
+  };
+  Engine engine;
+  RecordingSink sink;
+  engine.set_commit_sink(&sink);
+  Session session = engine.OpenSession();
+  std::vector<std::string> durable;
+  std::set<Kind> covered;
+  for (const Row& row : table) {
+    SCOPED_TRACE(row.text);
+    Result<Statement> parsed = ParseStatement(row.text);
+    ASSERT_TRUE(parsed.ok()) << parsed.status();
+    EXPECT_EQ(parsed->kind, row.kind);
+    const StatementTraits traits = TraitsOf(parsed->kind);
+    EXPECT_EQ(traits.read, row.read);
+    EXPECT_EQ(traits.durable, row.durable);
+    EXPECT_EQ(traits.needs_exclusive, row.needs_exclusive);
+    covered.insert(row.kind);
+
+    Result<std::string> out = session.Execute(row.text);
+    ASSERT_TRUE(out.ok()) << out.status();
+    if (row.durable) durable.push_back(row.text);
+  }
+  // The table spans every kind (kDefineConstraint is the last).
+  EXPECT_EQ(covered.size(), static_cast<size_t>(Kind::kDefineConstraint) + 1);
+  EXPECT_EQ(sink.statements, durable);
+
+  // Look-alikes of mutating verbs are parse errors; they never reach the
+  // sink.
+  for (const char* text : {"deletion_report from x in c",
+                           "ticket from x in c", "updates from x in c",
+                           "created from x in c", "", "   "}) {
+    EXPECT_FALSE(session.Execute(text).ok()) << text;
+  }
+  EXPECT_EQ(sink.statements, durable);
+}
+
+// A statement journaled verbatim must replay to the same state, whatever
+// its spelling: a trailing `;`, mixed case or a trailing comment.
+TEST(WritePathTest, EveryDurableSpellingIsJournaledAndRecovers) {
+  const std::string dir = TempPath("spellings");
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string journal_path = dir + "/journal.tql";
+  Engine engine;
+  GroupCommitJournal sink;
+  ASSERT_TRUE(sink.Open(journal_path).ok());
+  engine.set_commit_sink(&sink);
+  Session session = engine.OpenSession();
+  for (const char* stmt :
+       {"define class dept attributes budget: temporal(integer) end;",
+        "create dept (budget: 10);", "tick;", "  TICK 2 ;",
+        "update i1 set budget = 20; -- raise", "Advance to 40;"}) {
+    Result<std::string> r = session.Execute(stmt);
+    ASSERT_TRUE(r.ok()) << stmt << ": " << r.status();
+  }
+  EXPECT_EQ(sink.durable(), 6u);
+  sink.Close();
+
+  RecoveryManager manager(dir + "/snap.tchdb", journal_path);
+  Result<std::unique_ptr<Database>> recovered = manager.Recover();
+  ASSERT_TRUE(recovered.ok()) << recovered.status();
+  EXPECT_EQ((*recovered)->now(), 40);
+  EXPECT_EQ(DatabaseStateHash(**recovered).value(),
+            DatabaseStateHash(engine.OpenSnapshot().db()).value());
+  std::filesystem::remove_all(dir);
+}
+
+// The journal frames one statement per line, so a durable statement with
+// a raw newline is refused before it applies — it neither changes the
+// database nor poisons the sink for the writes after it.
+TEST(WritePathTest, MultiLineDurableWritesAreRefusedBeforeApplying) {
+  const std::string dir = TempPath("newlines");
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string journal_path = dir + "/journal.tql";
+  Engine engine;
+  GroupCommitJournal sink;
+  ASSERT_TRUE(sink.Open(journal_path).ok());
+  engine.set_commit_sink(&sink);
+  Session session = engine.OpenSession();
+  ASSERT_TRUE(session
+                  .Execute("define class emp attributes salary: "
+                           "temporal(integer) end")
+                  .ok());
+  ASSERT_TRUE(session.Execute("create emp (salary: 5)").ok());
+  const uint32_t before =
+      DatabaseStateHash(engine.OpenSnapshot().db()).value();
+
+  Result<std::string> r =
+      session.Execute("-- c\ndefine class dept attributes budget: integer end");
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(engine.OpenSnapshot().db().FindClass("dept").ok());
+  r = session.Execute("update i1\nset salary = 9");
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(DatabaseStateHash(engine.OpenSnapshot().db()).value(), before);
+  // Reads are never journaled, so they may span lines.
+  EXPECT_TRUE(session.Execute("select x\nfrom x in emp").ok());
+
+  // The sink is healthy: the single-line form commits and recovers.
+  ASSERT_TRUE(session.Execute("update i1 set salary = 9").ok());
+  sink.Close();
+  RecoveryManager manager(dir + "/snap.tchdb", journal_path);
+  Result<std::unique_ptr<Database>> recovered = manager.Recover();
+  ASSERT_TRUE(recovered.ok()) << recovered.status();
+  EXPECT_EQ(DatabaseStateHash(**recovered).value(),
+            DatabaseStateHash(engine.OpenSnapshot().db()).value());
+
+  // Without a sink nothing is journaled, and multi-line writes apply.
+  Engine in_memory;
+  EXPECT_TRUE(in_memory.OpenSession()
+                  .Execute("define class a\nattributes x: integer end")
+                  .ok());
+  std::filesystem::remove_all(dir);
 }
 
 // --- v3 snapshots: DEFINE records for trigger/constraint definitions ---

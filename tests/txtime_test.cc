@@ -8,10 +8,18 @@
 #include <filesystem>
 #include <fstream>
 
+#include "query/interpreter.h"
 #include "storage/journal.h"
 
 namespace tchimera {
 namespace {
+
+// Replays each journaled statement into `db` through an Interpreter.
+StatementExecutor Apply(Database* db) {
+  return [interp = Interpreter(db)](const std::string& statement) mutable {
+    return interp.Execute(statement).status();
+  };
+}
 
 class TxTimeTest : public ::testing::Test {
  protected:
@@ -35,8 +43,7 @@ class TxTimeTest : public ::testing::Test {
 
   std::unique_ptr<Database> AsOfTransaction(size_t n) {
     auto db = std::make_unique<Database>();
-    Interpreter interp(db.get());
-    Result<size_t> applied = Journal::ReplayPrefix(path_, &interp, n);
+    Result<size_t> applied = Journal::ReplayPrefix(path_, Apply(db.get()), n);
     EXPECT_TRUE(applied.ok()) << applied.status();
     return db;
   }
@@ -81,14 +88,11 @@ TEST_F(TxTimeTest, BitemporalDistinction) {
 
 TEST_F(TxTimeTest, ReplayCountIsExact) {
   Database db;
-  Interpreter interp(&db);
-  EXPECT_EQ(Journal::ReplayPrefix(path_, &interp, 0).value(), 0u);
+  EXPECT_EQ(Journal::ReplayPrefix(path_, Apply(&db), 0).value(), 0u);
   Database db2;
-  Interpreter interp2(&db2);
-  EXPECT_EQ(Journal::ReplayPrefix(path_, &interp2, 3).value(), 3u);
+  EXPECT_EQ(Journal::ReplayPrefix(path_, Apply(&db2), 3).value(), 3u);
   Database db3;
-  Interpreter interp3(&db3);
-  EXPECT_EQ(Journal::ReplayPrefix(path_, &interp3, 999).value(), 5u);
+  EXPECT_EQ(Journal::ReplayPrefix(path_, Apply(&db3), 999).value(), 5u);
 }
 
 }  // namespace
