@@ -170,47 +170,6 @@ void BM_CommitCostVsTouchedObjects(benchmark::State& state) {
 }
 BENCHMARK(BM_CommitCostVsTouchedObjects)->Arg(1)->Arg(16)->Arg(256)->Arg(1024);
 
-// --- single-writer latency under a linger window: with max_delay set, a
-// lone committer's Await must NOT pay the linger — its pending statement
-// is the whole non-durable backlog, so the leader flushes immediately.
-// The bench measures the full Enqueue+Await round trip and fails
-// (SkipWithError) if the average latency reaches max_delay, which is
-// what the pre-fix dead linger cost on every single-writer commit.
-
-void BM_SingleWriterLatencyWithLinger(benchmark::State& state) {
-  std::string dir = ScratchDir("linger");
-  GroupCommitOptions gopts;
-  gopts.max_delay = std::chrono::microseconds(20000);  // 20ms window
-  GroupCommitJournal sink;
-  if (!sink.Open(dir + "/journal.tchl", JournalOptions{}, gopts).ok()) {
-    state.SkipWithError("journal open failed");
-    return;
-  }
-  std::chrono::nanoseconds in_commit{0};
-  for (auto _ : state) {
-    auto begin = std::chrono::steady_clock::now();
-    CommitSink::Ticket ticket = sink.Enqueue("tick 1");
-    Status durable = sink.Await(ticket);
-    in_commit += std::chrono::steady_clock::now() - begin;
-    if (!durable.ok()) {
-      state.SkipWithError("await failed");
-      break;
-    }
-  }
-  const int64_t iterations = std::max<int64_t>(1, state.iterations());
-  const auto avg = in_commit / iterations;
-  state.counters["avg_commit_us"] =
-      std::chrono::duration<double, std::micro>(avg).count();
-  if (avg >= gopts.max_delay) {
-    state.SkipWithError(
-        "single-writer commit latency >= max_delay: lone-committer "
-        "linger skip regressed");
-  }
-  sink.Close();
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_SingleWriterLatencyWithLinger)->UseRealTime();
-
 // --- durability: group commit vs one fdatasync per statement. The
 // baseline sink syncs inside Enqueue (the pre-refactor behavior: every
 // acknowledged statement pays a full fdatasync); GroupCommitJournal
@@ -219,15 +178,12 @@ BENCHMARK(BM_SingleWriterLatencyWithLinger)->UseRealTime();
 
 class PerStatementSink final : public CommitSink {
  public:
-  Status Open(const std::string& path) {
-    JournalOptions options;
-    options.sync = SyncPolicy::kEveryAppend;
-    return journal_.Open(path, options);
-  }
+  Status Open(const std::string& path) { return journal_.Open(path); }
   Ticket Enqueue(std::string_view statement) override {
     std::lock_guard<std::mutex> lock(mu_);
-    // kEveryAppend: the append itself fsyncs before returning.
+    // One fdatasync per statement, before Enqueue returns.
     last_ = journal_.Append(statement);
+    if (last_.ok()) last_ = journal_.Sync();
     return Ticket{++seq_};
   }
   Status Await(Ticket) override {

@@ -7,8 +7,9 @@
 // `explain` still shows what the compiler would have produced.
 //
 // On startup the shell runs crash recovery over the database directory
-// (snapshot load, journal replay in epoch order with torn-tail salvage,
-// consistency audit — see storage/recovery.h). Statements then run
+// (RecoveryManager::RecoverEngine: snapshot load, journal replay in epoch
+// order with torn-tail salvage, consistency audit — see
+// storage/recovery.h). Statements then run
 // through a query Session over the concurrent Engine (query/session.h):
 // mutating statements are serialized, journaled through the group-commit
 // sink (storage/group_commit.h) and acknowledged only once durable;
@@ -16,10 +17,10 @@
 // sink quiesced. Without a directory argument the session is in-memory
 // only.
 //
-// The journal replay goes through the ActiveDatabase facade so journaled
-// `trigger` and `constraint` definitions are restored too; a checkpoint
-// persists them as the snapshot's DEFINE records (snapshot v3), which
-// recovery replays back through the facade.
+// Recovery replays through the engine's ActiveDatabase facade, so
+// journaled `trigger` and `constraint` definitions are restored too; a
+// checkpoint persists them as the snapshot's DEFINE records (snapshot
+// v3), which recovery replays back through the facade.
 //
 // Meta commands: .help .checkpoint .quit — everything else is TQL
 // (see src/query/parser.h for the grammar).
@@ -92,58 +93,28 @@ int main(int argc, char** argv) {
     std::printf("(in-memory session; pass a directory to persist)\n");
   }
 
-  tchimera::RecoveryManager recovery(snapshot_path, journal_path);
-  tchimera::RecoveryStats stats;
-  std::unique_ptr<Database> db = std::make_unique<Database>();
-  if (!journal_path.empty()) {
-    Result<std::unique_ptr<Database>> loaded = recovery.LoadSnapshot(&stats);
-    if (!loaded.ok()) {
-      std::fprintf(stderr, "cannot load %s: %s\n", snapshot_path.c_str(),
-                   loaded.status().ToString().c_str());
-      return 1;
-    }
-    db = std::move(loaded).value();
-  }
-
-  // The engine owns the database from here on; recovery replay runs
-  // through a session before the commit sink is installed, so replayed
-  // statements are not re-journaled.
-  Engine engine(std::move(db));
-  Session session = engine.OpenSession();
-  session.set_compile_enabled(compile_enabled);
+  // Recovery replays on the engine before the commit sink is installed,
+  // so replayed statements are not re-journaled.
+  auto engine = std::make_unique<Engine>();
   GroupCommitJournal sink;
   if (!journal_path.empty()) {
-    Status replayed = Status::OK();
-    for (const std::string& definition : recovery.snapshot_definitions()) {
-      replayed = session.Execute(definition).status();
-      if (!replayed.ok()) break;
-    }
-    if (replayed.ok()) {
-      replayed = recovery.ReplayJournals(
-          [&session](const std::string& statement) {
-            return session.Execute(statement).status();
-          },
-          &stats);
-    }
+    tchimera::RecoveryStats stats;
+    Result<std::unique_ptr<Engine>> recovered =
+        tchimera::RecoveryManager(snapshot_path, journal_path)
+            .RecoverEngine(&stats);
     for (const std::string& note : stats.notes) {
       std::fprintf(stderr, "recovery: %s\n", note.c_str());
     }
-    if (!replayed.ok()) {
-      std::fprintf(stderr, "journal replay failed: %s\n",
-                   replayed.ToString().c_str());
+    if (!recovered.ok()) {
+      std::fprintf(stderr, "recovery failed: %s\n",
+                   recovered.status().ToString().c_str());
       return 1;
     }
-    Status audit = tchimera::RecoveryManager::Audit(
-        &engine.writer_db(), tchimera::AuditMode::kFail, &stats);
-    if (!audit.ok()) {
-      std::fprintf(stderr, "post-recovery audit failed: %s\n",
-                   audit.ToString().c_str());
-      return 1;
-    }
+    engine = std::move(recovered).value();
     std::printf("recovered: %zu objects, now = %lld "
                 "(%zu statement(s) replayed)\n",
-                engine.writer_db().object_count(),
-                static_cast<long long>(engine.writer_db().now()),
+                engine->writer_db().object_count(),
+                static_cast<long long>(engine->writer_db().now()),
                 stats.statements_applied);
     tchimera::JournalOptions options;
     options.epoch = stats.next_epoch;
@@ -152,8 +123,10 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "%s\n", opened.ToString().c_str());
       return 1;
     }
-    engine.set_commit_sink(&sink);
+    engine->set_commit_sink(&sink);
   }
+  Session session = engine->OpenSession();
+  session.set_compile_enabled(compile_enabled);
   std::printf("T_Chimera temporal shell — .help for help\n");
   std::string line;
   while (true) {
@@ -176,7 +149,7 @@ int main(int argc, char** argv) {
       // sees a committed state and the journal rotates at a batch
       // boundary. Lock order (writer lock, then sink mutex) matches the
       // write path.
-      Status s = engine.WithExclusive(
+      Status s = engine->WithExclusive(
           [&](Database& live, tchimera::ActiveDatabase& active) {
             return sink.WithQuiesced([&](tchimera::Journal& journal) {
               return tchimera::RecoveryManager::Checkpoint(

@@ -121,10 +121,8 @@ size_t PlanCache::size() const {
   return map_.size();
 }
 
-Engine::Engine(std::unique_ptr<Database> db, size_t max_cascade_depth)
-    : vdb_(std::move(db)),
-      active_(&vdb_.writer_db(), max_cascade_depth),
-      max_cascade_depth_(max_cascade_depth) {}
+Engine::Engine(std::unique_ptr<Database> db)
+    : vdb_(std::move(db)), active_(&vdb_.writer_db()) {}
 
 Session Engine::OpenSession() { return Session(this); }
 
@@ -222,7 +220,7 @@ Result<std::string> Engine::TryOptimisticWrite(Statement* stmt,
   // mutations land in its write footprint like any others. Definitions
   // never change here: they are needs_exclusive kinds, and a trigger
   // action cannot be one (ActiveDatabase::DefineTrigger).
-  ActiveDatabase facade(&txn.db(), max_cascade_depth_);
+  ActiveDatabase facade(&txn.db());
   {
     std::lock_guard<std::mutex> defs_lock(defs_mu_);
     facade.CopyDefinitionsFrom(active_);

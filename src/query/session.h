@@ -197,9 +197,9 @@ enum class ReadStaleness {
 
 class Engine {
  public:
-  // Wraps `db` (nullptr = a fresh database).
-  explicit Engine(std::unique_ptr<Database> db = nullptr,
-                  size_t max_cascade_depth = 16);
+  // Wraps `db` (nullptr = a fresh database). Trigger cascades are
+  // bounded by ActiveDatabase's default depth.
+  explicit Engine(std::unique_ptr<Database> db = nullptr);
 
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
@@ -291,7 +291,6 @@ class Engine {
   // copy them into per-transaction facades without holding the writer
   // lock. Lock order: writer_mu_ (inside vdb_) before defs_mu_.
   std::mutex defs_mu_;
-  size_t max_cascade_depth_;
   CommitSink* sink_ = nullptr;
   PlanCache plan_cache_;
 };

@@ -46,8 +46,8 @@ Result<std::unique_ptr<Database>> LoadDatabaseFromString(
 // A fully parsed snapshot: the database plus the v3 DEFINE statements
 // (trigger / constraint declarations) in snapshot order, empty for
 // v1/v2. The definitions are NOT applied — they address the execution
-// facade (ActiveDatabase), not the Database; replay them through it
-// after restoring (see RecoveryManager::LoadSnapshot).
+// facade (ActiveDatabase), not the Database; recovery replays them
+// through it after restoring (see storage/recovery.h).
 struct LoadedSnapshot {
   std::unique_ptr<Database> db;
   std::vector<std::string> definitions;

@@ -9,17 +9,12 @@
 namespace tchimera {
 
 Status GroupCommitJournal::Open(const std::string& path,
-                                const JournalOptions& journal_options,
-                                const GroupCommitOptions& options) {
+                                const JournalOptions& journal_options) {
   std::lock_guard<std::mutex> lock(mu_);
   if (journal_.is_open()) {
     return Status::FailedPrecondition("group-commit journal is open");
   }
-  JournalOptions opts = journal_options;
-  opts.sync = SyncPolicy::kNone;  // the sink owns every sync point
-  TCH_RETURN_IF_ERROR(journal_.Open(path, opts));
-  options_ = options;
-  if (options_.max_batch == 0) options_.max_batch = 1;
+  TCH_RETURN_IF_ERROR(journal_.Open(path, journal_options));
   pending_.clear();
   enqueued_ = taken_ = durable_ = batches_ = 0;
   leader_active_ = false;
@@ -122,25 +117,9 @@ Status GroupCommitJournal::Await(Ticket ticket) {
 
 void GroupCommitJournal::LeadBatch(std::unique_lock<std::mutex>& lock) {
   leader_active_ = true;
-  // Linger only when the pending statements are NOT already the whole
-  // non-durable backlog — i.e. only while another batch is still in
-  // flight, so stragglers riding its completion are plausibly imminent.
-  // When pending_ covers everything outstanding (the single-writer case
-  // in particular: one statement, one waiter), waiting max_delay buys
-  // nothing and used to tax every lone commit with the full delay;
-  // cross-session batching still happens from commits piling up during
-  // the previous sync.
-  if (options_.max_delay.count() > 0 &&
-      pending_.size() < options_.max_batch &&
-      pending_.size() < enqueued_ - durable_) {
-    // cv_.wait_for releases the lock, so Enqueue can add to the batch
-    // while we wait; spurious wakeups just shorten the linger, which is
-    // harmless.
-    cv_.wait_for(lock, options_.max_delay);
-  }
   std::vector<std::string> batch;
-  batch.reserve(std::min(pending_.size(), options_.max_batch));
-  while (!pending_.empty() && batch.size() < options_.max_batch) {
+  batch.reserve(std::min(pending_.size(), kMaxBatch));
+  while (!pending_.empty() && batch.size() < kMaxBatch) {
     batch.push_back(std::move(pending_.front()));
     pending_.pop_front();
   }

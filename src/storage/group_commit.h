@@ -1,7 +1,6 @@
 // Cross-session group commit on top of the v2 journal (journal.h).
 //
-// The per-handle SyncPolicy::kBatched amortizes fdatasync over one
-// caller's appends; a multi-client front end wants more: commits from
+// The journal only appends; a multi-client front end wants commits from
 // *concurrent sessions* batched into one fdatasync, with every caller's
 // acknowledgement released only after the batch is durable. That is what
 // GroupCommitJournal provides, as the CommitSink of a query Engine
@@ -15,13 +14,13 @@
 //     issued that could drive a flush against a dead journal.
 //   - Await(ticket) blocks until the statement is on disk. The first
 //     awaiting thread with pending work elects itself *leader*: it takes
-//     up to max_batch pending statements (optionally waiting max_delay
-//     for more to arrive), appends them all, issues ONE fdatasync, marks
-//     them durable and wakes every waiter. Threads that arrive while a
-//     leader is flushing simply wait — their statements ride the next
-//     batch. Under contention the fdatasync count approaches
-//     (commits / batch size); a lone committer degenerates to one sync
-//     per statement, same as SyncPolicy::kEveryAppend.
+//     up to kMaxBatch pending statements, appends them all, issues ONE
+//     fdatasync, marks them durable and wakes every waiter. Threads that
+//     arrive while a leader is flushing simply wait — their statements
+//     ride the next batch. The leader never lingers: batching comes
+//     purely from commits that piled up during the previous sync. Under
+//     contention the fdatasync count approaches (commits / batch size);
+//     a lone committer degenerates to one sync per statement.
 //
 // Failure model: if an append or sync fails, the sink is poisoned — the
 // failed batch's waiters and every later Await get the sticky error.
@@ -30,12 +29,11 @@
 // recovery lands on a whole-batch boundary (modulo torn-tail salvage of
 // never-acknowledged records).
 //
-// On-disk format is untouched: this is journal v2, opened with
-// SyncPolicy::kNone so that the sink owns every sync point.
+// On-disk format is untouched: this is journal v2, and the sink owns
+// every sync point.
 #ifndef TCHIMERA_STORAGE_GROUP_COMMIT_H_
 #define TCHIMERA_STORAGE_GROUP_COMMIT_H_
 
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -49,19 +47,6 @@
 
 namespace tchimera {
 
-struct GroupCommitOptions {
-  // Most statements one batch may carry.
-  size_t max_batch = 64;
-  // How long a leader lingers for followers before flushing a non-full
-  // batch. 0 (default) = flush immediately: batching then comes purely
-  // from commits that piled up while the previous batch was syncing —
-  // no added latency, and still one sync per pile-up. Even when set, a
-  // leader whose pending statements already cover the entire non-durable
-  // backlog (in particular a lone committer) skips the linger: there is
-  // nobody to wait for, so single-writer latency never pays max_delay.
-  std::chrono::microseconds max_delay{0};
-};
-
 class EpochFence;  // storage/replication.h
 
 class GroupCommitJournal final : public CommitSink, public HorizonProvider {
@@ -70,12 +55,12 @@ class GroupCommitJournal final : public CommitSink, public HorizonProvider {
   GroupCommitJournal(const GroupCommitJournal&) = delete;
   GroupCommitJournal& operator=(const GroupCommitJournal&) = delete;
 
-  // Opens the underlying journal (same semantics as Journal::Open;
-  // `journal_options.sync` is overridden to kNone — the sink owns sync
-  // points).
+  // Most statements one batch may carry.
+  static constexpr size_t kMaxBatch = 64;
+
+  // Opens the underlying journal (same semantics as Journal::Open).
   Status Open(const std::string& path,
-              const JournalOptions& journal_options = {},
-              const GroupCommitOptions& options = {});
+              const JournalOptions& journal_options = {});
   bool is_open() const;
   void Close();
 
@@ -125,7 +110,6 @@ class GroupCommitJournal final : public CommitSink, public HorizonProvider {
   mutable std::mutex mu_;
   std::condition_variable cv_;
   Journal journal_;
-  GroupCommitOptions options_;
   std::deque<std::string> pending_;  // statements not yet taken by a batch
   uint64_t enqueued_ = 0;            // last ticket issued
   uint64_t taken_ = 0;               // last statement handed to a batch

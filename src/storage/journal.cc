@@ -306,7 +306,6 @@ Status Journal::Open(const std::string& path, const JournalOptions& options) {
   epoch_ = options.epoch;
   next_seq_ = 1;
   appended_ = 0;
-  unsynced_ = 0;
 
   bool needs_header = true;
   if (fs()->FileExists(path)) {
@@ -356,16 +355,6 @@ Status Journal::Append(std::string_view statement) {
   TCH_RETURN_IF_ERROR(file_->Append(line));
   if (format_ == 2) ++next_seq_;
   ++appended_;
-  ++unsynced_;
-  switch (options_.sync) {
-    case SyncPolicy::kEveryAppend:
-      return Sync();
-    case SyncPolicy::kBatched:
-      if (unsynced_ >= options_.batch_size) return Sync();
-      return Status::OK();
-    case SyncPolicy::kNone:
-      return Status::OK();
-  }
   return Status::OK();
 }
 
@@ -374,7 +363,6 @@ Status Journal::Sync() {
     return Status::FailedPrecondition("journal is not open");
   }
   TCH_RETURN_IF_ERROR(file_->Sync());
-  unsynced_ = 0;
   ++sync_count_;
   return Status::OK();
 }
@@ -387,8 +375,8 @@ Result<std::string> Journal::Rotate() {
   if (file_ == nullptr) {
     return Status::FailedPrecondition("journal is not open");
   }
-  // The rotated file must carry everything appended so far, whatever the
-  // sync policy.
+  // The rotated file must carry everything appended so far, synced or
+  // not.
   TCH_RETURN_IF_ERROR(file_->Sync());
   TCH_RETURN_IF_ERROR(file_->Close());
   file_.reset();
@@ -397,7 +385,6 @@ Result<std::string> Journal::Rotate() {
   ++epoch_;
   format_ = 2;
   next_seq_ = 1;
-  unsynced_ = 0;
   TCH_ASSIGN_OR_RETURN(file_, fs()->OpenWritable(path_, /*truncate=*/false));
   TCH_RETURN_IF_ERROR(WriteHeader());
   return rotated;

@@ -1,10 +1,10 @@
 // A durable journal of TQL statements. Every successfully executed
-// durable statement is appended (and synced per policy) before the
-// caller is acknowledged — the engine hands them over through a
-// CommitSink (query/session.h; storage/group_commit.h is the real one).
-// Recovery is deterministic replay through a StatementExecutor — oids are
-// assigned sequentially, so a replayed journal reproduces the exact
-// database state. This file treats statements as opaque text and depends
+// durable statement is appended and synced before the caller is
+// acknowledged — the engine hands them over through a CommitSink
+// (query/session.h; storage/group_commit.h is the real one). Recovery is
+// deterministic replay (storage/recovery.h) — oids are assigned
+// sequentially, so a replayed journal reproduces the exact database
+// state. This file treats statements as opaque text and depends
 // only on common/.
 //
 // On-disk formats:
@@ -29,10 +29,10 @@
 //   recovery replays only journals with epoch >= E (see recovery.h for
 //   the full checkpoint protocol).
 //
-// Durability is governed by SyncPolicy: kEveryAppend issues a real
-// fdatasync per record (Append returning OK means the record survives a
-// crash), kBatched amortizes the sync over n records, kNone leaves
-// flushing to the OS.
+// The journal only appends; its owner decides when records become
+// durable. Sync() is the commit-point fdatasync of appended records: the
+// group-commit sink issues one per batch, a replica one per shipped
+// batch. Otherwise only a new journal's header, Rotate and Close sync.
 #ifndef TCHIMERA_STORAGE_JOURNAL_H_
 #define TCHIMERA_STORAGE_JOURNAL_H_
 
@@ -48,21 +48,13 @@
 
 namespace tchimera {
 
-// Executes one replayed statement (typically through an Interpreter or
-// an ActiveDatabase bound to the database being rebuilt). A failure stops
-// the replay: the journal only ever holds statements that applied
-// cleanly when first executed, so a replay failure is corruption.
+// Executes one replayed statement (typically through an Interpreter
+// bound to the database being rebuilt). A failure stops the replay: the
+// journal only ever holds statements that applied cleanly when first
+// executed, so a replay failure is corruption.
 using StatementExecutor = std::function<Status(const std::string&)>;
 
-enum class SyncPolicy {
-  kEveryAppend,  // fdatasync per record: Append OK == durable
-  kBatched,      // fdatasync every batch_size records
-  kNone,         // never sync; the OS decides
-};
-
 struct JournalOptions {
-  SyncPolicy sync = SyncPolicy::kEveryAppend;
-  size_t batch_size = 32;     // for kBatched
   uint64_t epoch = 0;         // epoch stamped on a newly created journal
   FileSystem* fs = nullptr;   // nullptr = FileSystem::Default()
 };
@@ -186,14 +178,12 @@ class Journal {
   int format() const { return format_; }
   uint64_t epoch() const { return epoch_; }
 
-  // Appends one statement (write-ahead: call before applying the
-  // statement to the database) and syncs per the configured SyncPolicy.
+  // Appends one framed record; it is durable only after the next Sync().
   // Statements cannot contain raw newlines (string literals escape them),
   // so the framing is unambiguous.
   Status Append(std::string_view statement);
 
-  // Forces an fdatasync of everything appended so far (used by kBatched /
-  // kNone callers at commit points).
+  // fdatasyncs everything appended so far: the commit point.
   Status Sync();
 
   // Number of statements appended through this handle.
@@ -203,9 +193,9 @@ class Journal {
   // epoch is still empty). Replication sources use it to bound shipping.
   uint64_t last_seq() const { return next_seq_ - 1; }
 
-  // Number of fdatasyncs issued through Sync() on this handle (including
-  // the per-record syncs of kEveryAppend) — the denominator group commit
-  // optimizes; benchmarks report it as a counter.
+  // Number of fdatasyncs issued through Sync() on this handle — the
+  // denominator group commit optimizes; benchmarks report it as a
+  // counter.
   size_t sync_count() const { return sync_count_; }
 
   // Renames the live journal aside to RotatedPath(path, epoch) and starts
@@ -248,7 +238,6 @@ class Journal {
   uint64_t epoch_ = 0;
   uint64_t next_seq_ = 1;
   size_t appended_ = 0;
-  size_t unsynced_ = 0;
   size_t sync_count_ = 0;
 };
 

@@ -4,8 +4,6 @@
 #include <utility>
 
 #include "core/db/consistency.h"
-#include "query/interpreter.h"
-#include "storage/deserializer.h"
 #include "storage/serializer.h"
 
 namespace tchimera {
@@ -37,7 +35,7 @@ bool ParseRotatedName(const std::string& name, const std::string& base,
 }
 
 void Note(RecoveryStats* stats, std::string message) {
-  if (stats != nullptr) stats->notes.push_back(std::move(message));
+  stats->notes.push_back(std::move(message));
 }
 
 }  // namespace
@@ -53,21 +51,22 @@ FileSystem* RecoveryManager::fs() const {
   return options_.fs == nullptr ? FileSystem::Default() : options_.fs;
 }
 
-Result<std::unique_ptr<Database>> RecoveryManager::LoadSnapshot(
-    RecoveryStats* stats) {
-  snapshot_epoch_ = 0;
-  snapshot_definitions_.clear();
+Result<LoadedSnapshot> RecoveryManager::LoadSnapshot(RecoveryStats* stats) {
   // A leftover tmp file is a checkpoint that died before its rename; the
   // real snapshot is intact, the tmp is garbage.
   std::string tmp = snapshot_path_ + ".tmp";
   if (fs()->FileExists(tmp)) {
     TCH_RETURN_IF_ERROR(fs()->RemoveFile(tmp));
-    if (stats != nullptr) ++stats->stale_files_removed;
+    ++stats->stale_files_removed;
     Note(stats, "removed interrupted snapshot " + tmp);
   }
+  stats->snapshot_loaded = false;
+  stats->snapshot_epoch = 0;
   if (!fs()->FileExists(snapshot_path_)) {
     Note(stats, "no snapshot; recovering from the journals alone");
-    return std::make_unique<Database>();
+    LoadedSnapshot empty;
+    empty.db = std::make_unique<Database>();
+    return empty;
   }
   TCH_ASSIGN_OR_RETURN(std::string text,
                        fs()->ReadFileToString(snapshot_path_));
@@ -76,25 +75,21 @@ Result<std::unique_ptr<Database>> RecoveryManager::LoadSnapshot(
   // not a crash artifact — refuse to build any state from it.
   TCH_RETURN_IF_ERROR(info.integrity);
   TCH_ASSIGN_OR_RETURN(LoadedSnapshot loaded, LoadSnapshotFromString(text));
-  snapshot_epoch_ = info.epoch;
-  snapshot_definitions_ = std::move(loaded.definitions);
-  if (stats != nullptr) {
-    stats->snapshot_loaded = true;
-    stats->snapshot_epoch = info.epoch;
-  }
+  stats->snapshot_loaded = true;
+  stats->snapshot_epoch = info.epoch;
   Note(stats, "loaded v" + std::to_string(info.version) +
                   " snapshot at epoch " + std::to_string(info.epoch));
-  if (!snapshot_definitions_.empty()) {
+  if (!loaded.definitions.empty()) {
     Note(stats, "snapshot carries " +
-                    std::to_string(snapshot_definitions_.size()) +
+                    std::to_string(loaded.definitions.size()) +
                     " definition statement(s)");
   }
-  return std::move(loaded.db);
+  return loaded;
 }
 
-Status RecoveryManager::ReplayJournals(const StatementExecutor& exec,
+Status RecoveryManager::ReplayJournals(uint64_t snapshot_epoch,
+                                       ActiveDatabase& active,
                                        RecoveryStats* stats) {
-  const uint64_t snapshot_epoch = snapshot_epoch_;
   auto [dir, base] = SplitPath(journal_path_);
 
   // Discover the rotated journals next to the live one.
@@ -109,7 +104,7 @@ Status RecoveryManager::ReplayJournals(const StatementExecutor& exec,
       // that crashed between writing the snapshot and deleting these.
       TCH_RETURN_IF_ERROR(
           fs()->RemoveFile(Journal::RotatedPath(journal_path_, epoch)));
-      if (stats != nullptr) ++stats->stale_files_removed;
+      ++stats->stale_files_removed;
       Note(stats, "removed stale journal " + name + " (epoch " +
                       std::to_string(epoch) + " < snapshot epoch " +
                       std::to_string(snapshot_epoch) + ")");
@@ -177,12 +172,10 @@ Status RecoveryManager::ReplayJournals(const StatementExecutor& exec,
     }
   }
 
-  if (stats != nullptr) {
-    stats->next_epoch = (live_exists && live_has_header)
-                            ? live_epoch
-                            : (rotated.empty() ? snapshot_epoch
-                                               : rotated.back() + 1);
-  }
+  stats->next_epoch = (live_exists && live_has_header)
+                          ? live_epoch
+                          : (rotated.empty() ? snapshot_epoch
+                                             : rotated.back() + 1);
 
   // Replay: rotated files in epoch order, then the live journal. Torn v2
   // tails are salvaged first, so replay sees the longest valid prefix and
@@ -195,7 +188,7 @@ Status RecoveryManager::ReplayJournals(const StatementExecutor& exec,
   for (const std::string& file : files) {
     TCH_ASSIGN_OR_RETURN(JournalScan scan, SalvageJournal(file, fs()));
     if (scan.dropped_bytes > 0) {
-      if (stats != nullptr) stats->salvaged_bytes += scan.dropped_bytes;
+      stats->salvaged_bytes += scan.dropped_bytes;
       Note(stats, "salvaged " + file + ": dropped " +
                       std::to_string(scan.dropped_bytes) +
                       " corrupt tail byte(s) (" +
@@ -203,7 +196,7 @@ Status RecoveryManager::ReplayJournals(const StatementExecutor& exec,
     }
     size_t replayed = 0;
     for (const std::string& statement : scan.statements) {
-      Status s = exec(statement);
+      Status s = active.Execute(statement).status();
       if (!s.ok()) {
         return Status::Corruption(
             "journal " + file + " statement " +
@@ -211,18 +204,17 @@ Status RecoveryManager::ReplayJournals(const StatementExecutor& exec,
             " failed to replay: " + s.ToString());
       }
       ++replayed;
-      if (stats != nullptr) ++stats->statements_applied;
+      ++stats->statements_applied;
     }
-    if (stats != nullptr) ++stats->journals_replayed;
+    ++stats->journals_replayed;
   }
   return Status::OK();
 }
 
-Status RecoveryManager::Audit(Database* db, AuditMode mode,
-                              RecoveryStats* stats) {
-  if (mode == AuditMode::kOff) return Status::OK();
+Status RecoveryManager::Audit(Database* db, RecoveryStats* stats) const {
+  if (options_.audit == AuditMode::kOff) return Status::OK();
   Status st = CheckDatabaseConsistency(*db);
-  if (st.ok() || mode == AuditMode::kFail) return st;
+  if (st.ok() || options_.audit == AuditMode::kFail) return st;
 
   // kQuarantine: evict every object that fails its own consistency check
   // and retry. Evictions can orphan references *to* the evicted objects
@@ -234,7 +226,7 @@ Status RecoveryManager::Audit(Database* db, AuditMode mode,
     for (Oid oid : db->AllOids()) {
       if (CheckObjectConsistency(*db, oid).ok()) continue;
       TCH_RETURN_IF_ERROR(db->QuarantineObject(oid));
-      if (stats != nullptr) ++stats->quarantined_objects;
+      ++stats->quarantined_objects;
       Note(stats, "quarantined inconsistent object " + oid.ToString());
       removed = true;
     }
@@ -248,26 +240,49 @@ Status RecoveryManager::Audit(Database* db, AuditMode mode,
   return Status::OK();
 }
 
+Status RecoveryManager::Restore(const Host& host, RecoveryStats* stats) {
+  // Past this point every phase reports into a real stats object.
+  RecoveryStats discarded;
+  if (stats == nullptr) stats = &discarded;
+  TCH_ASSIGN_OR_RETURN(LoadedSnapshot loaded, LoadSnapshot(stats));
+  const uint64_t snapshot_epoch = stats->snapshot_epoch;
+  return host(std::move(loaded.db), [&](Database& db, ActiveDatabase& active) {
+    for (const std::string& definition : loaded.definitions) {
+      Status s = active.Execute(definition).status();
+      if (!s.ok()) {
+        return Status::Corruption("snapshot definition failed to replay: " +
+                                  s.ToString());
+      }
+    }
+    TCH_RETURN_IF_ERROR(ReplayJournals(snapshot_epoch, active, stats));
+    return Audit(&db, stats);
+  });
+}
+
 Result<std::unique_ptr<Database>> RecoveryManager::Recover(
     RecoveryStats* stats) {
-  TCH_ASSIGN_OR_RETURN(std::unique_ptr<Database> db, LoadSnapshot(stats));
-  if (!snapshot_definitions_.empty()) {
-    // A plain Interpreter cannot execute trigger/constraint definitions;
-    // they are harmless to skip for state reconstruction (they guard
-    // future mutations, and replay re-applies journaled effects as-is).
-    Note(stats, "skipping " +
-                    std::to_string(snapshot_definitions_.size()) +
-                    " definition statement(s); use the phase API with an "
-                    "ActiveDatabase to restore them");
-  }
-  Interpreter interp(db.get());
-  TCH_RETURN_IF_ERROR(ReplayJournals(
-      [&interp](const std::string& statement) {
-        return interp.Execute(statement).status();
+  std::unique_ptr<Database> recovered;
+  TCH_RETURN_IF_ERROR(Restore(
+      [&recovered](std::unique_ptr<Database> db, const Replay& replay) {
+        ActiveDatabase active(db.get());
+        TCH_RETURN_IF_ERROR(replay(*db, active));
+        recovered = std::move(db);
+        return Status::OK();
       },
       stats));
-  TCH_RETURN_IF_ERROR(Audit(db.get(), options_.audit, stats));
-  return db;
+  return recovered;
+}
+
+Result<std::unique_ptr<Engine>> RecoveryManager::RecoverEngine(
+    RecoveryStats* stats) {
+  std::unique_ptr<Engine> engine;
+  TCH_RETURN_IF_ERROR(Restore(
+      [&engine](std::unique_ptr<Database> db, const Replay& replay) {
+        engine = std::make_unique<Engine>(std::move(db));
+        return engine->WithExclusive(replay);
+      },
+      stats));
+  return engine;
 }
 
 Status RecoveryManager::Checkpoint(const Database& db, Journal* journal,

@@ -16,17 +16,21 @@
 // the old snapshot plus the rotated and live journals replay to the same
 // state; after it, the rotated files are stale and recovery deletes them.
 //
-// Recovery inverts the protocol:
+// Recovery inverts the protocol, and RecoveryManager is the only code
+// that knows its sequence:
 //
-//   1. Load the snapshot (epoch S). A v2 snapshot is checksum-verified
+//   1. Load the snapshot (epoch S). A v2+ snapshot is checksum-verified
 //      before any state is built; corruption fails recovery (the snapshot
 //      write is atomic, so a bad snapshot is bit rot, not a crash
 //      artifact). A leftover `<snapshot>.tmp` is deleted.
-//   2. Delete rotated journals with epoch < S (covered by the snapshot),
-//      then replay the remaining rotated journals in epoch order followed
-//      by the live journal (iff its epoch >= S). Torn v2 tails are
-//      salvaged (quarantined to `<file>.corrupt`), and replay applies the
-//      longest valid prefix. Missing epochs in [S, live) fail with
+//   2. Run the snapshot's DEFINE statements (v3: trigger / constraint
+//      declarations), then every journal statement, through one
+//      ActiveDatabase — triggers fire and definitions come back exactly
+//      as they were first executed. Rotated journals with epoch < S are
+//      deleted (covered by the snapshot); the rest replay in epoch order
+//      followed by the live journal (iff its epoch >= S). Torn v2 tails
+//      are salvaged (quarantined to `<file>.corrupt`), and replay applies
+//      the longest valid prefix. Missing epochs in [S, live) fail with
 //      Corruption — that is lost data, not a crash artifact.
 //   3. Audit the recovered database against the paper's consistency
 //      notions (Definitions 5.3-5.6, Invariants 5.1/5.2/6.1/6.2) per
@@ -35,6 +39,7 @@
 #define TCHIMERA_STORAGE_RECOVERY_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -42,6 +47,8 @@
 #include "common/fault_fs.h"
 #include "common/result.h"
 #include "core/db/database.h"
+#include "query/session.h"
+#include "storage/deserializer.h"
 #include "storage/journal.h"
 
 namespace tchimera {
@@ -81,31 +88,18 @@ class RecoveryManager {
   RecoveryManager(std::string snapshot_path, std::string journal_path,
                   RecoveryOptions options = {});
 
-  // Full recovery: snapshot, journal replay through a private
-  // interpreter, audit. On failure the disk may already be partially
+  // Full recovery into a bare database, replayed through a private
+  // ActiveDatabase. On failure the disk may already be partially
   // repaired (salvaged tails, deleted stale files) — both are
   // information-preserving — but no half-recovered database escapes.
   Result<std::unique_ptr<Database>> Recover(RecoveryStats* stats = nullptr);
 
-  // Phase API for embedders that replay through their own facade (the
-  // REPL uses ActiveDatabase so journaled trigger/constraint definitions
-  // are restored too). Call in order: LoadSnapshot, replay
-  // snapshot_definitions() through the facade, ReplayJournals with an
-  // executor bound to the returned database, then Audit.
-  Result<std::unique_ptr<Database>> LoadSnapshot(RecoveryStats* stats);
-  // Any statement `exec` rejects aborts recovery with Corruption.
-  Status ReplayJournals(const StatementExecutor& exec, RecoveryStats* stats);
-  static Status Audit(Database* db, AuditMode mode, RecoveryStats* stats);
-
-  // The v3 snapshot's DEFINE statements (trigger / constraint
-  // declarations), in snapshot order; filled by LoadSnapshot, empty for
-  // v1/v2 snapshots. They address the execution facade, so LoadSnapshot
-  // cannot apply them itself — phase-API callers replay them through
-  // their ActiveDatabase before ReplayJournals; Recover() (which has no
-  // facade) notes and skips them.
-  const std::vector<std::string>& snapshot_definitions() const {
-    return snapshot_definitions_;
-  }
+  // Full recovery into a ready engine: the replay runs on the engine's
+  // own facade inside one Engine::WithExclusive, so the recovered state
+  // (definitions included) is published once. Install the commit sink
+  // afterwards — the replay itself must not be re-journaled.
+  Result<std::unique_ptr<Engine>> RecoverEngine(
+      RecoveryStats* stats = nullptr);
 
   // The checkpoint protocol above. `fs` must be the same filesystem the
   // journal writes through (nullptr = FileSystem::Default()). On failure
@@ -119,13 +113,26 @@ class RecoveryManager {
                            const std::vector<std::string>& definitions = {});
 
  private:
+  // Steps 2 and 3 of the sequence, on a database and the facade over it
+  // (Engine::WithExclusive's signature).
+  using Replay = std::function<Status(Database&, ActiveDatabase&)>;
+  // Takes ownership of the loaded snapshot database and runs the replay
+  // on it; the two public entry points differ only here.
+  using Host = std::function<Status(std::unique_ptr<Database>, const Replay&)>;
+
+  // The restart sequence: step 1, then `host` runs steps 2 and 3.
+  Status Restore(const Host& host, RecoveryStats* stats);
+  // The private phases all take a non-null `stats`.
+  Result<LoadedSnapshot> LoadSnapshot(RecoveryStats* stats);
+  // Any statement `active` rejects aborts recovery with Corruption.
+  Status ReplayJournals(uint64_t snapshot_epoch, ActiveDatabase& active,
+                        RecoveryStats* stats);
+  Status Audit(Database* db, RecoveryStats* stats) const;
   FileSystem* fs() const;
 
   std::string snapshot_path_;
   std::string journal_path_;
   RecoveryOptions options_;
-  uint64_t snapshot_epoch_ = 0;  // set by LoadSnapshot
-  std::vector<std::string> snapshot_definitions_;  // set by LoadSnapshot
 };
 
 }  // namespace tchimera

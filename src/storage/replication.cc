@@ -20,13 +20,6 @@ std::string FramedPayload(uint64_t seq, std::string_view statement) {
   return payload;
 }
 
-Status ExecuteViaEngine(Engine* engine, const std::string& statement) {
-  return engine->WithExclusive(
-      [&statement](Database&, ActiveDatabase& active) {
-        return active.Execute(statement).status();
-      });
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -350,23 +343,9 @@ Status Replica::RecoverLocal() {
   ropts.fs = options_.fs;
   RecoveryManager manager(snapshot_path(), journal_path(), ropts);
   RecoveryStats stats;
-  Result<std::unique_ptr<Database>> db = manager.LoadSnapshot(&stats);
-  if (!db.ok()) return db.status();
-  engine_ = std::make_unique<Engine>(std::move(db.value()),
-                                     options_.max_cascade_depth);
-  for (const std::string& definition : manager.snapshot_definitions()) {
-    TCH_RETURN_IF_ERROR(ExecuteViaEngine(engine_.get(), definition));
-  }
-  TCH_RETURN_IF_ERROR(manager.ReplayJournals(
-      [this](const std::string& statement) {
-        return ExecuteViaEngine(engine_.get(), statement);
-      },
-      &stats));
-  TCH_RETURN_IF_ERROR(
-      RecoveryManager::Audit(&engine_->writer_db(), options_.audit, &stats));
+  TCH_ASSIGN_OR_RETURN(engine_, manager.RecoverEngine(&stats));
 
   JournalOptions jopts;
-  jopts.sync = SyncPolicy::kNone;  // Apply() syncs once per batch
   jopts.epoch = stats.next_epoch;
   jopts.fs = options_.fs;
   TCH_RETURN_IF_ERROR(journal_.Open(journal_path(), jopts));
@@ -408,7 +387,10 @@ Status Replica::Apply(const ReplicationBatch& batch) {
     // The local journal assigns exactly record.seq: cursor_.next_seq ==
     // journal_.last_seq() + 1 is a class invariant.
     TCH_RETURN_IF_ERROR(journal_.Append(record.statement));
-    Status applied = ExecuteViaEngine(engine_.get(), record.statement);
+    Status applied = engine_->WithExclusive(
+        [&record](Database&, ActiveDatabase& active) {
+          return active.Execute(record.statement).status();
+        });
     if (!applied.ok()) {
       // The primary executed this statement successfully, so a replay
       // failure means the replica's state diverged. Not retryable as-is;
@@ -473,8 +455,7 @@ Status Replica::InstallCheckpoint(
   }
   // Parse before destroying anything: a bad image must leave the replica
   // untouched.
-  TCH_ASSIGN_OR_RETURN(LoadedSnapshot loaded,
-                       LoadSnapshotFromString(image.bytes));
+  TCH_RETURN_IF_ERROR(LoadSnapshotFromString(image.bytes).status());
   journal_.Close();
   TCH_RETURN_IF_ERROR(RemoveLocalJournals());
   // Persist the image atomically (tmp + sync + durable rename), exactly
@@ -489,20 +470,10 @@ Status Replica::InstallCheckpoint(
     TCH_RETURN_IF_ERROR(out->Close());
   }
   TCH_RETURN_IF_ERROR(fs()->RenameFile(tmp, snapshot_path()));
-
-  engine_ = std::make_unique<Engine>(std::move(loaded.db),
-                                     options_.max_cascade_depth);
-  for (const std::string& definition : loaded.definitions) {
-    TCH_RETURN_IF_ERROR(ExecuteViaEngine(engine_.get(), definition));
-  }
-  JournalOptions jopts;
-  jopts.sync = SyncPolicy::kNone;
-  jopts.epoch = image.epoch;
-  jopts.fs = options_.fs;
-  TCH_RETURN_IF_ERROR(journal_.Open(journal_path(), jopts));
-  cursor_.epoch = image.epoch;
-  cursor_.next_seq = 1;
-  cursor_.offset_hint = 0;
+  // The directory now holds exactly the image: recovering it rebuilds
+  // the engine (definitions included) and restarts the cursor at
+  // (image.epoch, 1).
+  TCH_RETURN_IF_ERROR(RecoverLocal());
   ++checkpoints_installed_;
   return Status::OK();
 }

@@ -20,10 +20,11 @@
 //       recoverable database directory), re-verifies seq/epoch/CRC
 //       continuity on its side, replays the statement through a private
 //       Engine (triggers and constraints fire deterministically, exactly
-//       as REPL recovery replays), and publishes MVCC versions that
+//       as recovery replays), and publishes MVCC versions that
 //       OpenSnapshot() serves lock-free. Epoch rollovers checkpoint the
 //       replica locally, mirroring the primary's protocol, so replica
-//       recovery after a crash is ordinary RecoveryManager recovery.
+//       recovery after a crash — and a checkpoint resync — is ordinary
+//       RecoveryManager::RecoverEngine.
 //
 //   ReplicationShipper — the pump. Drives one source into N replicas,
 //       translates failures into bounded-exponential-backoff retries and
@@ -253,7 +254,6 @@ struct ReplicaOptions {
   FileSystem* fs = nullptr;  // nullptr = FileSystem::Default()
   // Post-recovery/resync audit mode for the replica's own state.
   AuditMode audit = AuditMode::kOff;
-  size_t max_cascade_depth = 16;
 };
 
 // A follower: a locally-durable shipped journal copy plus a replaying
@@ -264,7 +264,8 @@ class Replica {
  public:
   // Opens (or re-opens after a crash) the replica at `dir`, recovering
   // whatever the local snapshot + journals hold — ordinary
-  // RecoveryManager recovery, torn tails salvaged, definitions restored.
+  // RecoveryManager::RecoverEngine, torn tails salvaged, definitions
+  // restored.
   // The resulting cursor resumes the stream exactly where the local
   // durable copy ends.
   static Result<std::unique_ptr<Replica>> Open(std::string dir,
@@ -284,9 +285,10 @@ class Replica {
   Status Apply(const ReplicationBatch& batch);
 
   // Discards local state and reseeds from a primary checkpoint image:
-  // the snapshot is written atomically, local journals are removed, the
-  // engine is rebuilt from the image (definitions included), and the
-  // cursor restarts at (image.epoch, 1).
+  // the snapshot is written atomically, local journals are removed, and
+  // the directory — now exactly the image — is recovered like at Open:
+  // the engine is rebuilt (definitions included) and the cursor
+  // restarts at (image.epoch, 1).
   Status InstallCheckpoint(const ReplicationSource::CheckpointImage& image);
 
   // The stream position the replica needs next.

@@ -49,6 +49,20 @@ std::string FreshDir(const std::string& name) {
 
 constexpr char kSchema[] = "define class emp attributes v: integer end";
 
+// Checkpoints `engine` through `sink` into `snapshot_path`: what ran
+// before the sink was installed lands in the snapshot, and the journal
+// holds exactly what commits afterwards.
+Status CheckpointThrough(Engine* engine, GroupCommitJournal* sink,
+                         const std::string& snapshot_path) {
+  return engine->WithExclusive([&](Database& live, ActiveDatabase& active) {
+    return sink->WithQuiesced([&](Journal& journal) {
+      return RecoveryManager::Checkpoint(live, &journal, snapshot_path,
+                                         nullptr,
+                                         active.DefinitionStatements());
+    });
+  });
+}
+
 // ---------------------------------------------------------------------------
 // VersionedDatabase: the core snapshot/commit protocol.
 
@@ -391,6 +405,7 @@ TEST(GroupCommitTest, OneSyncAcknowledgesManyStatements) {
 
 TEST(GroupCommitTest, MultiWriterJournalReplaysToIdenticalState) {
   std::string dir = FreshDir("multiwriter");
+  const std::string snapshot_path = dir + "/snapshot.tchdb";
   const std::string journal_path = dir + "/journal.tchl";
 
   Engine engine;
@@ -401,6 +416,7 @@ TEST(GroupCommitTest, MultiWriterJournalReplaysToIdenticalState) {
   GroupCommitJournal sink;
   ASSERT_TRUE(sink.Open(journal_path).ok());
   engine.set_commit_sink(&sink);
+  ASSERT_TRUE(CheckpointThrough(&engine, &sink, snapshot_path).ok());
 
   constexpr int kThreads = 4;
   constexpr int kPerThread = 25;
@@ -425,21 +441,16 @@ TEST(GroupCommitTest, MultiWriterJournalReplaysToIdenticalState) {
   EXPECT_LE(sink.batches(), sink.durable());
   sink.Close();
 
-  // Replay the journal (schema first — it was executed before the sink
-  // was installed, the recovery-replay position) into a fresh database.
-  Result<JournalScan> scan = ScanJournal(journal_path);
-  ASSERT_TRUE(scan.ok()) << scan.status();
-  ASSERT_TRUE(scan->tail_error.ok());
-  ASSERT_EQ(scan->statements.size(),
+  // Recover the snapshot (the schema) plus the journal into a fresh
+  // database.
+  RecoveryStats stats;
+  Result<std::unique_ptr<Database>> replayed =
+      RecoveryManager(snapshot_path, journal_path).Recover(&stats);
+  ASSERT_TRUE(replayed.ok()) << replayed.status();
+  EXPECT_EQ(stats.salvaged_bytes, 0u);
+  ASSERT_EQ(stats.statements_applied,
             static_cast<size_t>(kThreads * kPerThread));
-  Database replayed;
-  Interpreter interp(&replayed);
-  ASSERT_TRUE(interp.Execute(kSchema).ok());
-  for (const std::string& stmt : scan->statements) {
-    Result<std::string> out = interp.Execute(stmt);
-    ASSERT_TRUE(out.ok()) << out.status() << " replaying: " << stmt;
-  }
-  EXPECT_EQ(SaveDatabaseToString(replayed).value(),
+  EXPECT_EQ(SaveDatabaseToString(**replayed).value(),
             SaveDatabaseToString(engine.writer_db()).value());
 }
 
@@ -649,36 +660,18 @@ TEST(EngineRecoveryTest, CheckpointPreservesDefinitionsAcrossRestart) {
     ASSERT_TRUE(
         session.Execute("constraint positive on emp always x.v > 0").ok());
 
-    Status checkpointed = engine.WithExclusive(
-        [&](Database& live, ActiveDatabase& active) {
-          return sink.WithQuiesced([&](Journal& journal) {
-            return RecoveryManager::Checkpoint(live, &journal, snapshot_path,
-                                               nullptr,
-                                               active.DefinitionStatements());
-          });
-        });
+    Status checkpointed = CheckpointThrough(&engine, &sink, snapshot_path);
     ASSERT_TRUE(checkpointed.ok()) << checkpointed;
     sink.Close();
   }
 
-  // Restart: phase API, definitions replayed through the new facade.
+  // Restart: the definitions come back on the recovered engine's facade.
   RecoveryManager manager(snapshot_path, journal_path);
-  RecoveryStats stats;
-  Result<std::unique_ptr<Database>> db = manager.LoadSnapshot(&stats);
-  ASSERT_TRUE(db.ok()) << db.status();
-  ASSERT_EQ(manager.snapshot_definitions().size(), 2u);
-
-  Engine engine(std::move(*db));
-  Session session = engine.OpenSession();
-  for (const std::string& definition : manager.snapshot_definitions()) {
-    Result<std::string> out = session.Execute(definition);
-    ASSERT_TRUE(out.ok()) << out.status() << " restoring: " << definition;
-  }
-  Status replayed = manager.ReplayJournals(
-      [&](const std::string& stmt) { return session.Execute(stmt).status(); },
-      &stats);
-  ASSERT_TRUE(replayed.ok()) << replayed;
+  Result<std::unique_ptr<Engine>> recovered = manager.RecoverEngine();
+  ASSERT_TRUE(recovered.ok()) << recovered.status();
+  Engine& engine = **recovered;
   EXPECT_EQ(engine.active().DefinitionStatements().size(), 2u);
+  Session session = engine.OpenSession();
 
   // The restored trigger actually fires...
   Result<std::string> oid = session.Execute("create emp (v: 1)");
@@ -986,6 +979,7 @@ TEST(ConcurrencyTest, AbortedThenRetriedWritersPreserveReplayEquality) {
   // the journal must reproduce the engine's in-memory state bit-for-bit
   // even though many statements lost a validation round and retried.
   std::string dir = FreshDir("occ_replay");
+  const std::string snapshot_path = dir + "/snapshot.tchdb";
   const std::string journal_path = dir + "/journal.tchl";
 
   Engine engine;
@@ -997,6 +991,7 @@ TEST(ConcurrencyTest, AbortedThenRetriedWritersPreserveReplayEquality) {
   GroupCommitJournal sink;
   ASSERT_TRUE(sink.Open(journal_path).ok());
   engine.set_commit_sink(&sink);
+  ASSERT_TRUE(CheckpointThrough(&engine, &sink, snapshot_path).ok());
 
   constexpr int kThreads = 4;
   constexpr int kPerThread = 20;
@@ -1022,20 +1017,14 @@ TEST(ConcurrencyTest, AbortedThenRetriedWritersPreserveReplayEquality) {
   EXPECT_EQ(sink.durable(), static_cast<uint64_t>(kThreads * kPerThread));
   sink.Close();
 
-  Result<JournalScan> scan = ScanJournal(journal_path);
-  ASSERT_TRUE(scan.ok()) << scan.status();
-  ASSERT_TRUE(scan->tail_error.ok());
-  ASSERT_EQ(scan->statements.size(),
+  RecoveryStats stats;
+  Result<std::unique_ptr<Database>> replayed =
+      RecoveryManager(snapshot_path, journal_path).Recover(&stats);
+  ASSERT_TRUE(replayed.ok()) << replayed.status();
+  EXPECT_EQ(stats.salvaged_bytes, 0u);
+  ASSERT_EQ(stats.statements_applied,
             static_cast<size_t>(kThreads * kPerThread));
-  Database replayed;
-  Interpreter interp(&replayed);
-  ASSERT_TRUE(interp.Execute(kSchema).ok());
-  ASSERT_TRUE(interp.Execute("create emp (v: 0)").ok());
-  for (const std::string& stmt : scan->statements) {
-    Result<std::string> out = interp.Execute(stmt);
-    ASSERT_TRUE(out.ok()) << out.status() << " replaying: " << stmt;
-  }
-  EXPECT_EQ(SaveDatabaseToString(replayed).value(),
+  EXPECT_EQ(SaveDatabaseToString(**replayed).value(),
             SaveDatabaseToString(engine.writer_db()).value());
 }
 
@@ -1190,6 +1179,7 @@ TEST(ConcurrencyTest, IndexedWritersReplayToIdenticalIndexState) {
   // journal replays to the engine's exact state, and the live index is
   // bit-identical to a from-scratch rebuild.
   std::string dir = FreshDir("indexed_replay");
+  const std::string snapshot_path = dir + "/snapshot.tchdb";
   const std::string journal_path = dir + "/journal.tchl";
 
   const std::vector<std::string> setup = {
@@ -1205,6 +1195,7 @@ TEST(ConcurrencyTest, IndexedWritersReplayToIdenticalIndexState) {
   GroupCommitJournal sink;
   ASSERT_TRUE(sink.Open(journal_path).ok());
   engine.set_commit_sink(&sink);
+  ASSERT_TRUE(CheckpointThrough(&engine, &sink, snapshot_path).ok());
 
   constexpr int kThreads = 4;
   constexpr int kPerThread = 20;
@@ -1240,23 +1231,16 @@ TEST(ConcurrencyTest, IndexedWritersReplayToIdenticalIndexState) {
             static_cast<uint64_t>(kThreads * kPerThread + 1));
   sink.Close();
 
-  // Journal order == commit order: replay reproduces objects AND index
+  // Journal order == commit order: recovery reproduces objects AND index
   // state (definitions and rebuilt-vs-incremental data agree exactly).
-  Result<JournalScan> scan = ScanJournal(journal_path);
-  ASSERT_TRUE(scan.ok()) << scan.status();
-  ASSERT_TRUE(scan->tail_error.ok());
-  Database replayed;
-  Interpreter interp(&replayed);
-  for (const std::string& stmt : setup) {
-    ASSERT_TRUE(interp.Execute(stmt).ok()) << stmt;
-  }
-  for (const std::string& stmt : scan->statements) {
-    Result<std::string> out = interp.Execute(stmt);
-    ASSERT_TRUE(out.ok()) << out.status() << " replaying: " << stmt;
-  }
-  EXPECT_EQ(SaveDatabaseToString(replayed).value(),
+  RecoveryStats stats;
+  Result<std::unique_ptr<Database>> replayed =
+      RecoveryManager(snapshot_path, journal_path).Recover(&stats);
+  ASSERT_TRUE(replayed.ok()) << replayed.status();
+  EXPECT_EQ(stats.salvaged_bytes, 0u);
+  EXPECT_EQ(SaveDatabaseToString(**replayed).value(),
             SaveDatabaseToString(engine.writer_db()).value());
-  EXPECT_EQ(replayed.DebugDumpIndexes(),
+  EXPECT_EQ((*replayed)->DebugDumpIndexes(),
             engine.writer_db().DebugDumpIndexes());
   EXPECT_EQ(engine.writer_db().DebugDumpIndexes(),
             RebuiltIndexDump(engine.writer_db()));

@@ -3,7 +3,8 @@
 // crash must recover to a committed prefix of the workload), snapshot
 // atomicity, torn-tail salvage, corruption fuzzing (bit flips and
 // truncations must never be loaded silently), v1 backcompat, and the
-// post-recovery consistency audit in all three modes.
+// post-recovery consistency audit in all three modes, and restarts that
+// must re-fire the active rules (triggers) the live engine ran.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -22,6 +23,7 @@
 #include "query/interpreter.h"
 #include "query/session.h"
 #include "storage/deserializer.h"
+#include "storage/group_commit.h"
 #include "storage/journal.h"
 #include "storage/recovery.h"
 #include "storage/serializer.h"
@@ -124,15 +126,19 @@ size_t MatchPrefix(const std::vector<std::string>& refs,
 
 struct WorkloadRun {
   // Statements acknowledged (Execute returned OK, so the record is on
-  // disk per the sync policy).
+  // disk when the sink syncs each append).
   size_t committed = 0;
 };
 
-// A CommitSink over one Journal whose sync policy the test pins: each
-// enqueue appends (and syncs per that policy) before the commit is
-// acknowledged — the I/O a write-ahead journal issues per statement.
+// A CommitSink over one Journal: each enqueue appends — and, when
+// `sync_each_append`, syncs — before the commit is acknowledged: the I/O
+// a write-ahead journal issues per statement. Without the sync it is an
+// append-only sink: only a checkpoint's Rotate and Close force records
+// to disk.
 class JournalSink : public CommitSink {
  public:
+  explicit JournalSink(bool sync_each_append)
+      : sync_each_append_(sync_each_append) {}
   Status Open(const std::string& path, const JournalOptions& options) {
     return journal_.Open(path, options);
   }
@@ -140,12 +146,14 @@ class JournalSink : public CommitSink {
 
   Ticket Enqueue(std::string_view statement) override {
     Status appended = journal_.Append(statement);
+    if (appended.ok() && sync_each_append_) appended = journal_.Sync();
     if (!appended.ok()) return Ticket{0, appended};
     return Ticket{++appended_};
   }
   Status Await(Ticket) override { return Status::OK(); }
 
  private:
+  const bool sync_each_append_;
   Journal journal_;
   uint64_t appended_ = 0;
 };
@@ -158,12 +166,11 @@ WorkloadRun RunStatements(FaultInjectionFileSystem* ffs,
                           const std::string& journal_path,
                           const std::vector<std::string>& statements,
                           size_t checkpoint_before,
-                          SyncPolicy sync = SyncPolicy::kEveryAppend) {
+                          bool sync_each_append = true) {
   WorkloadRun run;
   JournalOptions options;
   options.fs = ffs;
-  options.sync = sync;
-  JournalSink sink;
+  JournalSink sink(sync_each_append);
   if (!sink.Open(journal_path, options).ok()) return run;
   Engine engine;
   engine.set_commit_sink(&sink);
@@ -187,16 +194,17 @@ WorkloadRun RunStatements(FaultInjectionFileSystem* ffs,
 WorkloadRun RunWorkload(FaultInjectionFileSystem* ffs,
                         const std::string& snapshot_path,
                         const std::string& journal_path,
-                        SyncPolicy sync = SyncPolicy::kEveryAppend) {
+                        bool sync_each_append = true) {
   return RunStatements(ffs, snapshot_path, journal_path, Workload(),
-                       kCheckpointBefore, sync);
+                       kCheckpointBefore, sync_each_append);
 }
 
 // The tentpole proof obligation: crash at every single mutating I/O
 // operation of the workload (with three torn-write shapes each) and the
 // recovered database must (a) pass the full consistency audit and (b) be
 // byte-identical to a committed prefix — at least everything that was
-// acknowledged under kEveryAppend, at most one in-flight statement more.
+// acknowledged with a sync per append, at most one in-flight statement
+// more.
 TEST(CrashRecoveryTest, EveryCrashPointRestoresACommittedPrefix) {
   const std::vector<std::string> refs = BuildReferenceStates();
   ASSERT_EQ(refs.size(), Workload().size() + 1);
@@ -243,7 +251,7 @@ TEST(CrashRecoveryTest, EveryCrashPointRestoresACommittedPrefix) {
       size_t n = MatchPrefix(refs, *state);
       ASSERT_NE(n, std::string::npos)
           << "recovered state matches no committed prefix";
-      // kEveryAppend: acknowledged == durable, so nothing acknowledged may
+      // A sync per append: acknowledged == durable, so nothing acknowledged may
       // be lost; at most the single in-flight statement may additionally
       // survive (a torn write that happened to complete).
       EXPECT_GE(n, run.committed);
@@ -352,9 +360,9 @@ TEST(CrashRecoveryTest, EveryCrashPointLeavesIndexesConsistentWithObjects) {
   }
 }
 
-// Under SyncPolicy::kNone there is no durability floor, but recovery must
-// still land on *some* clean prefix — never a torn half-statement, never
-// an audit failure.
+// With appends that are never synced there is no durability floor, but
+// recovery must still land on *some* clean prefix — never a torn
+// half-statement, never an audit failure.
 TEST(CrashRecoveryTest, SyncPolicyNoneStillRecoversToSomePrefix) {
   const std::vector<std::string> refs = BuildReferenceStates();
 
@@ -363,7 +371,8 @@ TEST(CrashRecoveryTest, SyncPolicyNoneStillRecoversToSomePrefix) {
     std::string dir = FreshDir("none_dry");
     FaultInjectionFileSystem ffs(FileSystem::Default());
     WorkloadRun run = RunWorkload(&ffs, dir + "/snap.tchdb",
-                                  dir + "/journal.tql", SyncPolicy::kNone);
+                                  dir + "/journal.tql",
+                                  /*sync_each_append=*/false);
     ASSERT_EQ(run.committed, Workload().size());
     total_ops = ffs.ops_seen();
   }
@@ -379,7 +388,8 @@ TEST(CrashRecoveryTest, SyncPolicyNoneStillRecoversToSomePrefix) {
     plan.at_op = at;
     plan.surviving_tail_bytes = 9;  // a torn fragment of the lost tail
     ffs.SetPlan(plan);
-    WorkloadRun run = RunWorkload(&ffs, snap, journal, SyncPolicy::kNone);
+    WorkloadRun run =
+        RunWorkload(&ffs, snap, journal, /*sync_each_append=*/false);
     ffs.ClearPlan();
 
     RecoveryOptions options;
@@ -396,24 +406,29 @@ TEST(CrashRecoveryTest, SyncPolicyNoneStillRecoversToSomePrefix) {
   }
 }
 
-// kBatched in between: a crash loses at most the records appended since
-// the last batch sync, and the survivors form a clean record boundary.
+// Batched syncs: a crash loses at most the records appended since the
+// last Sync(), and the survivors form a clean record boundary.
 TEST(SyncPolicyTest, BatchedSyncLosesAtMostTheUnsyncedSuffix) {
   std::string dir = FreshDir("batched");
   std::string path = dir + "/journal.tql";
   FaultInjectionFileSystem ffs(FileSystem::Default());
   JournalOptions options;
   options.fs = &ffs;
-  options.sync = SyncPolicy::kBatched;
-  options.batch_size = 4;
+  // Four appends, one Sync() over them, then two more appends.
+  auto append_six = [](Journal* journal) {
+    for (int i = 1; i <= 6; ++i) {
+      Status s = journal->Append("tick " + std::to_string(i));
+      if (s.ok() && i == 4) s = journal->Sync();
+      if (!s.ok()) return s;
+    }
+    return Status::OK();
+  };
 
   uint64_t ops_through_appends = 0;
   {
     Journal journal;
     ASSERT_TRUE(journal.Open(path, options).ok());
-    for (int i = 1; i <= 6; ++i) {
-      ASSERT_TRUE(journal.Append("tick " + std::to_string(i)).ok());
-    }
+    ASSERT_TRUE(append_six(&journal).ok());
     ops_through_appends = ffs.ops_seen();  // before Close() syncs the rest
     journal.Close();
   }
@@ -429,10 +444,7 @@ TEST(SyncPolicyTest, BatchedSyncLosesAtMostTheUnsyncedSuffix) {
   {
     Journal journal;
     ASSERT_TRUE(journal.Open(path2, options).ok());
-    for (int i = 1; i <= 6; ++i) {
-      Status s = journal.Append("tick " + std::to_string(i));
-      if (!s.ok()) break;
-    }
+    (void)append_six(&journal);
     journal.Close();
   }
   ASSERT_TRUE(ffs.crashed());
@@ -806,6 +818,75 @@ TEST(AuditTest, OffModeTrustsTheReplay) {
   auto recovered = manager.Recover(nullptr);
   ASSERT_TRUE(recovered.ok()) << recovered.status();
   EXPECT_FALSE(CheckDatabaseConsistency(**recovered).ok());
+}
+
+// Active rules are part of the state a restart must rebuild: a trigger's
+// effect is journaled only as the statement that fired it, so recovery
+// must replay through an ActiveDatabase, whether the trigger definition
+// sits in the journal or in the snapshot's DEFINE records. The audit
+// cannot catch a miss — the database is consistent, just wrong.
+TEST(ActiveRecoveryTest, RestartRefiresTriggersWhereverTheyAreStored) {
+  struct Case {
+    const char* name;
+    bool checkpoint_after_trigger;
+  };
+  const Case cases[] = {
+      {"definition_in_journal", false},
+      {"definition_in_snapshot", true},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const std::string dir = FreshDir(std::string("active_") + c.name);
+    const std::string snap = dir + "/snapshot.tchdb";
+    const std::string journal = dir + "/journal.tql";
+
+    uint32_t live_hash = 0;
+    uint32_t live_hash_with_definitions = 0;
+    {
+      Engine engine;
+      GroupCommitJournal sink;
+      ASSERT_TRUE(sink.Open(journal).ok());
+      engine.set_commit_sink(&sink);
+      Session session = engine.OpenSession();
+      ASSERT_TRUE(
+          session.Execute("define class emp attributes v: integer end").ok());
+      ASSERT_TRUE(session
+                      .Execute("trigger boost on create of emp do "
+                               "update $self set v = 42")
+                      .ok());
+      if (c.checkpoint_after_trigger) {
+        Status checkpointed = engine.WithExclusive(
+            [&](Database& live, ActiveDatabase& active) {
+              return sink.WithQuiesced([&](Journal& j) {
+                return RecoveryManager::Checkpoint(
+                    live, &j, snap, nullptr, active.DefinitionStatements());
+              });
+            });
+        ASSERT_TRUE(checkpointed.ok()) << checkpointed;
+      }
+      ASSERT_TRUE(session.Execute("create emp (v: 1)").ok());
+      ASSERT_EQ(session.Execute("select x.v from x in emp").value(), "42");
+      sink.Close();
+      live_hash = DatabaseStateHash(engine.writer_db()).value();
+      live_hash_with_definitions =
+          DatabaseStateHash(engine.writer_db(),
+                            engine.active().DefinitionStatements())
+              .value();
+    }
+
+    RecoveryManager manager(snap, journal);
+    Result<std::unique_ptr<Database>> db = manager.Recover();
+    ASSERT_TRUE(db.ok()) << db.status();
+    EXPECT_EQ(DatabaseStateHash(**db).value(), live_hash);
+
+    Result<std::unique_ptr<Engine>> engine = manager.RecoverEngine();
+    ASSERT_TRUE(engine.ok()) << engine.status();
+    EXPECT_EQ(DatabaseStateHash((*engine)->writer_db()).value(), live_hash);
+    EXPECT_EQ(DatabaseStateHash((*engine)->writer_db(),
+                                (*engine)->active().DefinitionStatements())
+                  .value(),
+              live_hash_with_definitions);
+  }
 }
 
 }  // namespace

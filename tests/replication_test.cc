@@ -111,19 +111,7 @@ struct Primary {
     ropts.audit = AuditMode::kOff;
     RecoveryManager manager(p->snapshot_path(), p->journal_path(), ropts);
     RecoveryStats stats;
-    Result<std::unique_ptr<Database>> db = manager.LoadSnapshot(&stats);
-    if (!db.ok()) return db.status();
-    p->engine = std::make_unique<Engine>(std::move(db.value()));
-    auto exec = [p](const std::string& statement) {
-      return p->engine->WithExclusive(
-          [&statement](Database&, ActiveDatabase& active) {
-            return active.Execute(statement).status();
-          });
-    };
-    for (const std::string& definition : manager.snapshot_definitions()) {
-      TCH_RETURN_IF_ERROR(exec(definition));
-    }
-    TCH_RETURN_IF_ERROR(manager.ReplayJournals(exec, &stats));
+    TCH_ASSIGN_OR_RETURN(p->engine, manager.RecoverEngine(&stats));
     p->sink = std::make_unique<GroupCommitJournal>();
     JournalOptions jopts;
     jopts.fs = fs;

@@ -452,25 +452,12 @@ TEST(ServerTest, WriteRetryPolicySurfacesConflictWithoutFallback) {
 // state hash (definitions included).
 uint32_t RecoverAndHash(const std::string& dir) {
   RecoveryManager recovery(dir + "/snapshot.tchdb", dir + "/journal.tql");
-  RecoveryStats stats;
-  Result<std::unique_ptr<Database>> loaded = recovery.LoadSnapshot(&stats);
-  EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
-  Engine engine(std::move(loaded).value());
-  Session session = engine.OpenSession();
-  for (const std::string& definition : recovery.snapshot_definitions()) {
-    EXPECT_TRUE(session.Execute(definition).ok()) << definition;
-  }
-  Status replayed = recovery.ReplayJournals(
-      [&session](const std::string& statement) {
-        return session.Execute(statement).status();
-      },
-      &stats);
-  EXPECT_TRUE(replayed.ok()) << replayed.ToString();
-  EXPECT_TRUE(RecoveryManager::Audit(&engine.writer_db(), AuditMode::kFail,
-                                     &stats)
-                  .ok());
-  Result<uint32_t> hash = DatabaseStateHash(
-      engine.writer_db(), engine.active().DefinitionStatements());
+  Result<std::unique_ptr<Engine>> engine = recovery.RecoverEngine();
+  EXPECT_TRUE(engine.ok()) << engine.status().ToString();
+  if (!engine.ok()) return 0;
+  Result<uint32_t> hash =
+      DatabaseStateHash((*engine)->writer_db(),
+                        (*engine)->active().DefinitionStatements());
   EXPECT_TRUE(hash.ok()) << hash.status().ToString();
   return hash.ok() ? hash.value() : 0;
 }

@@ -28,12 +28,12 @@
 #include <vector>
 
 #include "common/fault_fs.h"
+#include "query/session.h"
 #include "server/net.h"
 #include "storage/deserializer.h"
 #include "storage/journal.h"
 #include "storage/recovery.h"
 #include "storage/serializer.h"
-#include "triggers/trigger.h"
 
 namespace tchimera {
 namespace {
@@ -122,38 +122,11 @@ int Inspect(const std::string& dir) {
 }
 
 int Verify(const std::string& dir) {
-  // The phase API with an ActiveDatabase executor, mirroring the REPL:
-  // journals written by it contain `trigger` / `constraint` definitions
-  // a plain Interpreter would reject.
+  // The REPL's and the server's own restart, audit included.
   RecoveryManager manager(dir + "/" + kSnapshotName,
                           dir + "/" + kJournalName);
   RecoveryStats stats;
-  Status failure = Status::OK();
-  std::unique_ptr<Database> db;
-  auto loaded = manager.LoadSnapshot(&stats);
-  if (!loaded.ok()) {
-    failure = loaded.status();
-  } else {
-    db = std::move(loaded).value();
-    ActiveDatabase active(db.get());
-    // A v3 snapshot carries trigger/constraint definitions; restore them
-    // before replay so journaled statements see the same active rules
-    // they were originally executed under.
-    for (const std::string& definition : manager.snapshot_definitions()) {
-      failure = active.Execute(definition).status();
-      if (!failure.ok()) break;
-    }
-    if (failure.ok()) {
-      failure = manager.ReplayJournals(
-          [&active](const std::string& statement) {
-            return active.Execute(statement).status();
-          },
-          &stats);
-    }
-    if (failure.ok()) {
-      failure = RecoveryManager::Audit(db.get(), AuditMode::kFail, &stats);
-    }
-  }
+  Result<std::unique_ptr<Engine>> engine = manager.RecoverEngine(&stats);
   for (const std::string& note : stats.notes) {
     std::printf("note: %s\n", note.c_str());
   }
@@ -162,13 +135,14 @@ int Verify(const std::string& dir) {
               stats.snapshot_loaded ? "loaded" : "absent",
               static_cast<unsigned long long>(stats.snapshot_epoch),
               stats.journals_replayed, stats.statements_applied);
-  if (!failure.ok()) {
-    std::printf("NOT RECOVERABLE: %s\n", failure.ToString().c_str());
+  if (!engine.ok()) {
+    std::printf("NOT RECOVERABLE: %s\n", engine.status().ToString().c_str());
     return 1;
   }
+  const Database& db = (*engine)->writer_db();
   std::printf("OK: recovers to a consistent database "
               "(%zu objects, now = %lld)\n",
-              db->object_count(), static_cast<long long>(db->now()));
+              db.object_count(), static_cast<long long>(db.now()));
   return 0;
 }
 
@@ -200,29 +174,18 @@ int Salvage(const std::string& dir) {
 // (replica journals mirror the primary's epoch/seq numbering, so the
 // positions are directly comparable).
 struct RecoveredDir {
-  std::unique_ptr<Database> db;
-  std::unique_ptr<ActiveDatabase> active;
+  std::unique_ptr<Engine> engine;
   uint64_t epoch = 0;
   uint64_t last_seq = 0;
 };
 
 Status RecoverDir(const std::string& dir, RecoveredDir* out) {
+  RecoveryOptions options;
+  options.audit = AuditMode::kOff;
   RecoveryManager manager(dir + "/" + kSnapshotName,
-                          dir + "/" + kJournalName);
+                          dir + "/" + kJournalName, options);
   RecoveryStats stats;
-  auto loaded = manager.LoadSnapshot(&stats);
-  if (!loaded.ok()) return loaded.status();
-  out->db = std::move(loaded).value();
-  out->active = std::make_unique<ActiveDatabase>(out->db.get());
-  for (const std::string& definition : manager.snapshot_definitions()) {
-    Status status = out->active->Execute(definition).status();
-    if (!status.ok()) return status;
-  }
-  TCH_RETURN_IF_ERROR(manager.ReplayJournals(
-      [out](const std::string& statement) {
-        return out->active->Execute(statement).status();
-      },
-      &stats));
+  TCH_ASSIGN_OR_RETURN(out->engine, manager.RecoverEngine(&stats));
   std::string live = dir + "/" + kJournalName;
   out->epoch = stats.next_epoch;
   if (FileSystem::Default()->FileExists(live)) {
@@ -251,9 +214,11 @@ int VerifyReplica(const std::string& replica_dir,
     return 1;
   }
   auto replica_hash =
-      DatabaseStateHash(*replica.db, replica.active->DefinitionStatements());
+      DatabaseStateHash(replica.engine->writer_db(),
+                        replica.engine->active().DefinitionStatements());
   auto primary_hash =
-      DatabaseStateHash(*primary.db, primary.active->DefinitionStatements());
+      DatabaseStateHash(primary.engine->writer_db(),
+                        primary.engine->active().DefinitionStatements());
   if (!replica_hash.ok() || !primary_hash.ok()) {
     std::printf("state hash failed: %s\n",
                 (!replica_hash.ok() ? replica_hash.status() :

@@ -14,9 +14,9 @@
 //                          (how tests and benches find an ephemeral port)
 //
 // Assembly order matters and mirrors examples/temporal_repl.cpp: recover
-// (snapshot, definitions, journals, audit) through a session *before*
-// the commit sink is installed — replay must not re-journal — then open
-// the sink at the recovered epoch, install it, and only then serve.
+// the engine (RecoveryManager::RecoverEngine) *before* the commit sink is
+// installed — replay must not re-journal — then open the sink at the
+// recovered epoch, install it, and only then serve.
 #include <signal.h>
 #include <unistd.h>
 
@@ -27,7 +27,6 @@
 #include <memory>
 #include <string>
 
-#include "core/db/database.h"
 #include "query/session.h"
 #include "server/net.h"
 #include "server/server.h"
@@ -46,13 +45,11 @@ bool ParseFlag(const char* arg, const char* name, std::string* out) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  using tchimera::Database;
   using tchimera::Engine;
   using tchimera::GroupCommitJournal;
   using tchimera::Result;
   using tchimera::Server;
   using tchimera::ServerOptions;
-  using tchimera::Session;
   using tchimera::Status;
 
   tchimera::IgnoreSigpipe();
@@ -94,52 +91,24 @@ int main(int argc, char** argv) {
     journal_path = (dir / "journal.tql").string();
   }
 
-  tchimera::RecoveryManager recovery(snapshot_path, journal_path);
-  tchimera::RecoveryStats stats;
-  std::unique_ptr<Database> db = std::make_unique<Database>();
-  if (!journal_path.empty()) {
-    Result<std::unique_ptr<Database>> loaded = recovery.LoadSnapshot(&stats);
-    if (!loaded.ok()) {
-      std::fprintf(stderr, "cannot load %s: %s\n", snapshot_path.c_str(),
-                   loaded.status().ToString().c_str());
-      return 1;
-    }
-    db = std::move(loaded).value();
-  }
-
-  Engine engine(std::move(db));
+  auto engine = std::make_unique<Engine>();
   GroupCommitJournal sink;
   if (!journal_path.empty()) {
-    Session boot = engine.OpenSession();
-    Status replayed = Status::OK();
-    for (const std::string& definition : recovery.snapshot_definitions()) {
-      replayed = boot.Execute(definition).status();
-      if (!replayed.ok()) break;
-    }
-    if (replayed.ok()) {
-      replayed = recovery.ReplayJournals(
-          [&boot](const std::string& statement) {
-            return boot.Execute(statement).status();
-          },
-          &stats);
-    }
+    tchimera::RecoveryStats stats;
+    Result<std::unique_ptr<Engine>> recovered =
+        tchimera::RecoveryManager(snapshot_path, journal_path)
+            .RecoverEngine(&stats);
     for (const std::string& note : stats.notes) {
       std::fprintf(stderr, "recovery: %s\n", note.c_str());
     }
-    if (!replayed.ok()) {
-      std::fprintf(stderr, "journal replay failed: %s\n",
-                   replayed.ToString().c_str());
+    if (!recovered.ok()) {
+      std::fprintf(stderr, "recovery failed: %s\n",
+                   recovered.status().ToString().c_str());
       return 1;
     }
-    Status audit = tchimera::RecoveryManager::Audit(
-        &engine.writer_db(), tchimera::AuditMode::kFail, &stats);
-    if (!audit.ok()) {
-      std::fprintf(stderr, "post-recovery audit failed: %s\n",
-                   audit.ToString().c_str());
-      return 1;
-    }
+    engine = std::move(recovered).value();
     std::fprintf(stderr, "recovered: %zu objects, %zu statement(s)\n",
-                 engine.writer_db().object_count(),
+                 engine->writer_db().object_count(),
                  stats.statements_applied);
     tchimera::JournalOptions journal_options;
     journal_options.epoch = stats.next_epoch;
@@ -148,7 +117,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "%s\n", opened.ToString().c_str());
       return 1;
     }
-    engine.set_commit_sink(&sink);
+    engine->set_commit_sink(&sink);
     options.commit_backlog = [&sink]() -> uint64_t {
       // Read durable first: reading enqueued first could observe a value
       // smaller than a durable read a moment later and underflow.
@@ -169,7 +138,7 @@ int main(int argc, char** argv) {
   pthread_sigmask(SIG_BLOCK, &set, nullptr);
 
   tchimera::TryRaiseNofileLimit(16384);
-  Server server(&engine, options);
+  Server server(engine.get(), options);
   Status started = server.Start();
   if (!started.ok()) {
     std::fprintf(stderr, "cannot start server: %s\n",
