@@ -2,7 +2,8 @@
 // scaling across threads (the Table 3 functions are pure reads, so
 // snapshot isolation should scale them near-linearly), MVCC interference
 // (writer throughput must not degrade while a reader pins a snapshot,
-// and commit cost must track touched objects, not database size) and
+// commit cost must track touched objects, not database size, and an
+// indexed commit must cost the same at every index size) and
 // group commit vs per-statement fdatasync (the sync count is the
 // durability cost a batch amortizes).
 #include <benchmark/benchmark.h>
@@ -13,6 +14,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <memory>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -169,6 +171,78 @@ void BM_CommitCostVsTouchedObjects(benchmark::State& state) {
   state.counters["db_objects"] = kDbObjects;
 }
 BENCHMARK(BM_CommitCostVsTouchedObjects)->Arg(1)->Arg(16)->Arg(256)->Arg(1024);
+
+// --- indexed commit cost vs index size: one optimistic commit of one
+// retroactive `during [lo, lo+1]` splice of an attribute under a value
+// index. Index maintenance applies a per-oid delta to copy-on-write
+// posting chunks — on the transaction's copy and again on the tip — so
+// the time per commit should stay flat as the index grows. The object
+// count is fixed (the object shards' own COW clones cost the same at
+// every size); Arg = splices per object's history, so postings per
+// index shard grow ~12x across the rows.
+
+void BM_IndexedCommitCostVsIndexSize(benchmark::State& state) {
+  constexpr int kObjects = 1024;
+  constexpr TimePoint kHistory = 512;
+  const int splices = static_cast<int>(state.range(0));
+  VersionedDatabase vdb;
+  std::vector<Oid> oids;
+  std::mt19937_64 rng(1);
+  auto splice = [&rng](Database& db, Oid oid) {
+    const TimePoint lo = static_cast<TimePoint>(rng() % (kHistory - 1));
+    return db.UpdateAttributeAt(oid, "v", Interval(lo, lo + 1),
+                                Value::Integer(rng() % 100000));
+  };
+  {
+    WriteGuard guard = vdb.BeginWrite();
+    Database& db = guard.db();
+    if (!Interpreter(&db)
+             .Execute("define class emp attributes v: temporal(integer) end")
+             .ok() ||
+        !db.AdvanceTo(kHistory).ok()) {
+      state.SkipWithError("schema failed");
+      return;
+    }
+    for (int i = 0; i < kObjects; ++i) {
+      Result<Oid> oid = db.CreateObjectAt("emp", 0, {{"v", Value::Integer(0)}});
+      if (!oid.ok()) {
+        state.SkipWithError("populate failed");
+        return;
+      }
+      for (int s = 0; s < splices; ++s) {
+        if (!splice(db, *oid).ok()) {
+          state.SkipWithError("history failed");
+          return;
+        }
+      }
+      oids.push_back(*oid);
+    }
+    if (!Interpreter(&db).Execute("create index ev on emp (v)").ok()) {
+      state.SkipWithError("index failed");
+      return;
+    }
+    guard.Commit();
+  }
+  const double postings =
+      static_cast<double>(vdb.OpenSnapshot().db().IndexEntryCount("ev"));
+  for (auto _ : state) {
+    OptimisticTransaction txn = vdb.BeginTransaction();
+    if (!splice(txn.db(), oids[rng() % oids.size()]).ok() ||
+        !vdb.CommitTransaction(&txn).ok()) {
+      state.SkipWithError("commit failed");
+      return;
+    }
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["splices"] = splices;
+  state.counters["postings_per_shard"] = postings / 64;
+}
+BENCHMARK(BM_IndexedCommitCostVsIndexSize)
+    ->Arg(4)
+    ->Arg(8)
+    ->Arg(16)
+    ->Arg(32)
+    ->Arg(64);
 
 // --- durability: group commit vs one fdatasync per statement. The
 // baseline sink syncs inside Enqueue (the pre-refactor behavior: every

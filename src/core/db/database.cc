@@ -1,6 +1,7 @@
 #include "core/db/database.h"
 
 #include <algorithm>
+#include <cassert>
 #include <set>
 
 #include "common/string_util.h"
@@ -65,6 +66,7 @@ Database::Database(const Database& other)
       objects_(other.objects_),
       index_defs_(other.index_defs_),
       index_shards_(other.index_shards_),
+      index_before_(other.index_before_),
       next_oid_(other.next_oid_),
       schema_version_(other.schema_version_) {
   // Both sides get fresh epochs: every structure the two copies now share
@@ -95,6 +97,14 @@ Database::ClassTable& Database::MutableClassTable() {
 }
 
 Database::ObjectShard& Database::MutableShard(uint64_t id) {
+  if (!index_defs_->empty() && !index_before_.contains(id)) {
+    const Object* obj = GetObject(Oid{id});
+    std::vector<IndexedFacts>& before = index_before_[id];
+    before.reserve(index_defs_->size());
+    for (const auto& [unused, def] : *index_defs_) {
+      before.push_back(CaptureIndexedFacts(def, obj));
+    }
+  }
   const uint64_t epoch = cow_epoch_.load(std::memory_order_relaxed);
   std::shared_ptr<ObjectShard>& shard = objects_[ShardIndex(id)];
   if (shard == nullptr) {
@@ -123,27 +133,38 @@ IndexShard& Database::MutableIndexShard(uint64_t id) {
 }
 
 void Database::ReindexOid(uint64_t id) {
-  if (index_defs_->empty()) return;
+  auto captured = index_before_.find(id);
+  if (captured == index_before_.end()) return;  // never touched
+  const std::vector<IndexedFacts>& before = captured->second;
+  assert(before.size() == index_defs_->size());
   const Object* obj = GetObject(Oid{id});
-  IndexShard& shard = MutableIndexShard(id);
+  size_t i = 0;
   for (const auto& [name, def] : *index_defs_) {
-    RebuildPartitionEntry(def, obj, Oid{id}, &shard.parts[name]);
+    const IndexedFacts after = CaptureIndexedFacts(def, obj);
+    if (!SameIndexedFacts(before[i], after)) {
+      MutableIndexShard(id).parts[name].ApplyDelta(def, Oid{id}, before[i],
+                                                   after);
+    }
+    ++i;
   }
+  index_before_.erase(captured);
+}
+
+void Database::ReindexCaptured() {
+  while (!index_before_.empty()) ReindexOid(index_before_.begin()->first);
 }
 
 void Database::BuildIndex(const IndexDef& def) {
   for (uint64_t s = 0; s < kObjectShardCount; ++s) {
-    IndexPartition& part = MutableIndexShard(s).parts[def.name];
-    part = IndexPartition{};
-    const ObjectShard* src = objects_[s].get();
-    if (src == nullptr) continue;
-    for (const auto& [id, slot] : src->slots) {
-      AppendIndexEntries(def, *slot.obj, Oid{id}, &part);
+    std::vector<const Object*> objects;
+    if (const ObjectShard* src = objects_[s].get(); src != nullptr) {
+      objects.reserve(src->slots.size());
+      for (const auto& [unused, slot] : src->slots) {
+        objects.push_back(slot.obj.get());
+      }
     }
-    // Shard iteration order is unordered; the sorted postings and the
-    // oid-keyed timeline map are order-independent, so a build is
-    // deterministic for given object state.
-    std::sort(part.postings.begin(), part.postings.end(), IndexEntryLess);
+    MutableIndexShard(s).parts[def.name] =
+        IndexPartition::Build(def, objects);
   }
 }
 
@@ -167,6 +188,7 @@ Status Database::CreateIndex(const IndexDef& def) {
   // reads all shards).
   footprint_.schema_changed = true;
   ++schema_version_;
+  ReindexCaptured();
   auto defs =
       std::make_shared<std::map<std::string, IndexDef, std::less<>>>(
           *index_defs_);
@@ -183,6 +205,7 @@ Status Database::DropIndex(std::string_view name) {
   }
   footprint_.schema_changed = true;
   ++schema_version_;
+  ReindexCaptured();
   auto defs =
       std::make_shared<std::map<std::string, IndexDef, std::less<>>>(
           *index_defs_);
@@ -222,14 +245,13 @@ std::vector<Oid> Database::IndexProbe(std::string_view index_name,
     if (shard == nullptr) continue;
     auto it = shard->parts.find(index_name);
     if (it == shard->parts.end()) continue;
-    auto [lo, hi] = ProbeRange(it->second, op, bound);
-    for (size_t i = lo; i < hi; ++i) {
-      const IndexEntry& e = it->second.postings[i];
+    const IndexPartition& part = it->second;
+    part.ForEach(ProbeRange(part, op, bound), [&](const IndexEntry& e) {
       // Raw containment (ongoing = valid at every t >= start): matches
       // TemporalFunction::At, which the scan path projects with, even
       // for instants beyond the current clock.
       if (e.valid.ContainsResolved(t)) out.push_back(e.oid);
-    }
+    });
   }
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
@@ -243,8 +265,7 @@ size_t Database::IndexProbeEstimate(std::string_view index_name, ProbeOp op,
     if (shard == nullptr) continue;
     auto it = shard->parts.find(index_name);
     if (it == shard->parts.end()) continue;
-    auto [lo, hi] = ProbeRange(it->second, op, bound);
-    n += hi - lo;
+    n += it->second.Count(ProbeRange(it->second, op, bound));
   }
   return n;
 }
@@ -254,7 +275,17 @@ size_t Database::IndexEntryCount(std::string_view index_name) const {
   for (const auto& shard : index_shards_) {
     if (shard == nullptr) continue;
     auto it = shard->parts.find(index_name);
-    if (it != shard->parts.end()) n += it->second.postings.size();
+    if (it != shard->parts.end()) n += it->second.size();
+  }
+  return n;
+}
+
+size_t Database::IndexChunkCount(std::string_view index_name) const {
+  size_t n = 0;
+  for (const auto& shard : index_shards_) {
+    if (shard == nullptr) continue;
+    auto it = shard->parts.find(index_name);
+    if (it != shard->parts.end()) n += it->second.chunk_count();
   }
   return n;
 }
@@ -267,8 +298,7 @@ const std::vector<TimePoint>* Database::AttrTimeline(
   if (shard == nullptr) return nullptr;
   auto it = shard->parts.find(def->name);
   if (it == shard->parts.end()) return nullptr;
-  auto tl = it->second.timelines.find(oid.id);
-  return tl == it->second.timelines.end() ? nullptr : &tl->second;
+  return it->second.TimelineOf(oid.id);
 }
 
 const std::vector<TimePoint>* Database::LifespanTimeline(Oid oid) const {
@@ -284,8 +314,7 @@ const std::vector<TimePoint>* Database::LifespanTimeline(Oid oid) const {
   if (shard == nullptr) return nullptr;
   auto it = shard->parts.find(def->name);
   if (it == shard->parts.end()) return nullptr;
-  auto tl = it->second.timelines.find(oid.id);
-  return tl == it->second.timelines.end() ? nullptr : &tl->second;
+  return it->second.TimelineOf(oid.id);
 }
 
 std::string Database::DebugDumpIndexes() const {
@@ -300,17 +329,17 @@ std::string Database::DebugDumpIndexes() const {
       auto it = shard->parts.find(name);
       if (it == shard->parts.end()) continue;
       const IndexPartition& part = it->second;
-      if (part.postings.empty() && part.timelines.empty()) continue;
+      if (part.empty()) continue;
       out += " shard " + std::to_string(s) + "\n";
-      for (const IndexEntry& e : part.postings) {
+      part.ForEach(part.All(), [&](const IndexEntry& e) {
         out += "  post " + e.value.ToString() + " " + e.valid.ToString() +
                " " + e.oid.ToString() + "\n";
-      }
-      for (const auto& [id, tl] : part.timelines) {
+      });
+      part.ForEachTimeline([&](uint64_t id, const std::vector<TimePoint>& tl) {
         out += "  timeline " + Oid{id}.ToString();
         for (TimePoint b : tl) out += " " + std::to_string(b);
         out += "\n";
-      }
+      });
     }
   }
   return out;
@@ -1073,6 +1102,7 @@ void Database::AdoptChanges(const Database& src, const WriteFootprint& fp) {
     objects_ = src.objects_;
     index_defs_ = src.index_defs_;
     index_shards_ = src.index_shards_;
+    index_before_ = src.index_before_;
     next_oid_ = src.next_oid_;
     // Fresh epochs on both sides (the same protocol as the copy
     // constructor): every adopted structure is now shared, so whichever
@@ -1097,28 +1127,32 @@ void Database::AdoptChanges(const Database& src, const WriteFootprint& fp) {
       table.map[name] = ClassSlot{it->second.def, 0};
     }
   }
-  for (const std::set<uint64_t>* ids : {&fp.oids, &fp.deleted_oids}) {
-    for (uint64_t id : *ids) {
-      ObjectShard& shard = MutableShard(id);
-      const ObjectShard* src_shard = src.objects_[ShardIndex(id)].get();
-      const ObjectSlot* found = nullptr;
-      if (src_shard != nullptr) {
-        auto it = src_shard->slots.find(id);
-        if (it != src_shard->slots.end()) found = &it->second;
-      }
-      if (found == nullptr) {
-        shard.slots.erase(id);  // erased in src (fp.all covers quarantine,
-                                // but stay defensive)
-      } else {
-        shard.slots[id] = ObjectSlot{found->obj, 0};
-      }
-      // Index entries are a pure function of the object's state, so
-      // recomputing them here is equivalent to having run the
-      // transaction's index maintenance on the tip directly — and an
-      // index write whose underlying oid lost first-committer-wins never
-      // reaches this point (validation aborted the commit).
-      ReindexOid(id);
+  // DeleteObject touches the slot before recording the deletion, so the
+  // deleted oids are among the adopted ones.
+  assert(std::includes(fp.oids.begin(), fp.oids.end(),
+                       fp.deleted_oids.begin(), fp.deleted_oids.end()));
+  for (uint64_t id : fp.oids) {
+    // MutableShard captures the tip's current slot as the "before" half
+    // of the index delta.
+    ObjectShard& shard = MutableShard(id);
+    const ObjectShard* src_shard = src.objects_[ShardIndex(id)].get();
+    const ObjectSlot* found = nullptr;
+    if (src_shard != nullptr) {
+      auto it = src_shard->slots.find(id);
+      if (it != src_shard->slots.end()) found = &it->second;
     }
+    if (found == nullptr) {
+      shard.slots.erase(id);  // erased in src (fp.all covers quarantine,
+                              // but stay defensive)
+    } else {
+      shard.slots[id] = ObjectSlot{found->obj, 0};
+    }
+    // Index entries are a pure function of the object's state, so the
+    // delta from the tip's slot to the adopted one is equivalent to
+    // having run the transaction's index maintenance on the tip directly
+    // — and an index write whose underlying oid lost first-committer-wins
+    // never reaches this point (validation aborted the commit).
+    ReindexOid(id);
   }
 }
 

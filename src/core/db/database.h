@@ -258,8 +258,10 @@ class Database final : public ExtentProvider {
   // validity intervals — the planner's cardinality estimate.
   size_t IndexProbeEstimate(std::string_view index_name, ProbeOp op,
                             const Value& bound) const;
-  // Total postings in `index_name` across all shards.
+  // Total postings in `index_name` across all shards, and the
+  // copy-on-write chunks holding them (core/db/index.h).
   size_t IndexEntryCount(std::string_view index_name) const;
+  size_t IndexChunkCount(std::string_view index_name) const;
 
   // The pre-extracted boundary timeline of `oid`'s attribute `attr`
   // under any value index covering it (nullptr when not indexed), and of
@@ -364,17 +366,27 @@ class Database final : public ExtentProvider {
   // Spine-level COW: a private, mutable class table / shard (cloned from
   // the shared one on first touch per epoch).
   ClassTable& MutableClassTable();
+  // Every object-slot mutation (create, clone for update, erase,
+  // adoption) goes through here, so this is also where `id`'s indexed
+  // facts are captured before the caller changes the slot — the "before"
+  // half of the per-oid index delta ReindexOid applies.
   ObjectShard& MutableShard(uint64_t id);
   // The index shard covering `oid`'s object shard, cloned on first touch
   // per epoch (index entries ride the same COW protocol as objects, so a
-  // commit publishes index clones for exactly the shards it wrote).
+  // commit publishes index clones for exactly the shards it wrote; a
+  // clone shares every posting chunk).
   IndexShard& MutableIndexShard(uint64_t id);
-  // Recomputes every registered index's entries for `oid` from the
-  // object's current state (removal when the slot is gone). Called by
-  // every object mutation and by AdoptChanges for each adopted oid; does
-  // not record footprint — index writes conflict through the oid slots
-  // they accompany.
+  // Moves every registered index's entries for `id` from the facts
+  // captured by MutableShard to the slot's current state (removal when
+  // the slot is gone), touching only the postings that changed. Called
+  // by every object mutation and by AdoptChanges for each adopted oid;
+  // does not record footprint — index writes conflict through the oid
+  // slots they accompany.
   void ReindexOid(uint64_t id);
+  // Reindexes every oid with captured facts — a mutation that failed
+  // after touching its slot leaves them pending. Index DDL runs this
+  // first, since captures are laid out per registered index.
+  void ReindexCaptured();
   // Rebuilds all shards of `def` from scratch (index creation).
   void BuildIndex(const IndexDef& def);
 
@@ -396,6 +408,10 @@ class Database final : public ExtentProvider {
   std::shared_ptr<const std::map<std::string, IndexDef, std::less<>>>
       index_defs_;
   std::array<std::shared_ptr<IndexShard>, kObjectShardCount> index_shards_;
+  // oid -> its indexed facts (one per registered index, in name order)
+  // as the indexes currently hold them; present from the slot's first
+  // mutation until ReindexOid applies the delta.
+  std::map<uint64_t, std::vector<IndexedFacts>> index_before_;
   uint64_t next_oid_ = 1;
   uint64_t schema_version_ = 1;  // see schema_version()
   // Slots mutated since the last TakeFootprint(). Deliberately NOT copied

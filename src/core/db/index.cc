@@ -1,6 +1,9 @@
 #include "core/db/index.h"
 
-#include <algorithm>
+#include <bit>
+#include <cassert>
+#include <iterator>
+#include <span>
 
 #include "core/values/temporal_function.h"
 
@@ -10,122 +13,319 @@ const char* IndexKindName(IndexKind kind) {
   return kind == IndexKind::kValue ? "value" : "lifespan";
 }
 
+namespace {
+
+using Segment = TemporalFunction::Segment;
+
+// Value::Compare with the integer case inline: the binary searches and
+// the delta's segment walk compare mostly integers.
+int CompareValues(const Value& a, const Value& b) {
+  if (a.kind() == ValueKind::kInteger && b.kind() == ValueKind::kInteger) {
+    return a.AsInteger() < b.AsInteger() ? -1 : a.AsInteger() > b.AsInteger();
+  }
+  return Value::Compare(a, b);
+}
+
+// Equal under Value::Compare AND rendered identically, so a posting the
+// delta keeps dumps exactly like a rebuilt one (Compare equates 0.0 with
+// -0.0 and NaN with everything; composite values can hide such reals).
+bool IdenticalValue(const Value& a, const Value& b) {
+  if (CompareValues(a, b) != 0) return false;
+  switch (a.kind()) {
+    case ValueKind::kReal:
+      return std::bit_cast<uint64_t>(a.AsReal()) ==
+             std::bit_cast<uint64_t>(b.AsReal());
+    case ValueKind::kSet:
+    case ValueKind::kList:
+    case ValueKind::kRecord:
+    case ValueKind::kTemporal:
+      return a.ToString() == b.ToString();
+    default:
+      return true;
+  }
+}
+
+// The segments `facts` posts, in time order. A non-temporal attribute
+// projects to its stored value at every instant
+// (ProjectStoredAttribute), so it posts one always-valid segment, built
+// in `single`.
+std::span<const Segment> PostedSegments(const IndexedFacts& facts,
+                                        Segment* single) {
+  if (!facts.present) return {};
+  if (facts.stored.kind() == ValueKind::kTemporal) {
+    return facts.stored.AsTemporal().segments();
+  }
+  *single = Segment{Interval::FromUntilNow(0), facts.stored};
+  return {single, 1};
+}
+
+// The sorted unique boundary instants of `facts` under `def`: segment
+// starts and the instant after each closed segment's end — the same
+// points CollectWhenBoundaries derives by walking the segments directly
+// (query/evaluator.cc), stored unclamped so the timeline is
+// clock-independent — or the lifespan edges.
+IndexPartition::Timeline BoundaryTimeline(const IndexDef& def,
+                                          const IndexedFacts& facts) {
+  IndexPartition::Timeline timeline;
+  if (!facts.present) return timeline;
+  if (def.kind == IndexKind::kLifespan) {
+    if (!facts.lifespan.empty()) {
+      timeline.push_back(facts.lifespan.start());
+      if (!facts.lifespan.is_ongoing()) {
+        timeline.push_back(facts.lifespan.end() + 1);
+      }
+    }
+    return timeline;
+  }
+  if (facts.stored.kind() != ValueKind::kTemporal) return timeline;
+  const std::vector<Segment>& segments = facts.stored.AsTemporal().segments();
+  timeline.reserve(2 * segments.size());
+  for (const Segment& seg : segments) {
+    timeline.push_back(seg.interval.start());
+    if (!seg.interval.is_ongoing()) timeline.push_back(seg.interval.end() + 1);
+  }
+  // Disjoint segments in time order give sorted points; only a kNow-ending
+  // segment followed by a later one breaks that.
+  if (!std::is_sorted(timeline.begin(), timeline.end())) {
+    std::sort(timeline.begin(), timeline.end());
+  }
+  timeline.erase(std::unique(timeline.begin(), timeline.end()),
+                 timeline.end());
+  return timeline;
+}
+
+}  // namespace
+
 bool IndexEntryLess(const IndexEntry& a, const IndexEntry& b) {
-  int c = Value::Compare(a.value, b.value);
+  int c = CompareValues(a.value, b.value);
   if (c != 0) return c < 0;
   if (a.oid != b.oid) return a.oid < b.oid;
   return a.valid.start() < b.valid.start();
 }
 
-namespace {
-
-// Boundary instants of one temporal function: segment starts and the
-// instant after each closed segment's end — the same points
-// CollectWhenBoundaries derives by walking the segments directly
-// (query/evaluator.cc), stored unclamped so the timeline is
-// clock-independent.
-void AddSegmentBoundaries(const TemporalFunction& f,
-                          std::vector<TimePoint>* out) {
-  for (const auto& seg : f.segments()) {
-    out->push_back(seg.interval.start());
-    if (!seg.interval.is_ongoing()) out->push_back(seg.interval.end() + 1);
-  }
-}
-
-void FinishTimeline(std::vector<TimePoint>* timeline) {
-  std::sort(timeline->begin(), timeline->end());
-  timeline->erase(std::unique(timeline->begin(), timeline->end()),
-                  timeline->end());
-}
-
-}  // namespace
-
-void AppendIndexEntries(const IndexDef& def, const Object& obj, Oid oid,
-                        IndexPartition* part) {
-  std::vector<TimePoint> timeline;
+IndexedFacts CaptureIndexedFacts(const IndexDef& def, const Object* obj) {
+  IndexedFacts facts;
+  if (obj == nullptr) return facts;
   if (def.kind == IndexKind::kLifespan) {
-    const Interval& ls = obj.lifespan();
-    if (!ls.empty()) {
-      timeline.push_back(ls.start());
-      if (!ls.is_ongoing()) timeline.push_back(ls.end() + 1);
-    }
-  } else {
-    const Value* stored = obj.Attribute(def.attr);
-    if (stored == nullptr) return;
-    if (stored->kind() == ValueKind::kTemporal) {
-      for (const auto& seg : stored->AsTemporal().segments()) {
-        part->postings.push_back({seg.value, seg.interval, oid});
+    facts.present = true;
+    facts.lifespan = obj->lifespan();
+    return facts;
+  }
+  const Value* stored = obj->Attribute(def.attr);
+  if (stored == nullptr) return facts;
+  facts.present = true;
+  facts.stored = *stored;
+  return facts;
+}
+
+bool SameIndexedFacts(const IndexedFacts& a, const IndexedFacts& b) {
+  if (a.present != b.present) return false;
+  if (!a.present) return true;
+  if (!(a.lifespan == b.lifespan)) return false;
+  if (a.stored.kind() == ValueKind::kTemporal &&
+      b.stored.kind() == ValueKind::kTemporal) {
+    return &a.stored.AsTemporal() == &b.stored.AsTemporal();
+  }
+  return IdenticalValue(a.stored, b.stored);
+}
+
+IndexPartition IndexPartition::Build(
+    const IndexDef& def, const std::vector<const Object*>& objects) {
+  IndexPartition part;
+  std::vector<IndexEntry> postings;
+  for (const Object* obj : objects) {
+    const IndexedFacts facts = CaptureIndexedFacts(def, obj);
+    if (def.kind == IndexKind::kValue) {
+      Segment single;
+      for (const Segment& seg : PostedSegments(facts, &single)) {
+        postings.push_back({seg.value, seg.interval, obj->id()});
       }
-      AddSegmentBoundaries(stored->AsTemporal(), &timeline);
-    } else {
-      // A non-temporal attribute projects to its stored value at every
-      // instant (ProjectStoredAttribute), so the posting is always valid.
-      part->postings.push_back(
-          {*stored, Interval::FromUntilNow(0), oid});
+    }
+    Timeline timeline = BoundaryTimeline(def, facts);
+    if (!timeline.empty()) {
+      part.timelines_.emplace_back(
+          obj->id().id, std::make_shared<const Timeline>(std::move(timeline)));
     }
   }
-  if (!timeline.empty()) {
-    FinishTimeline(&timeline);
-    part->timelines[oid.id] = std::move(timeline);
+  // Input order is arbitrary (shard iteration is unordered); the sort
+  // keys are unique per (oid, start), so a build is deterministic for
+  // given object state.
+  std::sort(postings.begin(), postings.end(), IndexEntryLess);
+  std::sort(part.timelines_.begin(), part.timelines_.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  part.size_ = postings.size();
+  for (size_t i = 0; i < postings.size(); i += kPostingChunkCapacity) {
+    const size_t stop = std::min(postings.size(), i + kPostingChunkCapacity);
+    part.chunks_.push_back(std::make_shared<const Chunk>(
+        std::make_move_iterator(postings.begin() + i),
+        std::make_move_iterator(postings.begin() + stop)));
+  }
+  return part;
+}
+
+void IndexPartition::ApplyDelta(const IndexDef& def, Oid oid,
+                                const IndexedFacts& before,
+                                const IndexedFacts& after) {
+  // The timeline holds interval edges only: a new value over the same
+  // interval leaves it as is.
+  bool intervals_changed = false;
+  if (def.kind == IndexKind::kLifespan) {
+    intervals_changed = before.present != after.present ||
+                        !(before.lifespan == after.lifespan);
+  } else {
+    // Both segment lists are in time order with unique starts, so a
+    // merge on the start instant pairs each old posting with its
+    // replacement. A posting's key ends in its start, so erasing the old
+    // one before inserting the new one never collides.
+    Segment before_single;
+    Segment after_single;
+    const std::span<const Segment> old_segs =
+        PostedSegments(before, &before_single);
+    const std::span<const Segment> new_segs =
+        PostedSegments(after, &after_single);
+    size_t i = 0;
+    size_t j = 0;
+    while (i < old_segs.size() || j < new_segs.size()) {
+      const Segment* o = i < old_segs.size() ? &old_segs[i] : nullptr;
+      const Segment* n = j < new_segs.size() ? &new_segs[j] : nullptr;
+      if (o != nullptr && n != nullptr &&
+          o->interval.start() == n->interval.start()) {
+        ++i;
+        ++j;
+        const bool same_interval = o->interval == n->interval;
+        if (same_interval && IdenticalValue(o->value, n->value)) continue;
+        intervals_changed |= !same_interval;
+      } else {
+        if (n == nullptr ||
+            (o != nullptr && o->interval.start() < n->interval.start())) {
+          ++i;
+          n = nullptr;
+        } else {
+          ++j;
+          o = nullptr;
+        }
+        intervals_changed = true;
+      }
+      if (o != nullptr) Erase({o->value, o->interval, oid});
+      if (n != nullptr) Insert({n->value, n->interval, oid});
+    }
+  }
+  if (intervals_changed) SetTimeline(oid.id, BoundaryTimeline(def, after));
+}
+
+size_t IndexPartition::Count(const PostingRange& range) const {
+  size_t n = 0;
+  for (PostingPos p = range.first; p < range.last; p = {p.chunk + 1, 0}) {
+    const size_t stop = p.chunk == range.last.chunk
+                            ? range.last.offset
+                            : chunks_[p.chunk]->size();
+    n += stop - p.offset;
+  }
+  return n;
+}
+
+const IndexPartition::Timeline* IndexPartition::TimelineOf(
+    uint64_t oid) const {
+  auto it = std::lower_bound(
+      timelines_.begin(), timelines_.end(), oid,
+      [](const auto& entry, uint64_t id) { return entry.first < id; });
+  return it == timelines_.end() || it->first != oid ? nullptr
+                                                    : it->second.get();
+}
+
+void IndexPartition::Insert(IndexEntry entry) {
+  PostingPos pos = PartitionPoint(
+      [&](const IndexEntry& e) { return IndexEntryLess(e, entry); });
+  ++size_;
+  if (chunks_.empty()) {
+    chunks_.push_back(std::make_shared<const Chunk>(1, entry));
+    return;
+  }
+  if (pos.chunk == chunks_.size()) {
+    pos = {pos.chunk - 1, chunks_.back()->size()};  // append to the last
+  }
+  const Chunk& old = *chunks_[pos.chunk];
+  auto chunk = std::make_shared<Chunk>();
+  chunk->reserve(old.size() + 1);
+  chunk->insert(chunk->end(), old.begin(), old.begin() + pos.offset);
+  chunk->push_back(std::move(entry));
+  chunk->insert(chunk->end(), old.begin() + pos.offset, old.end());
+  if (chunk->size() > kPostingChunkCapacity) {
+    const size_t half = chunk->size() / 2;
+    auto tail = std::make_shared<const Chunk>(
+        std::make_move_iterator(chunk->begin() + half),
+        std::make_move_iterator(chunk->end()));
+    chunk->resize(half);
+    chunks_.insert(chunks_.begin() + pos.chunk + 1, std::move(tail));
+  }
+  chunks_[pos.chunk] = std::move(chunk);
+}
+
+void IndexPartition::Erase(const IndexEntry& key) {
+  const PostingPos pos = PartitionPoint(
+      [&](const IndexEntry& e) { return IndexEntryLess(e, key); });
+  // The delta only erases postings the partition holds: their facts were
+  // captured while the index reflected them.
+  const bool held = pos.chunk < chunks_.size() &&
+                    !IndexEntryLess(key, (*chunks_[pos.chunk])[pos.offset]);
+  assert(held);
+  if (!held) return;
+  const Chunk& old = *chunks_[pos.chunk];
+  --size_;
+  if (old.size() == 1) {
+    chunks_.erase(chunks_.begin() + pos.chunk);
+    return;
+  }
+  auto chunk = std::make_shared<Chunk>();
+  chunk->reserve(old.size() - 1);
+  chunk->insert(chunk->end(), old.begin(), old.begin() + pos.offset);
+  chunk->insert(chunk->end(), old.begin() + pos.offset + 1, old.end());
+  chunks_[pos.chunk] = std::move(chunk);
+}
+
+void IndexPartition::SetTimeline(uint64_t oid, Timeline timeline) {
+  auto it = std::lower_bound(
+      timelines_.begin(), timelines_.end(), oid,
+      [](const auto& entry, uint64_t id) { return entry.first < id; });
+  const bool found = it != timelines_.end() && it->first == oid;
+  if (timeline.empty()) {
+    if (found) timelines_.erase(it);
+  } else if (!found) {
+    timelines_.emplace(it, oid,
+                       std::make_shared<const Timeline>(std::move(timeline)));
+  } else if (*it->second != timeline) {
+    it->second = std::make_shared<const Timeline>(std::move(timeline));
   }
 }
 
-void RebuildPartitionEntry(const IndexDef& def, const Object* obj, Oid oid,
-                           IndexPartition* part) {
-  part->postings.erase(
-      std::remove_if(part->postings.begin(), part->postings.end(),
-                     [&](const IndexEntry& e) { return e.oid == oid; }),
-      part->postings.end());
-  part->timelines.erase(oid.id);
-  if (obj == nullptr) return;
-  size_t first_new = part->postings.size();
-  AppendIndexEntries(def, *obj, oid, part);
-  if (part->postings.size() > first_new) {
-    std::sort(part->postings.begin() + first_new, part->postings.end(),
-              IndexEntryLess);
-    std::inplace_merge(part->postings.begin(),
-                       part->postings.begin() + first_new,
-                       part->postings.end(), IndexEntryLess);
-  }
-}
-
-std::pair<size_t, size_t> ProbeRange(const IndexPartition& part, ProbeOp op,
-                                     const Value& bound) {
-  auto value_less = [](const IndexEntry& e, const Value& v) {
-    return Value::Compare(e.value, v) < 0;
-  };
-  auto value_greater = [](const Value& v, const IndexEntry& e) {
-    return Value::Compare(v, e.value) < 0;
-  };
-  const auto begin = part.postings.begin();
-  const auto end = part.postings.end();
-  auto lower = std::lower_bound(begin, end, bound, value_less);
-  auto upper = std::upper_bound(begin, end, bound, value_greater);
+PostingRange ProbeRange(const IndexPartition& part, ProbeOp op,
+                        const Value& bound) {
+  const PostingPos lower = part.PartitionPoint(
+      [&](const IndexEntry& e) { return CompareValues(e.value, bound) < 0; });
+  const PostingPos upper = part.PartitionPoint(
+      [&](const IndexEntry& e) { return CompareValues(bound, e.value) >= 0; });
   // The inequality kernels return null (never truthy) when the attribute
   // value is null, but Value::Compare ranks null below everything — so
   // the null-valued prefix of the postings must not match < / <=. The
   // planner never probes with a null bound (kEq on null would also have
   // to match *undefined* attributes, which carry no posting at all).
-  auto after_nulls =
-      std::upper_bound(begin, end, Value::Null(), value_greater);
+  const Value null;
+  const PostingPos after_nulls = part.PartitionPoint(
+      [&](const IndexEntry& e) { return Value::Compare(null, e.value) >= 0; });
+  const PostingPos end = part.All().last;
   switch (op) {
     case ProbeOp::kEq:
-      return {static_cast<size_t>(lower - begin),
-              static_cast<size_t>(upper - begin)};
+      return {lower, upper};
     case ProbeOp::kLt:
-      return {static_cast<size_t>(after_nulls - begin),
-              static_cast<size_t>(std::max(lower, after_nulls) - begin)};
+      return {after_nulls, std::max(lower, after_nulls)};
     case ProbeOp::kLe:
-      return {static_cast<size_t>(after_nulls - begin),
-              static_cast<size_t>(std::max(upper, after_nulls) - begin)};
+      return {after_nulls, std::max(upper, after_nulls)};
     case ProbeOp::kGt:
-      return {static_cast<size_t>(upper - begin),
-              static_cast<size_t>(end - begin)};
+      return {upper, end};
     case ProbeOp::kGe:
-      return {static_cast<size_t>(std::max(lower, after_nulls) - begin),
-              static_cast<size_t>(end - begin)};
+      return {std::max(lower, after_nulls), end};
   }
-  return {0, 0};
+  return {end, end};
 }
 
 }  // namespace tchimera

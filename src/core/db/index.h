@@ -23,10 +23,18 @@
 // with binary search instead of walking every segment when a `during`
 // window is present (query/evaluator.cc CollectWhenBoundaries).
 //
-// Storage is per COW shard: Database keeps one IndexShard per object
-// shard, cloned with the same epoch protocol as the object shards, so an
-// index write clones exactly the touched 1/64th of the index
-// (core/db/database.h). Entries are keyed by oid only — the index covers
+// Storage is chunked copy-on-write: Database keeps one IndexShard per
+// object shard, cloned with the same epoch protocol as the object shards
+// (core/db/database.h). A partition's sorted postings live in shared,
+// immutable chunks of at most kPostingChunkCapacity entries, and each
+// oid's timeline is a shared immutable vector, so a shard clone copies
+// pointers only. A write applies a per-oid delta (IndexPartition::
+// ApplyDelta): it diffs the oid's indexed facts captured before the
+// mutation against the facts after it, and erases and inserts only the
+// postings that changed, each found by binary search on
+// (value, oid, start) — copying just the chunks it touches. Per write
+// that is O(changed postings · log P + chunks touched), independent of
+// the shard's size. Entries are keyed by oid only — the index covers
 // every object that has the indexed attribute, regardless of class; the
 // declared class is validated at creation and used by the planner's cost
 // model, while extent membership is re-checked per probe (so class
@@ -34,9 +42,14 @@
 #ifndef TCHIMERA_CORE_DB_INDEX_H_
 #define TCHIMERA_CORE_DB_INDEX_H_
 
+#include <algorithm>
+#include <compare>
+#include <cstddef>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/object/object.h"
@@ -77,40 +90,130 @@ struct IndexEntry {
 // Sort key for postings: (value, oid, valid.start) under Value::Compare.
 bool IndexEntryLess(const IndexEntry& a, const IndexEntry& b);
 
+// Postings per chunk. A bulk build packs chunks full; an insert into a
+// full chunk splits it in half; an erase that empties a chunk drops it.
+inline constexpr size_t kPostingChunkCapacity = 64;
+
+// A position in a partition's chunked postings. Normalized: `offset` is
+// inside chunk `chunk`, except for the end position {chunk count, 0}.
+struct PostingPos {
+  size_t chunk = 0;
+  size_t offset = 0;
+  friend auto operator<=>(const PostingPos&, const PostingPos&) = default;
+};
+
+// The half-open posting range [first, last).
+struct PostingRange {
+  PostingPos first;
+  PostingPos last;
+};
+
+// What one index reads of one object: the stored value of the indexed
+// attribute (kValue; `present` is false when the object or the attribute
+// is absent) or the object's lifespan (kLifespan). Value is an immutable
+// shared rep, so capturing facts before a mutation is a refcount copy.
+struct IndexedFacts {
+  bool present = false;
+  Value stored;
+  Interval lifespan;
+};
+
+IndexedFacts CaptureIndexedFacts(const IndexDef& def, const Object* obj);
+
+// A cheap identity test: true only when `a` and `b` certainly index
+// identically (same temporal rep, equal scalar, equal lifespan). A false
+// answer merely costs an empty delta.
+bool SameIndexedFacts(const IndexedFacts& a, const IndexedFacts& b);
+
 // The per-shard slice of one index.
-struct IndexPartition {
-  // Sorted by IndexEntryLess. Empty for kLifespan indexes.
-  std::vector<IndexEntry> postings;
-  // oid -> sorted unique boundary instants of the indexed attribute's
-  // history (or the lifespan edges for kLifespan).
-  std::map<uint64_t, std::vector<TimePoint>> timelines;
+class IndexPartition {
+ public:
+  using Chunk = std::vector<IndexEntry>;
+  using Timeline = std::vector<TimePoint>;
+
+  // Bulk build over `objects` (any order): postings sorted and packed
+  // into full chunks, timelines in oid order.
+  static IndexPartition Build(const IndexDef& def,
+                              const std::vector<const Object*>& objects);
+
+  // Moves `oid`'s entries under `def` from those of `before` to those of
+  // `after`: erases the postings only `before` has and inserts the ones
+  // only `after` has, then refreshes the oid's timeline if it changed.
+  void ApplyDelta(const IndexDef& def, Oid oid, const IndexedFacts& before,
+                  const IndexedFacts& after);
+
+  // Total postings, and the chunks holding them.
+  size_t size() const { return size_; }
+  size_t chunk_count() const { return chunks_.size(); }
+  bool empty() const { return chunks_.empty() && timelines_.empty(); }
+
+  PostingRange All() const { return {{0, 0}, {chunks_.size(), 0}}; }
+  size_t Count(const PostingRange& range) const;
+  template <typename Fn>
+  void ForEach(const PostingRange& range, Fn&& fn) const {
+    for (PostingPos p = range.first; p < range.last; p = {p.chunk + 1, 0}) {
+      const Chunk& chunk = *chunks_[p.chunk];
+      const size_t stop =
+          p.chunk == range.last.chunk ? range.last.offset : chunk.size();
+      for (size_t i = p.offset; i < stop; ++i) fn(chunk[i]);
+    }
+  }
+
+  // The first position whose posting does not satisfy `before` (postings
+  // satisfying it must form a prefix): binary search over the chunks'
+  // last postings, then within one chunk.
+  template <typename Pred>
+  PostingPos PartitionPoint(Pred before) const {
+    auto chunk = std::partition_point(
+        chunks_.begin(), chunks_.end(),
+        [&](const std::shared_ptr<const Chunk>& c) {
+          return before(c->back());
+        });
+    if (chunk == chunks_.end()) return {chunks_.size(), 0};
+    const Chunk& c = **chunk;
+    return {static_cast<size_t>(chunk - chunks_.begin()),
+            static_cast<size_t>(
+                std::partition_point(c.begin(), c.end(), before) - c.begin())};
+  }
+
+  // `oid`'s timeline; nullptr when it has none.
+  const Timeline* TimelineOf(uint64_t oid) const;
+  // Visits (oid, timeline) in ascending oid order.
+  template <typename Fn>
+  void ForEachTimeline(Fn&& fn) const {
+    for (const auto& [oid, timeline] : timelines_) fn(oid, *timeline);
+  }
+
+ private:
+  void Insert(IndexEntry entry);
+  void Erase(const IndexEntry& key);
+  // Installs `timeline` for `oid` (removes the entry when empty), keeping
+  // the shared vector when the content is unchanged.
+  void SetTimeline(uint64_t oid, Timeline timeline);
+
+  // Non-empty chunks; their concatenation is sorted by IndexEntryLess.
+  // Empty for kLifespan indexes.
+  std::vector<std::shared_ptr<const Chunk>> chunks_;
+  size_t size_ = 0;
+  // Sorted by oid; every timeline is non-empty.
+  std::vector<std::pair<uint64_t, std::shared_ptr<const Timeline>>>
+      timelines_;
 };
 
 // One COW shard of the index store: every registered index's partition
-// for this shard's oids. Cloned wholesale when a writer first touches
-// the shard in its epoch (same protocol as Database::ObjectShard).
+// for this shard's oids. Cloned when a writer first touches the shard in
+// its epoch (same protocol as Database::ObjectShard) — a clone shares
+// every chunk and timeline with the original.
 struct IndexShard {
   uint64_t epoch = 0;
   std::map<std::string, IndexPartition, std::less<>> parts;
 };
 
-// Appends `oid`'s entries under `def` to `part` (postings stay sorted
-// only if callers re-sort; RebuildPartitionEntry handles one oid
-// incrementally). Pure function of (def, obj).
-void AppendIndexEntries(const IndexDef& def, const Object& obj, Oid oid,
-                        IndexPartition* part);
-
-// Removes every trace of `oid` from `part` and, when `obj` is non-null,
-// re-inserts its entries at the right sorted positions. The incremental
-// reindex step used by every object mutation.
-void RebuildPartitionEntry(const IndexDef& def, const Object* obj, Oid oid,
-                           IndexPartition* part);
-
-// The half-open posting range [first, last) whose values satisfy
-// `op bound`, as indices into `part.postings`. For kEq this is the
-// equal_range of `bound`; for the inequalities it is a prefix or suffix.
-std::pair<size_t, size_t> ProbeRange(const IndexPartition& part, ProbeOp op,
-                                     const Value& bound);
+// The postings whose values satisfy `op bound`. For kEq this is the
+// equal_range of `bound`; for the inequalities it is a prefix or suffix
+// (the null-valued prefix never matches < or <=).
+PostingRange ProbeRange(const IndexPartition& part, ProbeOp op,
+                        const Value& bound);
 
 }  // namespace tchimera
 
