@@ -2,8 +2,9 @@
 // scaling across threads (the Table 3 functions are pure reads, so
 // snapshot isolation should scale them near-linearly), MVCC interference
 // (writer throughput must not degrade while a reader pins a snapshot,
-// commit cost must track touched objects, not database size, and an
-// indexed commit must cost the same at every index size) and
+// commit cost must track touched objects, not database size, an
+// indexed commit must cost the same at every index size, and beginning
+// a transaction must not touch every shard) and
 // group commit vs per-statement fdatasync (the sync count is the
 // durability cost a batch amortizes).
 #include <benchmark/benchmark.h>
@@ -243,6 +244,37 @@ BENCHMARK(BM_IndexedCommitCostVsIndexSize)
     ->Arg(16)
     ->Arg(32)
     ->Arg(64);
+
+// --- transaction begin cost: BeginTransaction() copies the published
+// head, and dropping the transaction releases the copy. Every optimistic
+// write pays this pair twice (the transaction's copy of the head, then
+// the tip's copy at publication), and concurrent writers copy the same
+// head, so the 2-thread row shows what sharing its structures costs.
+
+VersionedDatabase& PublishedPopulation() {
+  static VersionedDatabase& vdb = *[] {
+    auto* published = new VersionedDatabase;
+    WriteGuard guard = published->BeginWrite();
+    (void)Interpreter(&guard.db())
+        .Execute("define class emp attributes v: integer end");
+    for (int i = 0; i < 4096; ++i) {
+      (void)guard.db().CreateObject("emp", {{"v", Value::Integer(i)}});
+    }
+    guard.Commit();
+    return published;
+  }();
+  return vdb;
+}
+
+void BM_BeginTransactionAndDrop(benchmark::State& state) {
+  VersionedDatabase& vdb = PublishedPopulation();
+  for (auto _ : state) {
+    OptimisticTransaction txn = vdb.BeginTransaction();
+    benchmark::DoNotOptimize(txn.db().now());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_BeginTransactionAndDrop)->Threads(1)->Threads(2);
 
 // --- durability: group commit vs one fdatasync per statement. The
 // baseline sink syncs inside Enqueue (the pre-refactor behavior: every

@@ -23,6 +23,14 @@ uint64_t NextCowEpoch() {
 
 std::atomic<int64_t> g_live_databases{0};
 
+// The first of an ObjectShard's slots whose oid is not below `id`.
+template <typename Slots>
+auto SlotLowerBound(Slots& slots, uint64_t id) {
+  return std::lower_bound(
+      slots.begin(), slots.end(), id,
+      [](const auto& entry, uint64_t key) { return entry.first < key; });
+}
+
 // Attribute names reserved for the class history record (Definition 4.1).
 bool IsReservedName(std::string_view name) {
   return name == "ext" || name == "proper-ext";
@@ -49,12 +57,18 @@ Status ValidateMemberType(const std::string& owner, const char* kind,
 Database::Database()
     : isa_(std::make_shared<IsaGraph>()),
       classes_(std::make_shared<ClassTable>()),
+      spine_(std::make_shared<Spine>()),
       index_defs_(
           std::make_shared<std::map<std::string, IndexDef, std::less<>>>()) {
   const uint64_t epoch = NextCowEpoch();
   cow_epoch_.store(epoch, std::memory_order_relaxed);
   isa_epoch_ = epoch;
   classes_->epoch = epoch;
+  spine_->epoch = epoch;
+  for (std::shared_ptr<SpineGroup>& group : spine_->groups) {
+    group = std::make_shared<SpineGroup>();
+    group->epoch = epoch;
+  }
   g_live_databases.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -63,9 +77,8 @@ Database::Database(const Database& other)
       isa_(other.isa_),
       isa_epoch_(other.isa_epoch_),
       classes_(other.classes_),
-      objects_(other.objects_),
+      spine_(other.spine_),
       index_defs_(other.index_defs_),
-      index_shards_(other.index_shards_),
       index_before_(other.index_before_),
       next_oid_(other.next_oid_),
       schema_version_(other.schema_version_) {
@@ -96,6 +109,46 @@ Database::ClassTable& Database::MutableClassTable() {
   return *classes_;
 }
 
+const Database::ObjectSlot* Database::ObjectShard::Find(uint64_t id) const {
+  auto it = SlotLowerBound(slots, id);
+  return it != slots.end() && it->first == id ? &it->second : nullptr;
+}
+
+Database::ObjectSlot* Database::ObjectShard::Find(uint64_t id) {
+  auto it = SlotLowerBound(slots, id);
+  return it != slots.end() && it->first == id ? &it->second : nullptr;
+}
+
+void Database::ObjectShard::Put(uint64_t id, ObjectSlot slot) {
+  auto it = SlotLowerBound(slots, id);
+  if (it != slots.end() && it->first == id) {
+    it->second = std::move(slot);
+  } else {
+    slots.emplace(it, id, std::move(slot));
+  }
+}
+
+void Database::ObjectShard::Erase(uint64_t id) {
+  auto it = SlotLowerBound(slots, id);
+  if (it != slots.end() && it->first == id) slots.erase(it);
+}
+
+Database::SpineGroup& Database::MutableGroup(size_t s) {
+  const uint64_t epoch = cow_epoch_.load(std::memory_order_relaxed);
+  if (spine_->epoch != epoch) {
+    auto clone = std::make_shared<Spine>(*spine_);
+    clone->epoch = epoch;
+    spine_ = std::move(clone);
+  }
+  std::shared_ptr<SpineGroup>& group = spine_->groups[s / kSpineFanout];
+  if (group->epoch != epoch) {
+    auto clone = std::make_shared<SpineGroup>(*group);
+    clone->epoch = epoch;
+    group = std::move(clone);
+  }
+  return *group;
+}
+
 Database::ObjectShard& Database::MutableShard(uint64_t id) {
   if (!index_defs_->empty() && !index_before_.contains(id)) {
     const Object* obj = GetObject(Oid{id});
@@ -106,7 +159,9 @@ Database::ObjectShard& Database::MutableShard(uint64_t id) {
     }
   }
   const uint64_t epoch = cow_epoch_.load(std::memory_order_relaxed);
-  std::shared_ptr<ObjectShard>& shard = objects_[ShardIndex(id)];
+  const size_t s = ShardIndex(id);
+  std::shared_ptr<ObjectShard>& shard =
+      MutableGroup(s).objects[s % kSpineFanout];
   if (shard == nullptr) {
     shard = std::make_shared<ObjectShard>();
     shard->epoch = epoch;
@@ -120,7 +175,9 @@ Database::ObjectShard& Database::MutableShard(uint64_t id) {
 
 IndexShard& Database::MutableIndexShard(uint64_t id) {
   const uint64_t epoch = cow_epoch_.load(std::memory_order_relaxed);
-  std::shared_ptr<IndexShard>& shard = index_shards_[ShardIndex(id)];
+  const size_t s = ShardIndex(id);
+  std::shared_ptr<IndexShard>& shard =
+      MutableGroup(s).indexes[s % kSpineFanout];
   if (shard == nullptr) {
     shard = std::make_shared<IndexShard>();
     shard->epoch = epoch;
@@ -157,7 +214,7 @@ void Database::ReindexCaptured() {
 void Database::BuildIndex(const IndexDef& def) {
   for (uint64_t s = 0; s < kObjectShardCount; ++s) {
     std::vector<const Object*> objects;
-    if (const ObjectShard* src = objects_[s].get(); src != nullptr) {
+    if (const ObjectShard* src = ObjectShardAt(s); src != nullptr) {
       objects.reserve(src->slots.size());
       for (const auto& [unused, slot] : src->slots) {
         objects.push_back(slot.obj.get());
@@ -212,7 +269,7 @@ Status Database::DropIndex(std::string_view name) {
   defs->erase(defs->find(name));
   index_defs_ = std::move(defs);
   for (uint64_t s = 0; s < kObjectShardCount; ++s) {
-    if (index_shards_[s] == nullptr) continue;
+    if (IndexShardAt(s) == nullptr) continue;
     MutableIndexShard(s).parts.erase(std::string(name));
   }
   return Status::OK();
@@ -241,7 +298,8 @@ std::vector<Oid> Database::IndexProbe(std::string_view index_name,
                                       ProbeOp op, const Value& bound,
                                       TimePoint t) const {
   std::vector<Oid> out;
-  for (const auto& shard : index_shards_) {
+  for (size_t s = 0; s < kObjectShardCount; ++s) {
+    const IndexShard* shard = IndexShardAt(s);
     if (shard == nullptr) continue;
     auto it = shard->parts.find(index_name);
     if (it == shard->parts.end()) continue;
@@ -261,7 +319,8 @@ std::vector<Oid> Database::IndexProbe(std::string_view index_name,
 size_t Database::IndexProbeEstimate(std::string_view index_name, ProbeOp op,
                                     const Value& bound) const {
   size_t n = 0;
-  for (const auto& shard : index_shards_) {
+  for (size_t s = 0; s < kObjectShardCount; ++s) {
+    const IndexShard* shard = IndexShardAt(s);
     if (shard == nullptr) continue;
     auto it = shard->parts.find(index_name);
     if (it == shard->parts.end()) continue;
@@ -272,7 +331,8 @@ size_t Database::IndexProbeEstimate(std::string_view index_name, ProbeOp op,
 
 size_t Database::IndexEntryCount(std::string_view index_name) const {
   size_t n = 0;
-  for (const auto& shard : index_shards_) {
+  for (size_t s = 0; s < kObjectShardCount; ++s) {
+    const IndexShard* shard = IndexShardAt(s);
     if (shard == nullptr) continue;
     auto it = shard->parts.find(index_name);
     if (it != shard->parts.end()) n += it->second.size();
@@ -282,7 +342,8 @@ size_t Database::IndexEntryCount(std::string_view index_name) const {
 
 size_t Database::IndexChunkCount(std::string_view index_name) const {
   size_t n = 0;
-  for (const auto& shard : index_shards_) {
+  for (size_t s = 0; s < kObjectShardCount; ++s) {
+    const IndexShard* shard = IndexShardAt(s);
     if (shard == nullptr) continue;
     auto it = shard->parts.find(index_name);
     if (it != shard->parts.end()) n += it->second.chunk_count();
@@ -294,7 +355,7 @@ const std::vector<TimePoint>* Database::AttrTimeline(
     Oid oid, std::string_view attr) const {
   const IndexDef* def = FindValueIndex(attr);
   if (def == nullptr) return nullptr;
-  const IndexShard* shard = index_shards_[ShardIndex(oid.id)].get();
+  const IndexShard* shard = IndexShardAt(ShardIndex(oid.id));
   if (shard == nullptr) return nullptr;
   auto it = shard->parts.find(def->name);
   if (it == shard->parts.end()) return nullptr;
@@ -310,7 +371,7 @@ const std::vector<TimePoint>* Database::LifespanTimeline(Oid oid) const {
     }
   }
   if (def == nullptr) return nullptr;
-  const IndexShard* shard = index_shards_[ShardIndex(oid.id)].get();
+  const IndexShard* shard = IndexShardAt(ShardIndex(oid.id));
   if (shard == nullptr) return nullptr;
   auto it = shard->parts.find(def->name);
   if (it == shard->parts.end()) return nullptr;
@@ -324,7 +385,7 @@ std::string Database::DebugDumpIndexes() const {
            " class=" + def.class_name + " attr=" +
            (def.attr.empty() ? "-" : def.attr) + "\n";
     for (size_t s = 0; s < kObjectShardCount; ++s) {
-      const IndexShard* shard = index_shards_[s].get();
+      const IndexShard* shard = IndexShardAt(s);
       if (shard == nullptr) continue;
       auto it = shard->parts.find(name);
       if (it == shard->parts.end()) continue;
@@ -640,7 +701,7 @@ Result<Oid> Database::CreateObjectAt(std::string_view class_name,
   ++next_oid_;
   footprint_.oids.insert(oid.id);
   footprint_.oid_allocated = true;
-  MutableShard(oid.id).slots.emplace(
+  MutableShard(oid.id).Put(
       oid.id,
       ObjectSlot{std::move(obj), cow_epoch_.load(std::memory_order_relaxed)});
   ReindexOid(oid.id);
@@ -823,7 +884,8 @@ Status Database::DeleteObject(Oid oid) {
   }
   // Referential integrity: no *live* object may still reference oid at
   // the current time.
-  for (const auto& shard : objects_) {
+  for (size_t s = 0; s < kObjectShardCount; ++s) {
+    const ObjectShard* shard = ObjectShardAt(s);
     if (shard == nullptr) continue;
     for (const auto& [other_id, slot] : shard->slots) {
       const Object* other = slot.obj.get();
@@ -869,7 +931,7 @@ Status Database::QuarantineObject(Oid oid) {
   // Recovery surgery rewrites arbitrary extents: no per-slot footprint can
   // describe it, so it conflicts with everything.
   footprint_.all = true;
-  MutableShard(oid.id).slots.erase(oid.id);
+  MutableShard(oid.id).Erase(oid.id);
   for (const std::string& name : ClassNames()) {
     GetMutableClass(name)->ScrubFromExtents(oid);
   }
@@ -878,10 +940,10 @@ Status Database::QuarantineObject(Oid oid) {
 }
 
 const Object* Database::GetObject(Oid oid) const {
-  const ObjectShard* shard = objects_[ShardIndex(oid.id)].get();
+  const ObjectShard* shard = ObjectShardAt(ShardIndex(oid.id));
   if (shard == nullptr) return nullptr;
-  auto it = shard->slots.find(oid.id);
-  return it == shard->slots.end() ? nullptr : it->second.obj.get();
+  const ObjectSlot* slot = shard->Find(oid.id);
+  return slot == nullptr ? nullptr : slot->obj.get();
 }
 
 Object* Database::GetMutableObject(Oid oid) {
@@ -889,7 +951,7 @@ Object* Database::GetMutableObject(Oid oid) {
   // clone it.
   if (GetObject(oid) == nullptr) return nullptr;
   const uint64_t epoch = cow_epoch_.load(std::memory_order_relaxed);
-  ObjectSlot& slot = MutableShard(oid.id).slots.find(oid.id)->second;
+  ObjectSlot& slot = *MutableShard(oid.id).Find(oid.id);
   if (slot.epoch != epoch) {
     slot.obj = std::make_shared<Object>(*slot.obj);
     slot.epoch = epoch;
@@ -909,7 +971,8 @@ Result<const Object*> Database::FindObject(Oid oid) const {
 std::vector<Oid> Database::AllOids() const {
   std::vector<Oid> out;
   out.reserve(object_count());
-  for (const auto& shard : objects_) {
+  for (size_t s = 0; s < kObjectShardCount; ++s) {
+    const ObjectShard* shard = ObjectShardAt(s);
     if (shard == nullptr) continue;
     for (const auto& [id, unused] : shard->slots) out.push_back(Oid{id});
   }
@@ -919,8 +982,10 @@ std::vector<Oid> Database::AllOids() const {
 
 size_t Database::object_count() const {
   size_t n = 0;
-  for (const auto& shard : objects_) {
-    if (shard != nullptr) n += shard->slots.size();
+  for (size_t s = 0; s < kObjectShardCount; ++s) {
+    if (const ObjectShard* shard = ObjectShardAt(s); shard != nullptr) {
+      n += shard->slots.size();
+    }
   }
   return n;
 }
@@ -1076,7 +1141,7 @@ Status Database::RestoreObject(Oid oid, const Interval& lifespan,
   }
   footprint_.oids.insert(oid.id);
   footprint_.oid_allocated = true;
-  MutableShard(oid.id).slots.emplace(
+  MutableShard(oid.id).Put(
       oid.id,
       ObjectSlot{std::move(obj), cow_epoch_.load(std::memory_order_relaxed)});
   if (oid.id >= next_oid_) next_oid_ = oid.id + 1;
@@ -1099,9 +1164,8 @@ void Database::AdoptChanges(const Database& src, const WriteFootprint& fp) {
     isa_ = src.isa_;
     isa_epoch_ = src.isa_epoch_;
     classes_ = src.classes_;
-    objects_ = src.objects_;
+    spine_ = src.spine_;
     index_defs_ = src.index_defs_;
-    index_shards_ = src.index_shards_;
     index_before_ = src.index_before_;
     next_oid_ = src.next_oid_;
     // Fresh epochs on both sides (the same protocol as the copy
@@ -1135,17 +1199,14 @@ void Database::AdoptChanges(const Database& src, const WriteFootprint& fp) {
     // MutableShard captures the tip's current slot as the "before" half
     // of the index delta.
     ObjectShard& shard = MutableShard(id);
-    const ObjectShard* src_shard = src.objects_[ShardIndex(id)].get();
-    const ObjectSlot* found = nullptr;
-    if (src_shard != nullptr) {
-      auto it = src_shard->slots.find(id);
-      if (it != src_shard->slots.end()) found = &it->second;
-    }
+    const ObjectShard* src_shard = src.ObjectShardAt(ShardIndex(id));
+    const ObjectSlot* found =
+        src_shard == nullptr ? nullptr : src_shard->Find(id);
     if (found == nullptr) {
-      shard.slots.erase(id);  // erased in src (fp.all covers quarantine,
-                              // but stay defensive)
+      shard.Erase(id);  // erased in src (fp.all covers quarantine, but
+                        // stay defensive)
     } else {
-      shard.slots[id] = ObjectSlot{found->obj, 0};
+      shard.Put(id, ObjectSlot{found->obj, 0});
     }
     // Index entries are a pure function of the object's state, so the
     // delta from the tip's slot to the adopted one is equivalent to
@@ -1158,7 +1219,8 @@ void Database::AdoptChanges(const Database& src, const WriteFootprint& fp) {
 
 size_t Database::ApproxObjectBytes() const {
   size_t bytes = 0;
-  for (const auto& shard : objects_) {
+  for (size_t s = 0; s < kObjectShardCount; ++s) {
+    const ObjectShard* shard = ObjectShardAt(s);
     if (shard == nullptr) continue;
     for (const auto& [unused, slot] : shard->slots) {
       bytes += slot.obj->ApproxBytes();

@@ -32,7 +32,6 @@
 #include <set>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
@@ -79,13 +78,16 @@ struct WriteFootprint {
   }
 };
 
-// Database is copy-on-write: the copy constructor is O(1)-ish — it shares
-// every class, object and object-map shard with the source via shared_ptr
-// and gives BOTH sides fresh COW epochs, so whichever side mutates first
-// clones exactly the entities it touches (structural sharing of the
-// rest). This is what makes MVCC publication cheap: VersionedDatabase
-// publishes a committed version by copying the writer's database, and
-// the writer's next statement clones only what it writes.
+// Database is copy-on-write: the copy constructor shares the class
+// table, the ISA graph, the index definitions and the object/index spine
+// with the source — a handful of refcount increments, independent of
+// the number of shards, classes or objects — and gives BOTH sides fresh
+// COW epochs, so whichever side mutates first clones exactly the
+// structures on the path to the entities it touches (structural sharing
+// of the rest). This is what makes MVCC publication cheap:
+// VersionedDatabase publishes a committed version by copying the
+// writer's database, and the writer's next statement clones only what it
+// writes.
 //
 // The sharing protocol is single-writer: concurrent READS of two copies
 // are always safe (shared entities are never mutated in place once a
@@ -328,10 +330,10 @@ class Database final : public ExtentProvider {
   // per-slot substitution is equivalent to having run the transaction on
   // the tip directly. Adopted slots get epoch 0 (matches no Database), so
   // this side re-clones them before its next in-place mutation. Schema or
-  // `all` footprints adopt the full spines (validation guarantees the tip
-  // has not advanced in that case). Deliberately does NOT record into
-  // this database's own footprint: the caller tracks the transaction's
-  // footprint separately.
+  // `all` footprints adopt src's whole state, spine root included
+  // (validation guarantees the tip has not advanced in that case).
+  // Deliberately does NOT record into this database's own footprint: the
+  // caller tracks the transaction's footprint separately.
   void AdoptChanges(const Database& src, const WriteFootprint& fp);
 
  private:
@@ -344,6 +346,14 @@ class Database final : public ExtentProvider {
   // i.e. exactly when the entity may be shared with another copy. Epochs
   // come from a process-global counter, so two copies can never
   // accidentally agree on an epoch and mutate a shared structure.
+  //
+  // Object and index shards hang off a two-level spine: the root holds
+  // kSpineFanout groups, and group g holds object shards
+  // [g*kSpineFanout, (g+1)*kSpineFanout) with their parallel index
+  // shards. A copy shares the root (one refcount); the first mutation
+  // per epoch clones the root (kSpineFanout pointers) and the one group
+  // on the path (2*kSpineFanout pointers), each under its own epoch,
+  // before the shard itself.
   struct ClassSlot {
     std::shared_ptr<ClassDef> def;
     uint64_t epoch = 0;
@@ -356,16 +366,46 @@ class Database final : public ExtentProvider {
     std::shared_ptr<Object> obj;
     uint64_t epoch = 0;
   };
+  // A shard's slots sorted by oid in one vector, so a shard clone is a
+  // single allocation rather than one per slot.
   struct ObjectShard {
     uint64_t epoch = 0;
-    std::unordered_map<uint64_t, ObjectSlot> slots;
+    std::vector<std::pair<uint64_t, ObjectSlot>> slots;
+
+    const ObjectSlot* Find(uint64_t id) const;
+    ObjectSlot* Find(uint64_t id);
+    // Inserts `id`'s slot, or replaces it when present.
+    void Put(uint64_t id, ObjectSlot slot);
+    void Erase(uint64_t id);
   };
   static constexpr size_t kObjectShardCount = 64;
+  static constexpr size_t kSpineFanout = 8;
+  static_assert(kSpineFanout * kSpineFanout == kObjectShardCount);
+  struct SpineGroup {
+    uint64_t epoch = 0;
+    std::array<std::shared_ptr<ObjectShard>, kSpineFanout> objects;
+    std::array<std::shared_ptr<IndexShard>, kSpineFanout> indexes;
+  };
+  struct Spine {
+    uint64_t epoch = 0;
+    std::array<std::shared_ptr<SpineGroup>, kSpineFanout> groups;
+  };
 
   static size_t ShardIndex(uint64_t id) { return id % kObjectShardCount; }
+  // Shard `s` (0 <= s < kObjectShardCount) of the spine; nullptr until
+  // something is stored in it.
+  const ObjectShard* ObjectShardAt(size_t s) const {
+    return spine_->groups[s / kSpineFanout]->objects[s % kSpineFanout].get();
+  }
+  const IndexShard* IndexShardAt(size_t s) const {
+    return spine_->groups[s / kSpineFanout]->indexes[s % kSpineFanout].get();
+  }
   // Spine-level COW: a private, mutable class table / shard (cloned from
   // the shared one on first touch per epoch).
   ClassTable& MutableClassTable();
+  // The group holding shard `s`, with the root and the group cloned on
+  // first touch per epoch.
+  SpineGroup& MutableGroup(size_t s);
   // Every object-slot mutation (create, clone for update, erase,
   // adoption) goes through here, so this is also where `id`'s indexed
   // facts are captured before the caller changes the slot — the "before"
@@ -402,12 +442,12 @@ class Database final : public ExtentProvider {
   std::shared_ptr<IsaGraph> isa_;
   uint64_t isa_epoch_ = 0;
   std::shared_ptr<ClassTable> classes_;
-  std::array<std::shared_ptr<ObjectShard>, kObjectShardCount> objects_;
-  // Index definitions (shared spine, replaced wholesale by DDL) and the
-  // per-shard index partitions (COW, parallel to objects_).
+  // Object shards and their index shards (see SpineGroup). Never null;
+  // every group exists from construction on.
+  std::shared_ptr<Spine> spine_;
+  // Index definitions (shared, replaced wholesale by DDL).
   std::shared_ptr<const std::map<std::string, IndexDef, std::less<>>>
       index_defs_;
-  std::array<std::shared_ptr<IndexShard>, kObjectShardCount> index_shards_;
   // oid -> its indexed facts (one per registered index, in name order)
   // as the indexes currently hold them; present from the slot's first
   // mutation until ReindexOid applies the delta.

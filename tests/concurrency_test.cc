@@ -1324,6 +1324,117 @@ TEST(ConcurrencyTest, DisjointSplicersSharingIndexShardsMatchRebuild) {
   }
 }
 
+// Copy-on-write isolation across the whole object/index spine. A
+// Database copy shares the spine root; a write on either side must clone
+// the root, the group and the shard on its path, and nothing it does may
+// show through the other side. 192 objects (three per shard) under a
+// value index and a lifespan index leave every spine group and every
+// shard non-empty.
+constexpr uint64_t kSpineObjects = 192;
+constexpr char kSpineSchema[] =
+    "define class emp attributes v: temporal(integer) end\n"
+    "create index ev on emp (v)\n"
+    "create index el on emp lifespan";
+
+void PopulateSpine(Database* db) {
+  ASSERT_TRUE(Interpreter(db).ExecuteScript(kSpineSchema).ok());
+  for (int64_t v = 1; v <= static_cast<int64_t>(kSpineObjects); ++v) {
+    ASSERT_TRUE(db->CreateObject("emp", {{"v", Value::Integer(v)}}).ok());
+  }
+  ASSERT_TRUE(db->AdvanceTo(100).ok());
+}
+
+// One splice, one delete and one create landing in every object shard:
+// shard s holds oids s, s + 64 and s + 128 (oid 64 stands in for 0), and
+// 64 consecutive creates cover every shard once.
+void MutateEveryShard(Database* db, int64_t salt) {
+  for (uint64_t s = 0; s < 64; ++s) {
+    const Oid spliced{s == 0 ? 64 : s};
+    ASSERT_TRUE(db->UpdateAttributeAt(spliced, "v", Interval(40, 60),
+                                      Value::Integer(salt + s))
+                    .ok());
+    ASSERT_TRUE(db->DeleteObject(Oid{s + 128}).ok());
+    ASSERT_TRUE(
+        db->CreateObject("emp", {{"v", Value::Integer(salt - s)}}).ok());
+  }
+}
+
+TEST(ConcurrencyTest, CopiesStayIsolatedAcrossEverySpineGroup) {
+  Database a;
+  PopulateSpine(&a);
+  const uint32_t a_hash = DatabaseStateHash(a).value();
+  const std::string a_dump = a.DebugDumpIndexes();
+  for (uint64_t s = 0; s < 64; ++s) {
+    ASSERT_NE(a_dump.find(" shard " + std::to_string(s) + "\n"),
+              std::string::npos)
+        << "shard " << s << " is empty";
+  }
+
+  Database b(a);
+  MutateEveryShard(&b, 1000);
+  EXPECT_EQ(DatabaseStateHash(a).value(), a_hash);
+  EXPECT_EQ(a.DebugDumpIndexes(), a_dump);
+  EXPECT_NE(DatabaseStateHash(b).value(), a_hash);
+  EXPECT_EQ(b.DebugDumpIndexes(), RebuiltIndexDump(b));
+
+  // Both sides took fresh epochs at the copy, so A's writes clone too.
+  const uint32_t b_hash = DatabaseStateHash(b).value();
+  const std::string b_dump = b.DebugDumpIndexes();
+  MutateEveryShard(&a, 2000);
+  EXPECT_EQ(DatabaseStateHash(b).value(), b_hash);
+  EXPECT_EQ(b.DebugDumpIndexes(), b_dump);
+  EXPECT_NE(DatabaseStateHash(a).value(), a_hash);
+  EXPECT_EQ(a.DebugDumpIndexes(), RebuiltIndexDump(a));
+}
+
+TEST(ConcurrencyTest, SchemaChangingOptimisticCommitMatchesExclusive) {
+  // Writes in every shard plus index DDL: the optimistic commit adopts
+  // the transaction's spine root wholesale, and must land on the state
+  // the exclusive path builds from the same statements.
+  std::string script = "create index ev2 on emp (v)";
+  for (uint64_t id = 1; id <= 64; ++id) {
+    script += "\nupdate i" + std::to_string(id) + " set v = " +
+              std::to_string(id * 7) + " during [30, 50]";
+  }
+  script += "\ndelete i" + std::to_string(kSpineObjects);
+  auto primed = [](VersionedDatabase* vdb) {
+    PopulateSpine(&vdb->writer_db());
+    vdb->PublishWriterState();
+  };
+
+  VersionedDatabase optimistic;
+  primed(&optimistic);
+  ReadSnapshot pinned = optimistic.OpenSnapshot();
+  const uint32_t pinned_hash = DatabaseStateHash(pinned.db()).value();
+  OptimisticTransaction txn = optimistic.BeginTransaction();
+  ASSERT_TRUE(Interpreter(&txn.db()).ExecuteScript(script).ok());
+  ASSERT_TRUE(txn.db().footprint().schema_changed);
+  ASSERT_TRUE(optimistic.CommitTransaction(&txn).ok());
+
+  VersionedDatabase exclusive;
+  primed(&exclusive);
+  {
+    WriteGuard guard = exclusive.BeginWrite();
+    ASSERT_TRUE(Interpreter(&guard.db()).ExecuteScript(script).ok());
+    guard.Commit();
+  }
+
+  // A follow-up write on each side runs on the adopted spine.
+  for (VersionedDatabase* vdb : {&optimistic, &exclusive}) {
+    OptimisticTransaction next = vdb->BeginTransaction();
+    ASSERT_TRUE(Interpreter(&next.db()).Execute("update i3 set v = 5").ok());
+    ASSERT_TRUE(vdb->CommitTransaction(&next).ok());
+  }
+
+  ReadSnapshot got = optimistic.OpenSnapshot();
+  ReadSnapshot want = exclusive.OpenSnapshot();
+  EXPECT_EQ(DatabaseStateHash(got.db()).value(),
+            DatabaseStateHash(want.db()).value());
+  EXPECT_EQ(got.db().DebugDumpIndexes(), want.db().DebugDumpIndexes());
+  EXPECT_EQ(got.db().DebugDumpIndexes(), RebuiltIndexDump(got.db()));
+  EXPECT_EQ(DatabaseStateHash(pinned.db()).value(), pinned_hash);
+}
+
 // The flow-sensitive linter (TC202) statically predicts which statement
 // pairs carry intersecting write footprints. This test holds the
 // prediction against the real engine: the pair the linter flags aborts
