@@ -113,7 +113,26 @@ Result<TemporalConstraint> TemporalConstraint::Parse(std::string_view text) {
       "' (expected always | sometime | nondecreasing | immutable)");
 }
 
+Result<ExprPtr> TemporalConstraint::TypedCondition(const Database& db) const {
+  ExprPtr typed = CloneExpr(*expr_);
+  TypeEnv tenv;
+  tenv.emplace("x", class_name_);
+  TCH_ASSIGN_OR_RETURN(const Type* t, TypeCheckExpr(typed.get(), db, tenv));
+  if (t->kind() != TypeKind::kBool) {
+    return Status::TypeError("constraint '" + name_ +
+                             "' condition must be bool, got " +
+                             t->ToString());
+  }
+  return typed;
+}
+
 Status TemporalConstraint::CheckObject(const Database& db, Oid oid) const {
+  ExprPtr typed;
+  return CheckMember(db, oid, &typed);
+}
+
+Status TemporalConstraint::CheckMember(const Database& db, Oid oid,
+                                       ExprPtr* typed) const {
   const Object* obj = db.GetObject(oid);
   if (obj == nullptr) {
     return Status::NotFound("object " + oid.ToString() + " does not exist");
@@ -125,25 +144,14 @@ Status TemporalConstraint::CheckObject(const Database& db, Oid oid) const {
   switch (mode_) {
     case Mode::kAlways:
     case Mode::kSometime: {
-      // Type check against the class (fresh each call: the annotation
-      // cache on the shared AST is not thread-relevant here, but types
-      // may legitimately change as classes evolve).
-      TypeEnv tenv;
-      tenv.emplace("x", class_name_);
-      TCH_ASSIGN_OR_RETURN(
-          const Type* t,
-          TypeCheckExpr(const_cast<Expr*>(expr_.get()), db, tenv));
-      if (t->kind() != TypeKind::kBool) {
-        return Status::TypeError("constraint '" + name_ +
-                                 "' condition must be bool, got " +
-                                 t->ToString());
+      if (*typed == nullptr) {
+        TCH_ASSIGN_OR_RETURN(*typed, TypedCondition(db));
       }
       ValueEnv venv;
       venv.emplace("x", oid);
       bool any_true = false;
       for (TimePoint t_at : CandidateInstants(*obj, membership, db.now())) {
-        TCH_ASSIGN_OR_RETURN(Value v,
-                             EvaluateExpr(*expr_, db, venv, t_at));
+        TCH_ASSIGN_OR_RETURN(Value v, EvaluateExpr(**typed, db, venv, t_at));
         bool truth = !v.is_null() && v.AsBool();
         if (mode_ == Mode::kAlways && !truth) {
           return Status::ConsistencyViolation(
@@ -199,8 +207,9 @@ Status TemporalConstraint::CheckObject(const Database& db, Oid oid) const {
 
 Status TemporalConstraint::Check(const Database& db) const {
   TCH_RETURN_IF_ERROR(db.FindClass(class_name_).status());
+  ExprPtr typed;
   for (Oid oid : db.AllOids()) {
-    TCH_RETURN_IF_ERROR(CheckObject(db, oid));
+    TCH_RETURN_IF_ERROR(CheckMember(db, oid, &typed));
   }
   return Status::OK();
 }

@@ -67,6 +67,17 @@ class TemporalConstraint {
  private:
   TemporalConstraint() = default;
 
+  // CheckObject with the condition in `typed`: the caller's private,
+  // type-checked copy of expr_, made on the first member that needs it,
+  // so one Check call type-checks once.
+  Status CheckMember(const Database& db, Oid oid, ExprPtr* typed) const;
+
+  // A copy of expr_, type-checked against `db`'s schema (types may change
+  // as classes evolve). expr_ itself is never checked: it is shared by
+  // every copy of this constraint, including the facades of concurrent
+  // optimistic writers, and the checker annotates the tree it checks.
+  Result<ExprPtr> TypedCondition(const Database& db) const;
+
   std::string name_;
   std::string class_name_;
   Mode mode_ = Mode::kAlways;

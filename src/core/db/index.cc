@@ -147,9 +147,9 @@ IndexPartition IndexPartition::Build(
           obj->id().id, std::make_shared<const Timeline>(std::move(timeline)));
     }
   }
-  // Input order is arbitrary (shard iteration is unordered); the sort
-  // keys are unique per (oid, start), so a build is deterministic for
-  // given object state.
+  // Postings order by value first, so they need a sort even for a shard's
+  // oid-ordered slots; the sort keys are unique per (oid, start), so a
+  // build is deterministic for given object state.
   std::sort(postings.begin(), postings.end(), IndexEntryLess);
   std::sort(part.timelines_.begin(), part.timelines_.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });

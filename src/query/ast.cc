@@ -73,6 +73,25 @@ const char* BinaryOpName(BinaryOp op) {
   return "?";
 }
 
+ExprPtr CloneExpr(const Expr& e) {
+  auto out = std::make_unique<Expr>();
+  out->kind = e.kind;
+  out->position = e.position;
+  out->span = e.span;
+  out->at_span = e.at_span;
+  out->literal = e.literal;
+  out->name = e.name;
+  if (e.base != nullptr) out->base = CloneExpr(*e.base);
+  if (e.rhs != nullptr) out->rhs = CloneExpr(*e.rhs);
+  out->op = e.op;
+  out->at = e.at;
+  for (const ExprPtr& arg : e.args) out->args.push_back(CloneExpr(*arg));
+  for (const auto& [field, value] : e.rec_fields) {
+    out->rec_fields.emplace_back(field, CloneExpr(*value));
+  }
+  return out;
+}
+
 std::string Expr::ToString() const {
   switch (kind) {
     case ExprKind::kLiteral:

@@ -84,6 +84,11 @@ struct Expr {
   std::string ToString() const;
 };
 
+// A deep copy of `e` without the type checker's annotations. The checker
+// writes `inferred`, so code that type-checks an expression other threads
+// share (a constraint's condition) checks a copy it owns.
+ExprPtr CloneExpr(const Expr& e);
+
 // --- statements ---------------------------------------------------------------
 
 struct DefineClassStmt {

@@ -1,7 +1,5 @@
 #include "query/interpreter.h"
 
-#include "analysis/query_analyzer.h"
-#include "analysis/schema_analyzer.h"
 #include "core/db/consistency.h"
 #include "core/values/temporal_function.h"
 #include "query/evaluator.h"
@@ -14,11 +12,10 @@ namespace {
 
 // Evaluates a constant (binder-free) expression, e.g. a CREATE initializer
 // or an UPDATE right-hand side.
-Result<Value> EvalConst(const Expr& e, const Database& db) {
+Result<Value> EvalConst(Expr* e, const Database& db) {
   // Type checking with an empty environment also rejects stray variables.
-  TCH_RETURN_IF_ERROR(
-      TypeCheckExpr(const_cast<Expr*>(&e), db, TypeEnv{}).status());
-  return EvaluateExpr(e, db, ValueEnv{}, db.now());
+  TCH_RETURN_IF_ERROR(TypeCheckExpr(e, db, TypeEnv{}).status());
+  return EvaluateExpr(*e, db, ValueEnv{}, db.now());
 }
 
 }  // namespace
@@ -56,26 +53,7 @@ Result<std::string> Interpreter::ExecuteScript(std::string_view script) {
   return out;
 }
 
-Result<std::string> ExecuteReadStatement(Statement* stmt, const Database& db,
-                                         DiagnosticEngine* lint) {
-  if (lint != nullptr) {
-    switch (stmt->kind) {
-      case Statement::Kind::kSelect:
-        AnalyzeSelect(&*stmt->select, db, lint);
-        break;
-      case Statement::Kind::kWhen:
-        AnalyzeWhen(&*stmt->when, db, lint);
-        break;
-      case Statement::Kind::kSnapshot:
-        AnalyzeSnapshot(*stmt->snapshot, stmt->position, db, lint);
-        break;
-      case Statement::Kind::kHistory:
-        AnalyzeHistory(*stmt->history, stmt->position, db, lint);
-        break;
-      default:
-        break;
-    }
-  }
+Result<std::string> ExecuteReadStatement(Statement* stmt, const Database& db) {
   switch (stmt->kind) {
     case Statement::Kind::kSelect: {
       SelectStmt& s = *stmt->select;
@@ -202,27 +180,7 @@ Result<std::string> ExecuteReadStatement(Statement* stmt, const Database& db,
 
 Result<std::string> Interpreter::ExecuteStatement(Statement* stmt) {
   if (TraitsOf(stmt->kind).read) {
-    return ExecuteReadStatement(stmt, *db_, lint_);
-  }
-  if (lint_ != nullptr) {
-    switch (stmt->kind) {
-      case Statement::Kind::kDefineClass:
-        AnalyzeClassSpec(stmt->define_class->spec, stmt->position, db_,
-                         lint_);
-        break;
-      case Statement::Kind::kUpdate:
-        AnalyzeUpdate(*stmt->update, stmt->position, *db_, lint_);
-        break;
-      case Statement::Kind::kCreateIndex:
-        AnalyzeCreateIndex(*stmt->create_index, stmt->position, *db_,
-                           lint_);
-        break;
-      case Statement::Kind::kDropIndex:
-        AnalyzeDropIndex(*stmt->drop_index, stmt->position, *db_, lint_);
-        break;
-      default:
-        break;
-    }
+    return ExecuteReadStatement(stmt, *db_);
   }
   switch (stmt->kind) {
     case Statement::Kind::kDefineClass: {
@@ -251,7 +209,7 @@ Result<std::string> Interpreter::ExecuteStatement(Statement* stmt) {
       CreateStmt& c = *stmt->create;
       Database::FieldInits inits;
       for (auto& [name, expr] : c.inits) {
-        TCH_ASSIGN_OR_RETURN(Value v, EvalConst(*expr, *db_));
+        TCH_ASSIGN_OR_RETURN(Value v, EvalConst(expr.get(), *db_));
         inits.emplace_back(name, std::move(v));
       }
       TimePoint start = c.at.has_value()
@@ -264,7 +222,7 @@ Result<std::string> Interpreter::ExecuteStatement(Statement* stmt) {
     }
     case Statement::Kind::kUpdate: {
       UpdateStmt& u = *stmt->update;
-      TCH_ASSIGN_OR_RETURN(Value v, EvalConst(*u.value, *db_));
+      TCH_ASSIGN_OR_RETURN(Value v, EvalConst(u.value.get(), *db_));
       if (u.during.has_value()) {
         TCH_RETURN_IF_ERROR(
             db_->UpdateAttributeAt(u.oid, u.attr, *u.during, std::move(v)));
@@ -278,7 +236,7 @@ Result<std::string> Interpreter::ExecuteStatement(Statement* stmt) {
       MigrateStmt& m = *stmt->migrate;
       Database::FieldInits sets;
       for (auto& [name, expr] : m.sets) {
-        TCH_ASSIGN_OR_RETURN(Value v, EvalConst(*expr, *db_));
+        TCH_ASSIGN_OR_RETURN(Value v, EvalConst(expr.get(), *db_));
         sets.emplace_back(name, std::move(v));
       }
       TCH_RETURN_IF_ERROR(db_->Migrate(m.oid, m.to_class, std::move(sets)));

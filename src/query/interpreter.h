@@ -7,7 +7,6 @@
 #include <string>
 #include <string_view>
 
-#include "analysis/diagnostic.h"
 #include "common/result.h"
 #include "core/db/database.h"
 #include "query/ast.h"
@@ -23,22 +22,13 @@ std::string FormatSelectRows(const std::vector<SelectRow>& rows);
 
 // Executes a read statement (TraitsOf(stmt->kind).read) against `db`,
 // which it cannot mutate: this is what makes running reads on a pinned,
-// published snapshot sound. Lint findings for the read kinds go to `lint`
-// when it is non-null. A non-read statement is InvalidArgument.
-Result<std::string> ExecuteReadStatement(Statement* stmt, const Database& db,
-                                         DiagnosticEngine* lint = nullptr);
+// published snapshot sound. A non-read statement is InvalidArgument.
+Result<std::string> ExecuteReadStatement(Statement* stmt, const Database& db);
 
 class Interpreter {
  public:
   // Does not take ownership; `db` must outlive the interpreter.
   explicit Interpreter(Database* db) : db_(db) {}
-
-  // Opt-in static analysis: when a sink is set, DEFINE CLASS, SELECT and
-  // WHEN statements are linted before execution and the findings are
-  // appended to `diags` (see src/analysis/). Lint never blocks execution;
-  // callers decide what to do with the findings. Pass nullptr to disable.
-  void set_lint(DiagnosticEngine* diags) { lint_ = diags; }
-  DiagnosticEngine* lint() const { return lint_; }
 
   // Parses and executes one statement; returns its printable outcome
   // (e.g. "i7" for CREATE, a table for SELECT, "ok" for updates).
@@ -55,7 +45,6 @@ class Interpreter {
 
  private:
   Database* db_;
-  DiagnosticEngine* lint_ = nullptr;
 };
 
 }  // namespace tchimera

@@ -4,7 +4,6 @@
 #include <cctype>
 #include <utility>
 
-#include "analysis/query_analyzer.h"
 #include "query/interpreter.h"
 #include "query/parser.h"
 #include "query/vm.h"
@@ -172,7 +171,6 @@ Status Engine::WithExclusive(
 
 Result<std::string> Engine::ExecuteWrite(Statement* stmt,
                                          std::string_view text,
-                                         DiagnosticEngine* lint,
                                          const WriteRetryPolicy& policy) {
   const StatementTraits traits = TraitsOf(stmt->kind);
   if (sink_ != nullptr && traits.durable &&
@@ -185,14 +183,12 @@ Result<std::string> Engine::ExecuteWrite(Statement* stmt,
         "a durable statement cannot contain a raw newline");
   }
   if (traits.needs_exclusive) {
-    return ExecuteWriteExclusive(stmt, text, lint);
+    return ExecuteWriteExclusive(stmt, text);
   }
   const int attempts = std::max(policy.max_optimistic_attempts, 1);
   Result<std::string> result = Status::Internal("write never attempted");
   for (int attempt = 0; attempt < attempts; ++attempt) {
-    // Lint only on the first attempt — retries re-execute the same
-    // statement and would only duplicate every finding.
-    result = TryOptimisticWrite(stmt, text, attempt == 0 ? lint : nullptr);
+    result = TryOptimisticWrite(stmt, text);
     if (result.ok() || result.status().code() != StatusCode::kConflict) {
       return result;
     }
@@ -208,12 +204,11 @@ Result<std::string> Engine::ExecuteWrite(Statement* stmt,
   // Contention this persistent means the writers genuinely serialize;
   // stop burning copies and take the lock. This also guarantees progress
   // for worst-case workloads (every writer on the same slot).
-  return ExecuteWriteExclusive(stmt, text, nullptr);
+  return ExecuteWriteExclusive(stmt, text);
 }
 
 Result<std::string> Engine::TryOptimisticWrite(Statement* stmt,
-                                               std::string_view text,
-                                               DiagnosticEngine* lint) {
+                                               std::string_view text) {
   OptimisticTransaction txn = vdb_.BeginTransaction();
   // A per-transaction facade over the private copy: triggers fire and
   // constraints check against the transaction's own state, and their
@@ -225,9 +220,7 @@ Result<std::string> Engine::TryOptimisticWrite(Statement* stmt,
     std::lock_guard<std::mutex> defs_lock(defs_mu_);
     facade.CopyDefinitionsFrom(active_);
   }
-  facade.set_lint(lint);
   Result<std::string> result = facade.ExecuteStatement(stmt);
-  facade.set_lint(nullptr);
   if (!result.ok()) return result;  // rejected before mutating anything
   CommitSink::Ticket ticket;
   const bool durable = sink_ != nullptr && TraitsOf(stmt->kind).durable;
@@ -251,15 +244,12 @@ Result<std::string> Engine::TryOptimisticWrite(Statement* stmt,
 }
 
 Result<std::string> Engine::ExecuteWriteExclusive(Statement* stmt,
-                                                  std::string_view text,
-                                                  DiagnosticEngine* lint) {
+                                                  std::string_view text) {
   WriteGuard guard = vdb_.BeginWrite();
   // Definition verbs mutate active_'s registries; hold defs_mu_ so
   // concurrent optimistic writers copy a consistent definition set.
   std::unique_lock<std::mutex> defs_lock(defs_mu_);
-  active_.set_lint(lint);
   Result<std::string> result = active_.ExecuteStatement(stmt);
-  active_.set_lint(nullptr);
   defs_lock.unlock();
   if (!result.ok()) return result;  // nothing mutated, nothing to publish
   // Enqueue before releasing the lock: writers are serialized, so the
@@ -290,9 +280,8 @@ Result<std::string> Engine::ExecuteWriteExclusive(Statement* stmt,
 Result<std::string> Session::Execute(std::string_view statement) {
   TCH_ASSIGN_OR_RETURN(Statement stmt, ParseStatement(statement));
   if (!TraitsOf(stmt.kind).read) {
-    Result<std::string> result = engine_->ExecuteWrite(
-        &stmt, statement, lint_enabled_ ? diags_.get() : nullptr,
-        write_retry_policy_);
+    Result<std::string> result =
+        engine_->ExecuteWrite(&stmt, statement, write_retry_policy_);
     if (result.ok()) {
       // Remember the engine tip for read-your-writes routing. The tip is
       // >= our write's version (others may have committed since), which
@@ -313,8 +302,7 @@ Result<std::string> Session::Execute(std::string_view statement) {
     if (compiled.has_value()) return *std::move(compiled);
     // Negative cache entry: fall through to the tree-walker below.
   }
-  return ExecuteReadStatement(&stmt, snap.db(),
-                              lint_enabled_ ? diags_.get() : nullptr);
+  return ExecuteReadStatement(&stmt, snap.db());
 }
 
 Result<std::optional<std::string>> Session::TryCompiledRead(
@@ -341,15 +329,6 @@ Result<std::optional<std::string>> Session::TryCompiledRead(
     cached = std::move(fresh);
   }
   if (!cached->plan.has_value()) return std::optional<std::string>();
-  // Lint runs on the unlowered AST, exactly like the interpreter path
-  // (the analyzers never see bytecode).
-  if (lint_enabled_) {
-    if (stmt->kind == Statement::Kind::kSelect) {
-      AnalyzeSelect(&*stmt->select, db, diags_.get());
-    } else {
-      AnalyzeWhen(&*stmt->when, db, diags_.get());
-    }
-  }
   const LoweredPlan& plan = *cached->plan;
   if (plan.kind == LoweredPlan::Kind::kSelect) {
     TCH_ASSIGN_OR_RETURN(std::vector<SelectRow> rows,

@@ -8,9 +8,7 @@
 //               / history / when / show / explain) run on a ReadSnapshot
 //               through the const read executor, concurrently with every
 //               other reader; everything else goes to the Engine's write
-//               path with the parsed statement. Owns its own
-//               DiagnosticEngine, so the "one engine per lint run"
-//               contract (analysis/diagnostic.h) holds without locks.
+//               path with the parsed statement.
 //   Engine    — wraps the database in a VersionedDatabase (MVCC: reads
 //               are lock-free loads of the published version) and owns
 //               the ActiveDatabase facade (triggers, constraints,
@@ -54,7 +52,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "analysis/diagnostic.h"
 #include "common/result.h"
 #include "core/db/versioned_db.h"
 #include "query/lower.h"
@@ -266,18 +263,15 @@ class Engine {
   // per `policy`, then exclusive fallback or a surfaced kConflict (see
   // WriteRetryPolicy). Retries re-execute the same parsed statement.
   Result<std::string> ExecuteWrite(Statement* stmt, std::string_view text,
-                                   DiagnosticEngine* lint,
                                    const WriteRetryPolicy& policy);
   // One optimistic attempt: execute on a private transaction copy, then
   // validate+publish. Status::Conflict means "lost the race, retry".
   Result<std::string> TryOptimisticWrite(Statement* stmt,
-                                         std::string_view text,
-                                         DiagnosticEngine* lint);
+                                         std::string_view text);
   // The serialized fallback: writer lock held across execute + enqueue +
   // publish. Also the only path for needs_exclusive kinds.
   Result<std::string> ExecuteWriteExclusive(Statement* stmt,
-                                            std::string_view text,
-                                            DiagnosticEngine* lint);
+                                            std::string_view text);
 
   // Replica leases (weak: a dropped lease is an unregistered replica).
   // Guarded by replicas_mu_; never taken together with any other engine
@@ -306,11 +300,6 @@ class Session {
   Session& operator=(const Session&) = delete;
 
   Result<std::string> Execute(std::string_view statement);
-
-  // Opt-in lint: findings accumulate in diags() (this session's private
-  // engine; never shared across threads).
-  void set_lint_enabled(bool enabled) { lint_enabled_ = enabled; }
-  DiagnosticEngine& diags() { return *diags_; }
 
   // Compiled execution of select/when (on by default): lower to an
   // ExecProgram (consulting the engine's plan cache) and run the batch
@@ -357,8 +346,7 @@ class Session {
 
  private:
   friend class Engine;
-  explicit Session(Engine* engine)
-      : engine_(engine), diags_(std::make_unique<DiagnosticEngine>()) {}
+  explicit Session(Engine* engine) : engine_(engine) {}
 
   // The compiled read path for one parsed select/when: consult the plan
   // cache (keyed on `key` + the snapshot's schema version), lower on a
@@ -369,10 +357,6 @@ class Session {
                                                      const std::string& key);
 
   Engine* engine_;
-  // unique_ptr so Session stays movable with a stable address to hand to
-  // the interpreter during a statement.
-  std::unique_ptr<DiagnosticEngine> diags_;
-  bool lint_enabled_ = false;
   bool compile_enabled_ = true;
   WriteRetryPolicy write_retry_policy_;
   ReadStaleness read_staleness_ = ReadStaleness::kReadYourWrites;

@@ -30,7 +30,7 @@
 //       translates failures into bounded-exponential-backoff retries and
 //       checkpoint resyncs, and maintains each replica's lease on the
 //       primary Engine so Engine::min_replicated_version() /
-//       Session::AllowReplicaRead() implement read-your-writes vs
+//       Session::CanReadFromReplica() implement read-your-writes vs
 //       eventual read routing (query/session.h).
 //
 // Failure handling is the point:

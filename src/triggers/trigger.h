@@ -67,10 +67,6 @@ class ActiveDatabase {
   ConstraintRegistry& constraints() { return constraints_; }
   const ConstraintRegistry& constraints() const { return constraints_; }
 
-  // Opt-in static analysis for statements executed through this facade
-  // (forwarded to the internal interpreter; see Interpreter::set_lint).
-  void set_lint(DiagnosticEngine* diags) { interp_.set_lint(diags); }
-
   // Copies `other`'s trigger and constraint definitions into this
   // facade, replacing any it already had. Used to equip a per-transaction
   // facade (optimistic writers execute against a private database copy)

@@ -781,42 +781,6 @@ TEST(QueryAnalyzer, WellTypedQueryHasNoTypeError) {
   EXPECT_NO_CODE(ds, "TC110");
 }
 
-// --- interpreter wiring ---------------------------------------------------
-
-TEST(InterpreterLint, OptInLintCollectsFindings) {
-  Database db;
-  Interpreter interp(&db);
-  DiagnosticEngine diags;
-  interp.set_lint(&diags);
-  ASSERT_TRUE(
-      interp.Execute("define class a attributes v: integer end").ok());
-  Result<std::string> r = interp.Execute("select 1 from x in a");
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_CODE(diags.diagnostics(), "TC101");
-}
-
-TEST(InterpreterLint, LintNeverBlocksExecution) {
-  Database db;
-  Interpreter interp(&db);
-  DiagnosticEngine diags;
-  interp.set_lint(&diags);
-  ASSERT_TRUE(
-      interp.Execute("define class a attributes v: integer end").ok());
-  Result<std::string> r = interp.Execute("select x from x in a where 1 > 2");
-  EXPECT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ(*r, "(no results)");
-  EXPECT_CODE(diags.diagnostics(), "TC104");
-}
-
-TEST(InterpreterLint, DisabledByDefault) {
-  Database db;
-  Interpreter interp(&db);
-  EXPECT_EQ(interp.lint(), nullptr);
-  ASSERT_TRUE(
-      interp.Execute("define class a attributes v: integer end").ok());
-  ASSERT_TRUE(interp.Execute("select 1 from x in a").ok());
-}
-
 // --- the diagnostics engine -----------------------------------------------
 
 TEST(DiagnosticEngine, RegistryHasStableMetadata) {

@@ -3,7 +3,10 @@
 #   - a file under src/query/ includes storage/ or server/ (query sits
 #     below both);
 #   - src/storage/journal.{h,cc} include anything but common/ (the
-#     journal treats statements as opaque text).
+#     journal treats statements as opaque text);
+#   - a file of the engine's layers (common, core, query, constraints,
+#     triggers, storage, server) includes analysis/, baselines/ or
+#     workload/ (leaves the engine never depends on).
 #
 #   cmake -DSRC_DIR=<repo>/src -P tests/check_layering.cmake
 if(NOT SRC_DIR)
@@ -27,6 +30,17 @@ foreach(file "${SRC_DIR}/storage/journal.h" "${SRC_DIR}/storage/journal.cc")
     if(NOT line MATCHES "\"(common/[^\"]*|storage/journal\\.h)\"")
       list(APPEND violations "${file}: ${line}")
     endif()
+  endforeach()
+endforeach()
+
+foreach(layer common core query constraints triggers storage server)
+  file(GLOB_RECURSE layer_files "${SRC_DIR}/${layer}/*")
+  foreach(file IN LISTS layer_files)
+    file(STRINGS "${file}" lines
+         REGEX "${include_regex}(analysis|baselines|workload)/")
+    foreach(line IN LISTS lines)
+      list(APPEND violations "${file}: ${line}")
+    endforeach()
   endforeach()
 endforeach()
 

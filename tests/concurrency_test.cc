@@ -687,26 +687,6 @@ TEST(EngineRecoveryTest, CheckpointPreservesDefinitionsAcrossRestart) {
 }
 
 // ---------------------------------------------------------------------------
-// Satellite (c): diagnostics isolation — each session owns a private
-// DiagnosticEngine, so concurrent lint runs cannot interleave findings.
-
-TEST(SessionTest, PerSessionDiagnosticsAreIsolated) {
-  Engine engine;
-  Session noisy = engine.OpenSession();
-  Session quiet = engine.OpenSession();
-  ASSERT_TRUE(noisy.Execute(kSchema).ok());
-
-  noisy.set_lint_enabled(true);
-  quiet.set_lint_enabled(true);
-  ASSERT_TRUE(noisy.Execute("select 1 from x in emp").ok());  // TC101
-  ASSERT_TRUE(quiet.Execute("select x.v from x in emp").ok());
-
-  ASSERT_EQ(noisy.diags().diagnostics().size(), 1u);
-  EXPECT_EQ(noisy.diags().diagnostics()[0].code, "TC101");
-  EXPECT_TRUE(quiet.diags().diagnostics().empty());
-}
-
-// ---------------------------------------------------------------------------
 // Optimistic multi-writer commits: OptimisticTransaction validation at
 // the VersionedDatabase layer, then the engine-level conflict matrix the
 // TSan job exercises.
@@ -930,6 +910,42 @@ TEST(ConcurrencyTest, DisjointShardWritersCommitWithoutAborts) {
   Session check = engine.OpenSession();
   EXPECT_EQ(check.Execute("select x.v from x in emp").value(),
             "50\n50\n50\n50");
+}
+
+// `check` runs every constraint on an optimistic writer's facade, and
+// every facade shares the engine's constraint definitions, condition
+// trees included. Type-checking a condition must not write to the shared
+// tree: two sessions checking at once race on it otherwise (TSan leg).
+TEST(ConcurrencyTest, ConcurrentChecksShareConstraintConditions) {
+  Engine engine;
+  {
+    Session setup = engine.OpenSession();
+    ASSERT_TRUE(setup.Execute(kSchema).ok());
+    ASSERT_TRUE(setup.Execute("create emp (v: 1)").ok());
+    ASSERT_TRUE(setup.Execute("constraint pos on emp always x.v > 0").ok());
+  }
+  constexpr int kThreads = 2;
+  constexpr int kPerThread = 100;
+  std::atomic<int> failures{0};
+  std::vector<std::thread> checkers;
+  checkers.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    checkers.emplace_back([&engine, &failures] {
+      Session session = engine.OpenSession();
+      for (int i = 0; i < kPerThread; ++i) {
+        if (!session.Execute("check").ok()) {
+          failures.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  for (std::thread& t : checkers) t.join();
+  EXPECT_EQ(failures.load(), 0);
+  // The shared definition still decides: a violation fails `check`.
+  Session session = engine.OpenSession();
+  ASSERT_TRUE(session.Execute("tick 1").ok());
+  ASSERT_TRUE(session.Execute("update i1 set v = -5").ok());
+  EXPECT_FALSE(session.Execute("check").ok());
 }
 
 TEST(ConcurrencyTest, SameSlotWritersSerializeToOneWinnerPerRound) {
