@@ -176,8 +176,9 @@ BENCHMARK(BM_CommitCostVsTouchedObjects)->Arg(1)->Arg(16)->Arg(256)->Arg(1024);
 // --- indexed commit cost vs index size: one optimistic commit of one
 // retroactive `during [lo, lo+1]` splice of an attribute under a value
 // index. Index maintenance applies a per-oid delta to copy-on-write
-// posting chunks — on the transaction's copy and again on the tip — so
-// the time per commit should stay flat as the index grows. The object
+// posting chunks on the transaction's copy (and, when another commit
+// landed first, again on the head's copy that adopts it), so the time
+// per commit should stay flat as the index grows. The object
 // count is fixed (the object shards' own COW clones cost the same at
 // every size); Arg = splices per object's history, so postings per
 // index shard grow ~12x across the rows.
@@ -247,9 +248,10 @@ BENCHMARK(BM_IndexedCommitCostVsIndexSize)
 
 // --- transaction begin cost: BeginTransaction() copies the published
 // head, and dropping the transaction releases the copy. Every optimistic
-// write pays this pair twice (the transaction's copy of the head, then
-// the tip's copy at publication), and concurrent writers copy the same
-// head, so the 2-thread row shows what sharing its structures costs.
+// write pays this pair once, and once more when another commit landed
+// after its base (the head's copy that adopts its slots); concurrent
+// writers copy the same head, so the 2-thread row shows what sharing its
+// structures costs.
 
 VersionedDatabase& PublishedPopulation() {
   static VersionedDatabase& vdb = *[] {
@@ -501,12 +503,13 @@ struct PhaseBreakdown {
 PhaseBreakdown MeasurePhases(int statements) {
   VersionedDatabase vdb;
   {
-    Interpreter interp(&vdb.writer_db());
+    WriteGuard guard = vdb.BeginWrite();
+    Interpreter interp(&guard.db());
     (void)interp.Execute(
         "define class emp attributes v: temporal(integer) end");
     (void)interp.Execute("tick 2000");
     (void)interp.Execute("create emp at 0 (v: 0)");
-    vdb.PublishWriterState();
+    guard.Commit();
   }
   PhaseBreakdown phases;
   for (int i = 0; i < statements; ++i) {

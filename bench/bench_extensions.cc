@@ -109,10 +109,11 @@ void BM_TriggerOverheadPerUpdate(benchmark::State& state) {
 BENCHMARK(BM_TriggerOverheadPerUpdate)->Arg(0)->Arg(1)->Arg(8)->Arg(32);
 
 void BM_TriggerCascadeDepth(benchmark::State& state) {
-  // A linear chain of depth D: update a0 -> a1 -> ... -> aD.
+  // A linear chain of depth D: update a0 -> a1 -> ... -> aD. The
+  // deepest chain (16) is exactly ActiveDatabase::kMaxCascadeDepth.
   const int64_t depth = state.range(0);
   Database db;
-  ActiveDatabase active(&db, /*max_cascade_depth=*/depth + 4);
+  ActiveDatabase active(&db);
   ClassSpec spec;
   spec.name = "chain";
   for (int64_t i = 0; i <= depth; ++i) {

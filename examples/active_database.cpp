@@ -33,7 +33,7 @@ void Report(const tchimera::Status& s, const char* label) {
 
 int main() {
   tchimera::Database db;
-  tchimera::ActiveDatabase active(&db, /*max_cascade_depth=*/8);
+  tchimera::ActiveDatabase active(&db);
   g_active = &active;
   if (!tchimera::InstallProjectSchema(&db).ok()) return 1;
 

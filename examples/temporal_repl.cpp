@@ -111,10 +111,11 @@ int main(int argc, char** argv) {
       return 1;
     }
     engine = std::move(recovered).value();
+    tchimera::ReadSnapshot snap = engine->OpenSnapshot();
     std::printf("recovered: %zu objects, now = %lld "
                 "(%zu statement(s) replayed)\n",
-                engine->writer_db().object_count(),
-                static_cast<long long>(engine->writer_db().now()),
+                snap.db().object_count(),
+                static_cast<long long>(snap.db().now()),
                 stats.statements_applied);
     tchimera::JournalOptions options;
     options.epoch = stats.next_epoch;

@@ -1156,26 +1156,9 @@ WriteFootprint Database::TakeFootprint() {
 }
 
 void Database::AdoptChanges(const Database& src, const WriteFootprint& fp) {
-  if (fp.all || fp.schema_changed) {
-    // Spine-level adoption. Validation admits schema transactions only
-    // when no other commit intervened, so taking src's whole state is
-    // exactly what running the transaction on the tip would have built.
-    clock_ = src.clock_;
-    isa_ = src.isa_;
-    isa_epoch_ = src.isa_epoch_;
-    classes_ = src.classes_;
-    spine_ = src.spine_;
-    index_defs_ = src.index_defs_;
-    index_before_ = src.index_before_;
-    next_oid_ = src.next_oid_;
-    // Fresh epochs on both sides (the same protocol as the copy
-    // constructor): every adopted structure is now shared, so whichever
-    // side mutates next must clone first. Epochs are strictly increasing,
-    // so the fresh values match no existing slot.
-    cow_epoch_.store(NextCowEpoch(), std::memory_order_relaxed);
-    src.cow_epoch_.store(NextCowEpoch(), std::memory_order_relaxed);
-    return;
-  }
+  // Schema and `all` footprints conflict with every intervening commit,
+  // so they only ever publish their own copy (base == head).
+  assert(!fp.all && !fp.schema_changed);
   if (fp.clock_advanced) clock_ = src.clock_;
   if (src.next_oid_ > next_oid_) next_oid_ = src.next_oid_;
   if (!fp.classes.empty()) {
@@ -1196,21 +1179,20 @@ void Database::AdoptChanges(const Database& src, const WriteFootprint& fp) {
   assert(std::includes(fp.oids.begin(), fp.oids.end(),
                        fp.deleted_oids.begin(), fp.deleted_oids.end()));
   for (uint64_t id : fp.oids) {
-    // MutableShard captures the tip's current slot as the "before" half
+    // MutableShard captures this side's current slot as the "before" half
     // of the index delta.
     ObjectShard& shard = MutableShard(id);
     const ObjectShard* src_shard = src.ObjectShardAt(ShardIndex(id));
     const ObjectSlot* found =
         src_shard == nullptr ? nullptr : src_shard->Find(id);
     if (found == nullptr) {
-      shard.Erase(id);  // erased in src (fp.all covers quarantine, but
-                        // stay defensive)
+      shard.Erase(id);  // defensive: slot-level writes never erase
     } else {
       shard.Put(id, ObjectSlot{found->obj, 0});
     }
     // Index entries are a pure function of the object's state, so the
-    // delta from the tip's slot to the adopted one is equivalent to
-    // having run the transaction's index maintenance on the tip directly
+    // delta from this side's slot to the adopted one is equivalent to
+    // having run the transaction's index maintenance here directly
     // — and an index write whose underlying oid lost first-committer-wins
     // never reaches this point (validation aborted the commit).
     ReindexOid(id);

@@ -84,16 +84,16 @@ struct WriteFootprint {
 // the number of shards, classes or objects — and gives BOTH sides fresh
 // COW epochs, so whichever side mutates first clones exactly the
 // structures on the path to the entities it touches (structural sharing
-// of the rest). This is what makes MVCC publication cheap:
-// VersionedDatabase publishes a committed version by copying the
-// writer's database, and the writer's next statement clones only what it
-// writes.
+// of the rest). This is what makes MVCC writes cheap: VersionedDatabase
+// hands every writer a copy of the published head, the writer clones
+// only what it writes, and the commit publishes that copy.
 //
 // The sharing protocol is single-writer: concurrent READS of two copies
 // are always safe (shared entities are never mutated in place once a
 // copy exists — the epoch check forces a clone first), but each copy
 // must only be MUTATED by one thread at a time. VersionedDatabase
-// enforces this with its writer lock.
+// enforces this by giving each writer its own copy and never mutating a
+// published one.
 class Database final : public ExtentProvider {
  public:
   Database();
@@ -325,13 +325,14 @@ class Database final : public ExtentProvider {
 
   // Adopts the slots listed in `fp` from `src` (a transaction-private COW
   // copy of an ancestor of *this) into this database. Used by the
-  // optimistic commit path after validation has established that no
-  // concurrently committed transaction touched any of these slots, so
-  // per-slot substitution is equivalent to having run the transaction on
-  // the tip directly. Adopted slots get epoch 0 (matches no Database), so
-  // this side re-clones them before its next in-place mutation. Schema or
-  // `all` footprints adopt src's whole state, spine root included
-  // (validation guarantees the tip has not advanced in that case).
+  // optimistic commit path when other commits landed after the
+  // transaction's base, once validation has established that none of
+  // them touched any of these slots, so per-slot substitution is
+  // equivalent to having run the transaction on the head directly.
+  // Adopted slots get epoch 0 (matches no Database), so this side
+  // re-clones them before its next in-place mutation. `fp` must be
+  // slot-level: schema and `all` footprints never validate over an
+  // intervening commit, so they are never adopted (asserted).
   // Deliberately does NOT record into this database's own footprint: the
   // caller tracks the transaction's footprint separately.
   void AdoptChanges(const Database& src, const WriteFootprint& fp);

@@ -20,15 +20,6 @@ constexpr size_t kMaxRecentFootprints = 256;
 // large a bulk statement was.
 constexpr size_t kMaxFootprintSlots = 4096;
 
-std::shared_ptr<const DbVersion> MakeVersion(const Database& tip,
-                                             uint64_t version) {
-  // The Database copy here is the COW copy: it shares every untouched
-  // class/object/shard with the tip, so publication cost tracks what the
-  // writer touched, not database size.
-  return std::make_shared<const DbVersion>(
-      DbVersion{std::make_shared<const Database>(tip), version});
-}
-
 template <typename T>
 bool SetsIntersect(const std::set<T>& a, const std::set<T>& b) {
   // Walk the smaller set, probe the larger: O(min log max).
@@ -69,7 +60,7 @@ bool FootprintsConflict(const WriteFootprint& c, const WriteFootprint& t) {
 
 }  // namespace
 
-uint64_t WriteGuard::Commit() {
+uint64_t WriteGuard::Commit(bool serialize) {
   if (owner_ == nullptr || !lock_.owns_lock()) {
     // Publishing without the writer lock is exactly the out-of-order
     // publish bug this guard exists to prevent — fail loudly instead of
@@ -80,13 +71,15 @@ uint64_t WriteGuard::Commit() {
                  "guard)\n");
     std::abort();
   }
+  WriteFootprint fp = db_->TakeFootprint();
+  fp.schema_changed |= serialize;
   // `retired` outlives the unlock below: dropping the last reference to
   // the previous version (when no snapshot pins it) tears down a whole
   // Database — cleanup the next writer need not wait behind.
   std::shared_ptr<const DbVersion> retired;
-  const uint64_t v = owner_->PublishLocked(&retired);
+  const uint64_t v = owner_->PublishLocked(std::move(db_), std::move(fp),
+                                           &retired);
   owner_ = nullptr;
-  tip_ = nullptr;
   lock_.unlock();
   return v;
 }
@@ -94,13 +87,14 @@ uint64_t WriteGuard::Commit() {
 VersionedDatabase::VersionedDatabase()
     : VersionedDatabase(std::make_unique<Database>()) {}
 
-VersionedDatabase::VersionedDatabase(std::unique_ptr<Database> db)
-    : tip_(db != nullptr ? std::move(db) : std::make_unique<Database>()) {
+VersionedDatabase::VersionedDatabase(std::unique_ptr<Database> db) {
+  if (db == nullptr) db = std::make_unique<Database>();
   // Whatever built this database (recovery replay, test wiring) is
   // published wholesale as version 0 — its accumulated footprint is not
   // a commit anyone can race against, so discard it.
-  tip_->TakeFootprint();
-  ExchangeHead(MakeVersion(*tip_, 0));
+  db->TakeFootprint();
+  ExchangeHead(std::make_shared<const DbVersion>(
+      DbVersion{std::shared_ptr<const Database>(std::move(db)), 0}));
 }
 
 std::shared_ptr<const DbVersion> VersionedDatabase::ExchangeHead(
@@ -119,7 +113,10 @@ ReadSnapshot VersionedDatabase::OpenSnapshot() const {
 
 WriteGuard VersionedDatabase::BeginWrite() {
   std::unique_lock<std::mutex> lock(writer_mu_);
-  return WriteGuard(std::move(lock), tip_.get(), this);
+  // Only writer-lock holders publish, so the head copied here stays the
+  // head until this guard commits or drops.
+  return WriteGuard(std::move(lock), std::make_unique<Database>(*Head()->db),
+                    this);
 }
 
 OptimisticTransaction VersionedDatabase::BeginTransaction() const {
@@ -155,16 +152,6 @@ Result<uint64_t> VersionedDatabase::CommitTransaction(
     return v;
   }
   Status validated = ValidateLocked(*txn, fp);
-  if (validated.ok() && (fp.all || fp.schema_changed) &&
-      !tip_->footprint().empty()) {
-    // Schema-level (or `all`) transactions adopt by wholesale spine
-    // assignment, which would silently drop any unpublished direct
-    // writer_db() mutation resting in the tip. Abort instead; the
-    // caller's exclusive fallback handles this combination correctly.
-    validated = Status::Conflict(
-        "schema-level transaction cannot adopt over unpublished tip "
-        "mutations; retry on the exclusive path");
-  }
   if (!validated.ok()) {
     conflicts_.fetch_add(1, std::memory_order_relaxed);
     // The transaction stays valid: the caller may inspect it, but a
@@ -174,39 +161,34 @@ Result<uint64_t> VersionedDatabase::CommitTransaction(
   }
   if (prepare != nullptr) {
     // Journal-enqueue hook, still under the writer mutex so journal
-    // order equals commit order. Failure aborts without publishing:
-    // unlike the exclusive path, an optimistic abort leaves no trace in
-    // the tip.
+    // order equals commit order. Failure aborts without publishing.
     TCH_RETURN_IF_ERROR(prepare());
   }
-  // Any direct writer_db() mutation since the last publication rides
-  // along in the version we are about to publish — fold its footprint in
-  // so later validators see those slots too. (Taken before AdoptChanges,
-  // which does not itself record into the tip's footprint.)
-  WriteFootprint resident = tip_->TakeFootprint();
   WriteFootprint taken = txn->db_->TakeFootprint();
-  tip_->AdoptChanges(*txn->db_, taken);
-  if (!resident.empty()) {
-    taken.all |= resident.all;
-    taken.schema_changed |= resident.schema_changed;
-    taken.clock_advanced |= resident.clock_advanced;
-    taken.oid_allocated |= resident.oid_allocated;
-    taken.oids.insert(resident.oids.begin(), resident.oids.end());
-    taken.deleted_oids.insert(resident.deleted_oids.begin(),
-                              resident.deleted_oids.end());
-    taken.classes.insert(resident.classes.begin(), resident.classes.end());
+  std::unique_ptr<Database> next;
+  if (txn->base_ == Head()) {
+    // Nothing committed since the base: the private copy is exactly the
+    // next version.
+    next = std::move(txn->db_);
+  } else {
+    // Validation passed over intervening commits, so the footprint is
+    // slot-level (schema and `all` footprints conflict with every one):
+    // the next version is the head with the transaction's slots adopted.
+    next = std::make_unique<Database>(*Head()->db);
+    next->AdoptChanges(*txn->db_, taken);
+    consumed = std::move(txn->db_);
   }
-  const uint64_t v = PublishWithFootprintLocked(std::move(taken), &retired);
+  const uint64_t v = PublishLocked(std::move(next), std::move(taken), &retired);
   released_base = std::move(txn->base_);
-  consumed = std::move(txn->db_);
   return v;
 }
 
 Status VersionedDatabase::ValidateLocked(const OptimisticTransaction& txn,
                                          const WriteFootprint& fp) const {
   const uint64_t base = txn.base_->version;
-  const uint64_t tip_version = Head()->version;
-  if (tip_version == base) return Status::OK();  // nothing committed since
+  const std::shared_ptr<const DbVersion> head_version = Head();
+  if (head_version->version == base) return Status::OK();  // nothing since
+  const Database& head = *head_version->db;
   if (recent_.empty() || recent_.front().version > base + 1) {
     return Status::Conflict(
         "base version " + std::to_string(base) +
@@ -229,9 +211,9 @@ Status VersionedDatabase::ValidateLocked(const OptimisticTransaction& txn,
       // We deleted D; a committed writer touched Y. If Y (as committed)
       // still references D now, publishing the delete would dangle it.
       for (uint64_t id : committed.fp.oids) {
-        const Object* obj = tip_->GetObject(Oid{id});
+        const Object* obj = head.GetObject(Oid{id});
         if (obj == nullptr || !obj->alive()) continue;
-        for (Oid ref : obj->ReferencedOids(tip_->now())) {
+        for (Oid ref : obj->ReferencedOids(head.now())) {
           if (fp.deleted_oids.count(ref.id) > 0) {
             return Status::Conflict(
                 "deleting object " + ref.ToString() +
@@ -265,34 +247,17 @@ Status VersionedDatabase::ValidateLocked(const OptimisticTransaction& txn,
   return Status::OK();
 }
 
-uint64_t VersionedDatabase::PublishWriterState() {
-  std::shared_ptr<const DbVersion> retired;  // freed after the unlock
-  std::lock_guard<std::mutex> lock(writer_mu_);
-  return PublishLocked(&retired);
-}
-
 uint64_t VersionedDatabase::PublishLocked(
+    std::unique_ptr<Database> db, WriteFootprint fp,
     std::shared_ptr<const DbVersion>* retired) {
-  // The exclusive path: the tip's own accumulated footprint describes
-  // this commit.
-  return PublishWithFootprintLocked(tip_->TakeFootprint(), retired);
-}
-
-uint64_t VersionedDatabase::PublishWithFootprintLocked(
-    WriteFootprint fp, std::shared_ptr<const DbVersion>* retired) {
   // Only the writer lock holder publishes, so reading the previous head
   // here cannot race another publication.
   const uint64_t next = Head()->version + 1;
   // ExchangeHead hands the previous head to the caller: if no snapshot
   // pins it, the caller drops the last reference after releasing the
   // writer mutex rather than destroying a whole Database inside it.
-  // (The version copy happens before the swap so published_mu_ is never
-  // held across a Database copy.)
-  std::shared_ptr<const DbVersion> next_version = MakeVersion(*tip_, next);
-  std::shared_ptr<const DbVersion> prev = ExchangeHead(std::move(next_version));
-  if (retired != nullptr) {
-    *retired = std::move(prev);
-  }
+  *retired = ExchangeHead(std::make_shared<const DbVersion>(
+      DbVersion{std::shared_ptr<const Database>(std::move(db)), next}));
   RecordFootprintLocked(next, std::move(fp));
   return next;
 }

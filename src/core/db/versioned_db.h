@@ -6,25 +6,27 @@
 // mutable caches. VersionedDatabase turns that property into a
 // multi-version concurrency protocol:
 //
-//   - the committed state is an immutable, shared_ptr-published version.
+//   - the committed state is an immutable, shared_ptr-published version
+//     (the head), and nothing else: there is no mutable database.
 //     OpenSnapshot() copies the head shared_ptr under a mutex held for
 //     just that copy — no lock is held for the snapshot's lifetime, so a
 //     snapshot may live arbitrarily long without ever blocking writers
 //     (or anyone else);
-//   - writers run in one of two modes. The exclusive mode: one writer
-//     at a time holds a WriteGuard (the writer mutex), mutates the
-//     *tip* database through it, and publishes with Commit(): the tip
-//     is copied copy-on-write (Database's copy constructor shares every
-//     untouched class/object/shard — see database.h) into a new
-//     immutable version, whose cost is proportional to what the writer
-//     touched, not to database size. A guard dropped without Commit()
-//     publishes nothing. The optimistic mode: any number of
-//     OptimisticTransactions mutate private COW copies concurrently
-//     without holding any lock; CommitTransaction serializes only the
-//     validate+publish(+journal-enqueue) critical section, validating
-//     each transaction's write footprint against everything committed
-//     since its base version (first committer wins; losers abort with
-//     the retryable Status::Conflict).
+//   - every writer runs on a private copy-on-write copy of a published
+//     version (Database's copy constructor shares every untouched
+//     class/object/shard — see database.h), and every commit publishes
+//     a private copy as the new head, so its cost is proportional to
+//     what the writer touched, not to database size. A writer that
+//     fails or is abandoned drops its copy: nothing it did is visible
+//     to anyone. Writers take one of two ways in. The exclusive one:
+//     one writer at a time holds a WriteGuard (the writer mutex plus a
+//     copy of the head) and publishes it with Commit(). The optimistic
+//     one: any number of OptimisticTransactions mutate their copies
+//     concurrently without holding any lock; CommitTransaction
+//     serializes only the validate+publish(+journal-enqueue) critical
+//     section, validating each transaction's write footprint against
+//     everything committed since its base version (first committer
+//     wins; losers abort with the retryable Status::Conflict).
 //
 // Version retirement is shared_ptr refcounting: when the last snapshot
 // pinning a version drops (and a newer version has been published), that
@@ -39,7 +41,8 @@
 // is not — the commit-serialization guarantee the query Engine
 // (query/session.h) builds group commit on: the order in which commits
 // publish (WriteGuard or CommitTransaction) is the order statements
-// reach the journal.
+// reach the journal, and a statement that never reaches the journal
+// never publishes.
 //
 // See docs/CONCURRENCY.md for the full protocol.
 #ifndef TCHIMERA_CORE_DB_VERSIONED_DB_H_
@@ -92,15 +95,14 @@ class ReadSnapshot {
   std::shared_ptr<const DbVersion> v_;
 };
 
-// Exclusive mutable access to the tip. Mutate through db(), then
-// Commit() to publish — Commit() also releases the writer lock (there
-// is deliberately no separate Release(): publishing outside the lock
-// was a version-ordering bug, so the two are fused). Calling Commit()
-// twice, or on a moved-from guard, is a hard error (abort). Destruction
-// without Commit() releases the lock and publishes nothing — but note
-// the tip keeps any mutation the guard made, which the next commit will
-// publish; the model's mutation path rejects bad statements before
-// touching state, so failed statements leave the tip unchanged.
+// Exclusive write access: the writer lock plus a private copy of the
+// head. Mutate through db(), then Commit() to publish the copy —
+// Commit() also releases the writer lock (there is deliberately no
+// separate Release(): publishing outside the lock was a
+// version-ordering bug, so the two are fused). Calling Commit() twice,
+// or on a moved-from guard, is a hard error (abort). Destruction
+// without Commit() releases the lock and discards the copy: nothing the
+// guard did is ever published.
 class WriteGuard {
  public:
   WriteGuard(WriteGuard&&) = default;
@@ -108,20 +110,25 @@ class WriteGuard {
   WriteGuard(const WriteGuard&) = delete;
   WriteGuard& operator=(const WriteGuard&) = delete;
 
-  Database& db() { return *tip_; }
-  // Publishes the tip as a new immutable version (copy-on-write copy)
-  // and releases the writer lock. Returns the new version number. Call
-  // at most once, only after the mutation succeeded.
-  uint64_t Commit();
+  Database& db() { return *db_; }
+  // Publishes the copy as the new head and releases the writer lock.
+  // Returns the new version number. `serialize` marks a commit that
+  // also changed state kept outside the Database (the engine's trigger
+  // and constraint definitions): like a schema change, it then
+  // conflicts with every transaction whose base predates it. Call at
+  // most once, only after the mutation succeeded.
+  uint64_t Commit(bool serialize = false);
 
  private:
   friend class VersionedDatabase;
-  WriteGuard(std::unique_lock<std::mutex> lock, Database* tip,
+  WriteGuard(std::unique_lock<std::mutex> lock, std::unique_ptr<Database> db,
              VersionedDatabase* owner)
-      : lock_(std::move(lock)), tip_(tip), owner_(owner) {}
+      : db_(std::move(db)), lock_(std::move(lock)), owner_(owner) {}
 
+  // Declared before lock_, so an abandoned copy is torn down after the
+  // writer lock is released.
+  std::unique_ptr<Database> db_;
   std::unique_lock<std::mutex> lock_;
-  Database* tip_ = nullptr;
   VersionedDatabase* owner_ = nullptr;
 };
 
@@ -171,7 +178,8 @@ class VersionedDatabase {
   // writer execution (publication swaps a pointer), and holding the
   // returned snapshot holds no lock.
   ReadSnapshot OpenSnapshot() const;
-  // Blocks until no other writer is active (never on readers).
+  // Blocks until no other writer is active (never on readers), then
+  // copies the head for the guard to mutate.
   WriteGuard BeginWrite();
 
   // Starts an optimistic transaction pinned at the currently published
@@ -192,9 +200,10 @@ class VersionedDatabase {
   //   2. runs `prepare` (if any) still under the mutex — the journal
   //      enqueue hook, so journal order equals commit order. A non-OK
   //      prepare aborts the commit without publishing;
-  //   3. folds the transaction's touched slots into the tip
-  //      (Database::AdoptChanges), publishes a new version, and records
-  //      the footprint for later validators.
+  //   3. publishes: the transaction's own copy when its base is still
+  //      the head, otherwise a copy of the head that adopts the
+  //      transaction's touched slots (Database::AdoptChanges); and
+  //      records the footprint for later validators.
   // On success the transaction is consumed (valid() becomes false) and
   // the new version number is returned. A base that has aged out of the
   // retained footprint window also aborts with Conflict.
@@ -214,19 +223,6 @@ class VersionedDatabase {
     return published_->version;
   }
 
-  // The mutable tip, bypassing the writer lock. Strictly for
-  // single-threaded phases (construction-time wiring, recovery replay
-  // before any reader exists) and for callers already inside a
-  // WriteGuard-derived exclusive section. Mutations made through this
-  // accessor are NOT visible to snapshots until the next publication —
-  // call PublishWriterState() (or commit a WriteGuard) afterwards.
-  Database& writer_db() { return *tip_; }
-  const Database& writer_db() const { return *tip_; }
-
-  // Publishes the current tip state as a new version (for
-  // single-threaded phases that mutated writer_db() directly).
-  uint64_t PublishWriterState();
-
  private:
   friend class WriteGuard;
 
@@ -237,16 +233,12 @@ class VersionedDatabase {
     WriteFootprint fp;
   };
 
-  // Publishes the tip; requires writer_mu_ held. Takes the tip's own
-  // accumulated footprint as the new version's footprint (the exclusive
-  // writer path: WriteGuard commits and PublishWriterState). When
-  // `retired` is non-null it receives the previous head, so the caller
-  // can drop the (possibly last) reference after releasing the mutex.
-  uint64_t PublishLocked(std::shared_ptr<const DbVersion>* retired = nullptr);
-  // Publishes the tip with an explicit footprint (the optimistic path,
-  // where the footprint came from the transaction's private copy).
-  uint64_t PublishWithFootprintLocked(
-      WriteFootprint fp, std::shared_ptr<const DbVersion>* retired = nullptr);
+  // Publishes `db` as the new head with footprint `fp`; requires
+  // writer_mu_ held. When `retired` is non-null it receives the previous
+  // head, so the caller can drop the (possibly last) reference after
+  // releasing the mutex.
+  uint64_t PublishLocked(std::unique_ptr<Database> db, WriteFootprint fp,
+                         std::shared_ptr<const DbVersion>* retired);
   // Appends to recent_, collapsing oversized footprints to `all` and
   // trimming the window. Requires writer_mu_ held.
   void RecordFootprintLocked(uint64_t version, WriteFootprint fp);
@@ -265,7 +257,6 @@ class VersionedDatabase {
     return published_;
   }
 
-  std::unique_ptr<Database> tip_;
   mutable std::mutex writer_mu_;
   // The committed-version chain head; retirement is plain refcounting.
   // Guarded by its own mutex, held only long enough to copy or swap the

@@ -121,7 +121,7 @@ size_t PlanCache::size() const {
 }
 
 Engine::Engine(std::unique_ptr<Database> db)
-    : vdb_(std::move(db)), active_(&vdb_.writer_db()) {}
+    : vdb_(std::move(db)), definitions_(nullptr) {}
 
 Session Engine::OpenSession() { return Session(this); }
 
@@ -155,18 +155,40 @@ uint64_t Engine::min_replicated_version() const {
 Status Engine::WithExclusive(
     const std::function<Status(Database&, ActiveDatabase&)>& fn) {
   WriteGuard guard = vdb_.BeginWrite();
-  Status status;
+  // A per-write facade over the guard's private copy, like the
+  // optimistic path's: `fn` may define triggers or constraints
+  // (statements, recovery replay), and those reach definitions_ only
+  // if `fn` succeeds. Lock order: writer lock (taken by BeginWrite
+  // above) before defs_mu_.
+  ActiveDatabase facade(&guard.db());
   {
-    // `fn` may define triggers/constraints (recovery replay), which
-    // optimistic writers copy under defs_mu_. Lock order: writer lock
-    // (taken by BeginWrite above) before defs_mu_.
     std::lock_guard<std::mutex> defs_lock(defs_mu_);
-    status = fn(guard.db(), active_);
+    facade.CopyDefinitionsFrom(definitions_);
   }
-  // Republish on success: `fn` may have mutated the tip (definition
-  // replay, surgery), and snapshots only ever see published versions.
-  if (status.ok()) guard.Commit();
-  return status;
+  const std::vector<std::string> before = facade.DefinitionStatements();
+  // On failure the guard drops its copy: nothing `fn` did is published.
+  TCH_RETURN_IF_ERROR(fn(guard.db(), facade));
+  const bool redefined = facade.DefinitionStatements() != before;
+  if (redefined) {
+    // Copied back before the publish, so every writer whose base is the
+    // new version also runs with the new definitions; writers based
+    // earlier conflict with it (Commit's `serialize`).
+    std::lock_guard<std::mutex> defs_lock(defs_mu_);
+    definitions_.CopyDefinitionsFrom(facade);
+  }
+  guard.Commit(redefined);
+  return Status::OK();
+}
+
+Status Engine::EnqueueLocked(const Statement& stmt, std::string_view text,
+                             CommitSink::Ticket* ticket) {
+  if (sink_ == nullptr || !TraitsOf(stmt.kind).durable) return Status::OK();
+  *ticket = sink_->Enqueue(text);
+  return ticket->seq == 0 ? ticket->status : Status::OK();
+}
+
+Status Engine::AwaitDurable(const CommitSink::Ticket& ticket) {
+  return ticket.seq == 0 ? Status::OK() : sink_->Await(ticket);
 }
 
 Result<std::string> Engine::ExecuteWrite(Statement* stmt,
@@ -175,10 +197,9 @@ Result<std::string> Engine::ExecuteWrite(Statement* stmt,
   const StatementTraits traits = TraitsOf(stmt->kind);
   if (sink_ != nullptr && traits.durable &&
       text.find('\n') != std::string_view::npos) {
-    // The journal frames one statement per line, and the exclusive path
-    // cannot roll an applied statement back: a statement the sink would
-    // refuse must be refused before anything is applied, or the refusal
-    // poisons the sink for every later writer.
+    // The journal frames one statement per line. The sink would accept
+    // this statement and then fail its batch, which poisons the sink for
+    // every later writer, so refuse it before it runs.
     return Status::InvalidArgument(
         "a durable statement cannot contain a raw newline");
   }
@@ -218,63 +239,41 @@ Result<std::string> Engine::TryOptimisticWrite(Statement* stmt,
   ActiveDatabase facade(&txn.db());
   {
     std::lock_guard<std::mutex> defs_lock(defs_mu_);
-    facade.CopyDefinitionsFrom(active_);
+    facade.CopyDefinitionsFrom(definitions_);
   }
-  Result<std::string> result = facade.ExecuteStatement(stmt);
-  if (!result.ok()) return result;  // rejected before mutating anything
+  TCH_ASSIGN_OR_RETURN(std::string out, facade.ExecuteStatement(stmt));
   CommitSink::Ticket ticket;
-  const bool durable = sink_ != nullptr && TraitsOf(stmt->kind).durable;
-  Result<uint64_t> committed = vdb_.CommitTransaction(
-      &txn, [this, text, durable, &ticket]() -> Status {
-        // Runs under the writer mutex, after validation succeeded:
-        // enqueue order is commit order. A fail-fast enqueue (closed or
-        // poisoned sink) aborts the commit before anything publishes —
-        // the optimistic path never applies a statement it cannot
-        // journal.
-        if (!durable) return Status::OK();
-        ticket = sink_->Enqueue(text);
-        if (ticket.seq == 0 && !ticket.status.ok()) return ticket.status;
-        return Status::OK();
-      });
-  if (!committed.ok()) return committed.status();
-  if (ticket.seq != 0) {
-    TCH_RETURN_IF_ERROR(sink_->Await(ticket));
-  }
-  return result;
+  // The prepare hook runs under the writer mutex, after validation
+  // succeeded: enqueue order is commit order, and a refused enqueue
+  // aborts the commit before anything publishes.
+  TCH_RETURN_IF_ERROR(
+      vdb_.CommitTransaction(&txn, [this, stmt, text, &ticket]() {
+            return EnqueueLocked(*stmt, text, &ticket);
+          })
+          .status());
+  TCH_RETURN_IF_ERROR(AwaitDurable(ticket));
+  return out;
 }
 
 Result<std::string> Engine::ExecuteWriteExclusive(Statement* stmt,
                                                   std::string_view text) {
-  WriteGuard guard = vdb_.BeginWrite();
-  // Definition verbs mutate active_'s registries; hold defs_mu_ so
-  // concurrent optimistic writers copy a consistent definition set.
-  std::unique_lock<std::mutex> defs_lock(defs_mu_);
-  Result<std::string> result = active_.ExecuteStatement(stmt);
-  defs_lock.unlock();
-  if (!result.ok()) return result;  // nothing mutated, nothing to publish
-  // Enqueue before releasing the lock: writers are serialized, so the
-  // sink receives statements in exactly commit order — replaying the
-  // journal reproduces the database (oids and all). The enqueue is a
-  // buffer append; the expensive part (fdatasync) happens in Await,
-  // outside the lock, where commits from concurrent sessions batch.
+  std::string out;
   CommitSink::Ticket ticket;
-  if (sink_ != nullptr && TraitsOf(stmt->kind).durable) {
-    ticket = sink_->Enqueue(text);
-  }
-  // Commit publishes the new version AND releases the writer lock (the
-  // two are fused — see WriteGuard). Await happens after, outside the
-  // lock. On any durability failure the statement *is* applied in
-  // memory but was never acknowledged as durable — the caller must
-  // treat the error as "not committed" (the sink is closed or poisoned
-  // and every later write fails too, so no acknowledged statement can
-  // ever depend on a lost one).
-  guard.Commit();
-  if (ticket.seq != 0) {
-    TCH_RETURN_IF_ERROR(sink_->Await(ticket));
-  } else if (!ticket.status.ok()) {
-    return ticket.status;  // enqueue failed fast: never entered a batch
-  }
-  return result;
+  // The enqueue is the last step inside the writer lock, so the sink
+  // receives statements in exactly commit order and a refused enqueue
+  // publishes nothing. Await happens after the lock is released, where
+  // commits from concurrent sessions batch into one fdatasync. On a
+  // durability failure there the statement *is* published but was never
+  // acknowledged: the caller must treat the error as "not committed"
+  // (the sink is closed or poisoned and every later write fails too, so
+  // no acknowledged statement can ever depend on a lost one).
+  TCH_RETURN_IF_ERROR(
+      WithExclusive([&](Database&, ActiveDatabase& facade) -> Status {
+        TCH_ASSIGN_OR_RETURN(out, facade.ExecuteStatement(stmt));
+        return EnqueueLocked(*stmt, text, &ticket);
+      }));
+  TCH_RETURN_IF_ERROR(AwaitDurable(ticket));
+  return out;
 }
 
 Result<std::string> Session::Execute(std::string_view statement) {
@@ -283,9 +282,10 @@ Result<std::string> Session::Execute(std::string_view statement) {
     Result<std::string> result =
         engine_->ExecuteWrite(&stmt, statement, write_retry_policy_);
     if (result.ok()) {
-      // Remember the engine tip for read-your-writes routing. The tip is
-      // >= our write's version (others may have committed since), which
-      // only errs toward routing the next read to the primary — safe.
+      // Remember the engine head for read-your-writes routing. The head
+      // is >= our write's version (others may have committed since),
+      // which only errs toward routing the next read to the primary —
+      // safe.
       last_write_version_ = engine_->version();
     }
     return result;

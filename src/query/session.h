@@ -10,26 +10,31 @@
 //               other reader; everything else goes to the Engine's write
 //               path with the parsed statement.
 //   Engine    — wraps the database in a VersionedDatabase (MVCC: reads
-//               are lock-free loads of the published version) and owns
-//               the ActiveDatabase facade (triggers, constraints,
-//               `check`). Writes run optimistically by default: the
-//               statement executes against a private OptimisticTransaction
-//               copy with no lock held, then CommitTransaction validates
-//               its write footprint against concurrently committed
-//               versions and — inside the only serialized span —
-//               enqueues the statement with the CommitSink (so journal
-//               order == commit order) and publishes. A validation loss
-//               (Status::Conflict) is retried a bounded number of times
-//               against a fresh base; persistent losers fall back to
-//               the exclusive WriteGuard path, which also serves the
-//               kinds TraitsOf marks needs_exclusive (define / drop /
-//               create index / trigger / constraint) outright. A
-//               durable statement with a raw newline is refused before
-//               it executes: the journal cannot frame it. Durability is
-//               awaited after the
-//               lock is released — the group-commit window: many
-//               sessions can be between enqueue and durable at once,
-//               and one fdatasync acknowledges them all.
+//               are lock-free loads of the published version) and holds
+//               the committed trigger and constraint definitions. Every
+//               write runs on a private copy of a published version,
+//               through a per-write ActiveDatabase facade (triggers,
+//               constraints, `check`) equipped with those definitions.
+//               Writes run optimistically by default: the statement
+//               executes against an OptimisticTransaction copy with no
+//               lock held, then CommitTransaction validates its write
+//               footprint against concurrently committed versions and —
+//               inside the only serialized span — enqueues the statement
+//               with the CommitSink (so journal order == commit order)
+//               and publishes. A validation loss (Status::Conflict) is
+//               retried a bounded number of times against a fresh base;
+//               persistent losers fall back to the exclusive path
+//               (WithExclusive: the writer lock held across execute,
+//               enqueue and publish), which also serves the kinds
+//               TraitsOf marks needs_exclusive (define / drop / create
+//               index / trigger / constraint) outright. On either path
+//               a statement that fails, or whose enqueue the sink
+//               refuses, publishes nothing. A durable statement with a
+//               raw newline is refused before it executes: the journal
+//               cannot frame it. Durability is awaited after the lock
+//               is released — the group-commit window: many sessions
+//               can be between enqueue and durable at once, and one
+//               fdatasync acknowledges them all.
 //   CommitSink — the durability boundary. storage/group_commit.h is the
 //               real implementation (cross-session group commit); a null
 //               sink (in-memory engines) acknowledges immediately.
@@ -219,19 +224,21 @@ class Engine {
   // The latest committed version.
   uint64_t version() const { return vdb_.version(); }
 
-  // Runs `fn` with the writer lock held (no concurrent writer; readers
-  // keep their pinned versions, which is all a checkpoint needs — the
-  // tip equals the last committed state). On success the tip is
-  // republished, so any mutation `fn` made becomes visible. The
-  // ActiveDatabase gives access to DefinitionStatements().
+  // The exclusive write: runs `fn` with the writer lock held (no
+  // concurrent writer; readers keep their pinned versions) on a private
+  // copy of the head, through a facade carrying the committed
+  // definitions. If `fn` succeeds the copy, and any definition `fn`
+  // made, is published as one commit; if it fails nothing is. A
+  // checkpoint runs here too: the copy equals the last committed state.
   Status WithExclusive(
       const std::function<Status(Database&, ActiveDatabase&)>& fn);
 
-  // The underlying database / facade, bypassing all locking. Strictly
-  // for single-threaded phases: recovery replay before sessions exist,
-  // test setup, teardown inspection.
-  Database& writer_db() { return vdb_.writer_db(); }
-  ActiveDatabase& active() { return active_; }
+  // The committed trigger and constraint definitions (its
+  // DefinitionStatements() is what a checkpoint persists). A registry
+  // only: it has no database and never executes. Read it only while no
+  // writer runs (setup, teardown, or from inside WithExclusive through
+  // the facade `fn` receives).
+  const ActiveDatabase& active() const { return definitions_; }
 
   // Optimistic commits that lost validation and were retried (includes
   // attempts that later succeeded). Tests and bench read this.
@@ -268,10 +275,19 @@ class Engine {
   // validate+publish. Status::Conflict means "lost the race, retry".
   Result<std::string> TryOptimisticWrite(Statement* stmt,
                                          std::string_view text);
-  // The serialized fallback: writer lock held across execute + enqueue +
-  // publish. Also the only path for needs_exclusive kinds.
+  // The serialized fallback: one statement through WithExclusive. Also
+  // the only path for needs_exclusive kinds.
   Result<std::string> ExecuteWriteExclusive(Statement* stmt,
                                             std::string_view text);
+  // Hands `stmt` to the sink when it is durable. Called under the writer
+  // lock, right before the publish, so journal order is commit order;
+  // a refused enqueue returns its status and the caller publishes
+  // nothing.
+  Status EnqueueLocked(const Statement& stmt, std::string_view text,
+                       CommitSink::Ticket* ticket);
+  // Waits for an enqueued ticket to become durable (OK for no ticket).
+  // Called after the writer lock is released.
+  Status AwaitDurable(const CommitSink::Ticket& ticket);
 
   // Replica leases (weak: a dropped lease is an unregistered replica).
   // Guarded by replicas_mu_; never taken together with any other engine
@@ -280,10 +296,11 @@ class Engine {
   mutable std::vector<std::weak_ptr<ReplicaLease>> replicas_;
 
   VersionedDatabase vdb_;
-  ActiveDatabase active_;
-  // Guards active_'s trigger/constraint definitions: optimistic writers
-  // copy them into per-transaction facades without holding the writer
-  // lock. Lock order: writer_mu_ (inside vdb_) before defs_mu_.
+  // The committed definitions (see active()). Only writer-lock holders
+  // change them; optimistic writers copy them into their facades without
+  // the writer lock, so both sides hold defs_mu_. Lock order: writer_mu_
+  // (inside vdb_) before defs_mu_.
+  ActiveDatabase definitions_;
   std::mutex defs_mu_;
   CommitSink* sink_ = nullptr;
   PlanCache plan_cache_;
@@ -331,7 +348,7 @@ class Session {
   ReadStaleness read_staleness() const { return read_staleness_; }
 
   // The primary version of this session's most recent successful write
-  // (0 = never wrote). Conservative: sampled from the engine tip after
+  // (0 = never wrote). Conservative: sampled from the engine head after
   // the write, so it is >= the write's own version — read-your-writes
   // stays safe, at worst a read is routed to the primary unnecessarily.
   uint64_t last_write_version() const { return last_write_version_; }

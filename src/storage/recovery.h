@@ -94,9 +94,9 @@ class RecoveryManager {
   // information-preserving — but no half-recovered database escapes.
   Result<std::unique_ptr<Database>> Recover(RecoveryStats* stats = nullptr);
 
-  // Full recovery into a ready engine: the replay runs on the engine's
-  // own facade inside one Engine::WithExclusive, so the recovered state
-  // (definitions included) is published once. Install the commit sink
+  // Full recovery into a ready engine: the replay runs inside one
+  // Engine::WithExclusive, so the recovered state (definitions included)
+  // is published once, and not at all if the replay fails. Install the commit sink
   // afterwards — the replay itself must not be re-journaled.
   Result<std::unique_ptr<Engine>> RecoverEngine(
       RecoveryStats* stats = nullptr);

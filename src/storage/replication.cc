@@ -544,10 +544,11 @@ void ReplicationShipper::AddReplica(Replica* replica, std::string name) {
 
 Status ReplicationShipper::PumpOnce() {
   for (Follower& follower : followers_) {
-    // Sample the primary tip BEFORE the fetch: if the fetch then ends at
-    // a drained horizon, every version <= tip is covered by what the
-    // replica has applied (see the watermark argument in the header).
-    const uint64_t tip = primary_ != nullptr ? primary_->version() : 0;
+    // Sample the primary's head version BEFORE the fetch: if the fetch
+    // then ends at a drained horizon, every version <= head is covered by
+    // what the replica has applied (see the watermark argument in the
+    // header).
+    const uint64_t head = primary_ != nullptr ? primary_->version() : 0;
     Result<ReplicationBatch> fetched = source_->Fetch(
         follower.replica->cursor(), options_.max_records_per_fetch);
     Status failure;
@@ -562,7 +563,7 @@ Status ReplicationShipper::PumpOnce() {
       const ReplicationBatch& batch = fetched.value();
       follower.caught_up = batch.at_horizon && batch.horizon.drained;
       if (follower.caught_up && follower.lease != nullptr) {
-        follower.lease->AdvanceReplicatedVersion(tip);
+        follower.lease->AdvanceReplicatedVersion(head);
       }
       continue;
     }

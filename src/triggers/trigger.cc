@@ -199,10 +199,11 @@ Result<std::string> ActiveDatabase::ExecuteStatement(Statement* stmt) {
 
 Result<std::string> ActiveDatabase::ExecuteInternal(
     Statement* stmt, std::vector<std::string>* chain) {
-  if (chain->size() > max_depth_) {
+  if (chain->size() > kMaxCascadeDepth) {
     std::string path = Join(*chain, " -> ");
     return Status::FailedPrecondition(
-        "trigger cascade exceeded depth " + std::to_string(max_depth_) +
+        "trigger cascade exceeded depth " +
+        std::to_string(kMaxCascadeDepth) +
         " (non-terminating rule set? chain: " + path + ")");
   }
   TCH_ASSIGN_OR_RETURN(std::string out, interp_.ExecuteStatement(stmt));

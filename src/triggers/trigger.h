@@ -51,9 +51,11 @@ struct Trigger {
 
 class ActiveDatabase {
  public:
+  // How deep trigger actions may cascade before the statement aborts.
+  static constexpr size_t kMaxCascadeDepth = 16;
+
   // Does not take ownership; `db` must outlive this facade.
-  explicit ActiveDatabase(Database* db, size_t max_cascade_depth = 16)
-      : db_(db), interp_(db), max_depth_(max_cascade_depth) {}
+  explicit ActiveDatabase(Database* db) : db_(db), interp_(db) {}
 
   Database& db() { return *db_; }
   const Database& db() const { return *db_; }
@@ -119,7 +121,6 @@ class ActiveDatabase {
 
   Database* db_;
   Interpreter interp_;
-  size_t max_depth_;
   std::vector<Trigger> triggers_;
   ConstraintRegistry constraints_;
   size_t fired_ = 0;

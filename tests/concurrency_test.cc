@@ -14,9 +14,11 @@
 #include <cstdint>
 #include <filesystem>
 #include <memory>
+#include <mutex>
 #include <random>
 #include <set>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -97,9 +99,20 @@ TEST(VersionedDbTest, SnapshotPinsVersionAndCommitBumpsIt) {
   EXPECT_EQ(after.version(), 1u);
   EXPECT_EQ(after.db().now(), 1);
 
-  // A guard dropped without Commit publishes nothing version-wise.
-  { WriteGuard abandoned = vdb.BeginWrite(); }
+  // A guard dropped without Commit publishes nothing, and its mutation
+  // leaves no trace: the next commit starts from the published head.
+  {
+    WriteGuard abandoned = vdb.BeginWrite();
+    abandoned.db().Tick(5);
+  }
   EXPECT_EQ(vdb.version(), 1u);
+  {
+    WriteGuard guard = vdb.BeginWrite();
+    EXPECT_EQ(guard.db().now(), 1);
+    guard.db().Tick();
+    EXPECT_EQ(guard.Commit(), 2u);
+  }
+  EXPECT_EQ(vdb.OpenSnapshot().db().now(), 2);
 }
 
 // Satellite regression: Commit() publishes under the writer lock and
@@ -123,8 +136,8 @@ TEST(VersionedDbDeathTest, CommitAfterReleaseIsAHardError) {
 // freed as soon as no snapshot pins it and a newer version exists.
 TEST(VersionedDbTest, RetiredVersionsFreeTheirDatabases) {
   const int64_t base = Database::live_instance_count();
-  VersionedDatabase vdb;  // the tip + the published version 0
-  EXPECT_EQ(Database::live_instance_count(), base + 2);
+  VersionedDatabase vdb;  // the published version 0, nothing else
+  EXPECT_EQ(Database::live_instance_count(), base + 1);
   {
     ReadSnapshot pinned = vdb.OpenSnapshot();
     for (int i = 0; i < 5; ++i) {
@@ -133,19 +146,19 @@ TEST(VersionedDbTest, RetiredVersionsFreeTheirDatabases) {
       guard.Commit();
     }
     // Intermediate versions 1..4 retired the moment their successor was
-    // published; alive: tip, pinned version 0, latest version 5.
+    // published; alive: pinned version 0, latest version 5.
     EXPECT_EQ(vdb.version(), 5u);
-    EXPECT_EQ(Database::live_instance_count(), base + 3);
+    EXPECT_EQ(Database::live_instance_count(), base + 2);
     EXPECT_EQ(pinned.db().now(), 0);
   }
   // Dropping the last pin retires version 0 too.
-  EXPECT_EQ(Database::live_instance_count(), base + 2);
+  EXPECT_EQ(Database::live_instance_count(), base + 1);
 }
 
 // Satellite: snapshot-retirement property test (run under ASan in CI).
 // After N random commit / open / drop steps, the process holds exactly
-// the Databases still reachable: the tip plus one per *distinct* version
-// some snapshot pins (or the published head). No retired version leaks.
+// the Databases still reachable: one per *distinct* version some
+// snapshot pins (or the published head). No retired version leaks.
 TEST(VersionedDbTest, SnapshotRetirementProperty) {
   const int64_t base = Database::live_instance_count();
   VersionedDatabase vdb;
@@ -176,11 +189,11 @@ TEST(VersionedDbTest, SnapshotRetirementProperty) {
     }
     pinned_versions.insert(vdb.version());  // the head is always alive
     ASSERT_EQ(Database::live_instance_count(),
-              base + 1 + static_cast<int64_t>(pinned_versions.size()))
+              base + static_cast<int64_t>(pinned_versions.size()))
         << "at step " << step << " with " << held.size() << " snapshots";
   }
   held.clear();
-  EXPECT_EQ(Database::live_instance_count(), base + 2);  // tip + head
+  EXPECT_EQ(Database::live_instance_count(), base + 1);  // the head
 }
 
 // ---------------------------------------------------------------------------
@@ -221,7 +234,7 @@ TEST(SessionTest, DirectSnapshotMatchesWriterState) {
   ReadSnapshot snap = session.snapshot();
   ASSERT_TRUE(snap.valid());
   EXPECT_EQ(snap.version(), engine.version());
-  EXPECT_EQ(snap.db().object_count(), engine.writer_db().object_count());
+  EXPECT_EQ(snap.db().object_count(), 1u);
   EXPECT_TRUE(CheckDatabaseConsistency(snap.db()).ok());
 }
 
@@ -288,7 +301,7 @@ TEST(ConcurrencyTest, StressReadersVsWriter) {
   EXPECT_EQ(monotonicity_violations.load(), 0);
   EXPECT_EQ(read_errors.load(), 0);
   EXPECT_EQ(engine.version(), static_cast<uint64_t>(kWrites) + 2);
-  EXPECT_TRUE(CheckDatabaseConsistency(engine.writer_db()).ok());
+  EXPECT_TRUE(CheckDatabaseConsistency(engine.OpenSnapshot().db()).ok());
 }
 
 // ---------------------------------------------------------------------------
@@ -353,14 +366,14 @@ TEST(ConcurrencyTest, SlowReaderDoesNotBlockWriters) {
   // With the reader still pinning its snapshot, all writes are already
   // committed and visible — the old protocol never got here.
   EXPECT_EQ(engine.version(), pinned_version + kWrites);
-  // The version chain retired as it went: only the tip, the published
-  // head and the reader's pinned version are alive, not kWrites copies.
-  EXPECT_LE(Database::live_instance_count(), live_before + 2);
+  // The version chain retired as it went: only the published head and
+  // the reader's pinned version are alive, not kWrites copies.
+  EXPECT_LE(Database::live_instance_count(), live_before + 1);
 
   writer_done.store(true, std::memory_order_release);
   slow_reader.join();
   EXPECT_EQ(reader_failures.load(), 0);
-  EXPECT_TRUE(CheckDatabaseConsistency(engine.writer_db()).ok());
+  EXPECT_TRUE(CheckDatabaseConsistency(engine.OpenSnapshot().db()).ok());
 }
 
 // ---------------------------------------------------------------------------
@@ -451,7 +464,7 @@ TEST(GroupCommitTest, MultiWriterJournalReplaysToIdenticalState) {
   ASSERT_EQ(stats.statements_applied,
             static_cast<size_t>(kThreads * kPerThread));
   EXPECT_EQ(SaveDatabaseToString(**replayed).value(),
-            SaveDatabaseToString(engine.writer_db()).value());
+            SaveDatabaseToString(engine.OpenSnapshot().db()).value());
 }
 
 // ---------------------------------------------------------------------------
@@ -691,13 +704,13 @@ TEST(EngineRecoveryTest, CheckpointPreservesDefinitionsAcrossRestart) {
 // the VersionedDatabase layer, then the engine-level conflict matrix the
 // TSan job exercises.
 
-// Primes a VersionedDatabase: executes `script` against the tip and
-// publishes the result as the base version.
+// Primes a VersionedDatabase: executes `script` through an exclusive
+// write and publishes the result as the base version.
 void Prime(VersionedDatabase* vdb, const std::string& script) {
-  Interpreter interp(&vdb->writer_db());
-  Result<std::string> out = interp.ExecuteScript(script);
+  WriteGuard guard = vdb->BeginWrite();
+  Result<std::string> out = Interpreter(&guard.db()).ExecuteScript(script);
   ASSERT_TRUE(out.ok()) << out.status();
-  vdb->PublishWriterState();
+  guard.Commit();
 }
 
 TEST(OptimisticTxnTest, DisjointWritersBothCommitWithoutConflict) {
@@ -722,7 +735,7 @@ TEST(OptimisticTxnTest, DisjointWritersBothCommitWithoutConflict) {
   EXPECT_EQ(vdb.conflict_count(), 0u);
   EXPECT_FALSE(t1.valid());  // consumed by the successful commit
 
-  // Both writes landed in the published tip.
+  // Both writes landed in the published head.
   ReadSnapshot snap = vdb.OpenSnapshot();
   Interpreter reader(const_cast<Database*>(&snap.db()));
   EXPECT_EQ(reader.Execute("select x.v from x in emp").value(), "10\n20");
@@ -1041,7 +1054,7 @@ TEST(ConcurrencyTest, AbortedThenRetriedWritersPreserveReplayEquality) {
   ASSERT_EQ(stats.statements_applied,
             static_cast<size_t>(kThreads * kPerThread));
   EXPECT_EQ(SaveDatabaseToString(**replayed).value(),
-            SaveDatabaseToString(engine.writer_db()).value());
+            SaveDatabaseToString(engine.OpenSnapshot().db()).value());
 }
 
 // ---------------------------------------------------------------------------
@@ -1142,7 +1155,8 @@ TEST(OptimisticTxnTest, SameIndexShardDisjointOidsBothCommit) {
   ASSERT_TRUE(Interpreter(&t2.db()).Execute("update i65 set v = 1065").ok());
   ASSERT_TRUE(vdb.CommitTransaction(&t1).ok());
   // Same index shard, disjoint oids: adoption re-derives i65's postings
-  // on the tip, so t1's index write is not lost and t2 still commits.
+  // on a copy of the head, so t1's index write is not lost and t2 still
+  // commits.
   Result<uint64_t> c2 = vdb.CommitTransaction(&t2);
   ASSERT_TRUE(c2.ok()) << c2.status();
 
@@ -1255,20 +1269,19 @@ TEST(ConcurrencyTest, IndexedWritersReplayToIdenticalIndexState) {
   ASSERT_TRUE(replayed.ok()) << replayed.status();
   EXPECT_EQ(stats.salvaged_bytes, 0u);
   EXPECT_EQ(SaveDatabaseToString(**replayed).value(),
-            SaveDatabaseToString(engine.writer_db()).value());
-  EXPECT_EQ((*replayed)->DebugDumpIndexes(),
-            engine.writer_db().DebugDumpIndexes());
-  EXPECT_EQ(engine.writer_db().DebugDumpIndexes(),
-            RebuiltIndexDump(engine.writer_db()));
+            SaveDatabaseToString(engine.OpenSnapshot().db()).value());
+  ReadSnapshot live = engine.OpenSnapshot();
+  EXPECT_EQ((*replayed)->DebugDumpIndexes(), live.db().DebugDumpIndexes());
+  EXPECT_EQ(live.db().DebugDumpIndexes(), RebuiltIndexDump(live.db()));
 }
 
 TEST(ConcurrencyTest, DisjointSplicersSharingIndexShardsMatchRebuild) {
   // Four optimistic writers splice the temporal histories of disjoint
   // oids, but writer w owns oids s + 64w for s in 1..8, so every index
   // shard they write is shared by all four: each commit's delta lands on
-  // a tip another writer just changed, and the copy-on-write posting
-  // chunks are shared between the writers' copies, the tip and every
-  // published version. A reader meanwhile probes pinned snapshots, which
+  // a head another writer just changed, and the copy-on-write posting
+  // chunks are shared between the writers' copies and every published
+  // version. A reader meanwhile probes pinned snapshots, which
   // must always agree with a scan of the same snapshot.
   constexpr int kWriters = 4;
   constexpr uint64_t kShardsUsed = 8;
@@ -1404,9 +1417,10 @@ TEST(ConcurrencyTest, CopiesStayIsolatedAcrossEverySpineGroup) {
 }
 
 TEST(ConcurrencyTest, SchemaChangingOptimisticCommitMatchesExclusive) {
-  // Writes in every shard plus index DDL: the optimistic commit adopts
-  // the transaction's spine root wholesale, and must land on the state
-  // the exclusive path builds from the same statements.
+  // Writes in every shard plus index DDL: the optimistic commit publishes
+  // the transaction's own copy (a schema footprint validates only when
+  // its base is the head), and must land on the state the exclusive path
+  // builds from the same statements.
   std::string script = "create index ev2 on emp (v)";
   for (uint64_t id = 1; id <= 64; ++id) {
     script += "\nupdate i" + std::to_string(id) + " set v = " +
@@ -1414,8 +1428,9 @@ TEST(ConcurrencyTest, SchemaChangingOptimisticCommitMatchesExclusive) {
   }
   script += "\ndelete i" + std::to_string(kSpineObjects);
   auto primed = [](VersionedDatabase* vdb) {
-    PopulateSpine(&vdb->writer_db());
-    vdb->PublishWriterState();
+    WriteGuard guard = vdb->BeginWrite();
+    PopulateSpine(&guard.db());
+    guard.Commit();
   };
 
   VersionedDatabase optimistic;
@@ -1435,7 +1450,7 @@ TEST(ConcurrencyTest, SchemaChangingOptimisticCommitMatchesExclusive) {
     guard.Commit();
   }
 
-  // A follow-up write on each side runs on the adopted spine.
+  // A follow-up write on each side runs on the published spine.
   for (VersionedDatabase* vdb : {&optimistic, &exclusive}) {
     OptimisticTransaction next = vdb->BeginTransaction();
     ASSERT_TRUE(Interpreter(&next.db()).Execute("update i3 set v = 5").ok());
@@ -1509,6 +1524,123 @@ TEST(OptimisticTxnTest, Tc202PredictionMatchesEngineConflicts) {
     ASSERT_TRUE(won.ok()) << won.status();
     EXPECT_EQ(vdb.conflict_count(), 0u);
   }
+}
+
+// ---------------------------------------------------------------------------
+// One commit path: whatever the live engine publishes is exactly what a
+// sequential replay of its journaled statements rebuilds.
+
+// A CommitSink that records every enqueued statement in commit order and
+// acknowledges at once.
+class RecordingSink : public CommitSink {
+ public:
+  Ticket Enqueue(std::string_view statement) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    statements_.emplace_back(statement);
+    return Ticket{statements_.size()};
+  }
+  Status Await(Ticket) override { return Status::OK(); }
+  std::vector<std::string> statements() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return statements_;
+  }
+
+ private:
+  mutable std::mutex mu_;
+  std::vector<std::string> statements_;
+};
+
+// The state hash of a fresh database after replaying `statements` one by
+// one through an ActiveDatabase — what a restart or a replica rebuilds.
+uint32_t ReplayHash(const std::vector<std::string>& statements) {
+  Database db;
+  ActiveDatabase active(&db);
+  for (const std::string& statement : statements) {
+    Status replayed = active.Execute(statement).status();
+    EXPECT_TRUE(replayed.ok()) << statement << ": " << replayed;
+  }
+  return DatabaseStateHash(db).value();
+}
+
+uint32_t LiveHash(const Engine& engine) {
+  return DatabaseStateHash(engine.OpenSnapshot().db()).value();
+}
+
+TEST(OneCommitPathTest, FailedExclusiveWriteLeavesNoTraceForLaterCommits) {
+  Engine engine;
+  RecordingSink sink;
+  engine.set_commit_sink(&sink);
+  Session session = engine.OpenSession();
+  ASSERT_TRUE(session.Execute(kSchema).ok());
+  ASSERT_TRUE(session.Execute("create emp (v: 1)").ok());
+  // The action parses but always fails to execute: no class `nosuch`.
+  ASSERT_TRUE(session
+                  .Execute("trigger broken on update of emp.v do "
+                           "create nosuch (v: 1)")
+                  .ok());
+
+  // The update applies, then its trigger action fails.
+  Status failed = engine.WithExclusive([](Database&, ActiveDatabase& active) {
+    return active.Execute("update i1 set v = 7").status();
+  });
+  ASSERT_FALSE(failed.ok());
+  EXPECT_NE(failed.message().find("broken"), std::string::npos) << failed;
+  EXPECT_EQ(session.Execute("select x.v from x in emp").value(), "1");
+  // A later commit publishes a copy of the head, not the failed write.
+  ASSERT_TRUE(session.Execute("tick 1").ok());
+  EXPECT_EQ(session.Execute("select x.v from x in emp").value(), "1");
+  EXPECT_EQ(LiveHash(engine), ReplayHash(sink.statements()));
+}
+
+// A trigger definition commits while an optimistic writer runs with the
+// definitions it copied before it. The writer's commit must not validate
+// over the definition: replay orders its update after the trigger, so
+// the trigger must also have fired live.
+TEST(OneCommitPathTest, DefinitionsSerializeAgainstOptimisticWriters) {
+  constexpr int kTriggers = 12;
+  Engine engine;
+  RecordingSink sink;
+  engine.set_commit_sink(&sink);
+  {
+    Session setup = engine.OpenSession();
+    ASSERT_TRUE(setup.Execute(kSchema).ok());
+    ASSERT_TRUE(
+        setup.Execute("define class logrec attributes n: integer end").ok());
+    ASSERT_TRUE(setup.Execute("create emp (v: 0)").ok());
+  }
+
+  std::atomic<bool> defined{false};
+  std::atomic<int> updates{0};
+  std::thread writer([&] {
+    Session session = engine.OpenSession();
+    // Keep updating until the definitions are done, plus a tail that runs
+    // entirely under the final definition set.
+    int after = 0;
+    for (int k = 1; after < 20; ++k) {
+      if (defined.load(std::memory_order_acquire)) ++after;
+      Result<std::string> out =
+          session.Execute("update i1 set v = " + std::to_string(k));
+      EXPECT_TRUE(out.ok()) << out.status();
+      updates.fetch_add(1, std::memory_order_release);
+    }
+  });
+  while (updates.load(std::memory_order_acquire) < 5) {
+    std::this_thread::yield();
+  }
+  Session definer = engine.OpenSession();
+  for (int i = 0; i < kTriggers; ++i) {
+    Result<std::string> out = definer.Execute(
+        "trigger log" + std::to_string(i) +
+        " on update of emp.v do create logrec (n: " + std::to_string(i) + ")");
+    ASSERT_TRUE(out.ok()) << out.status();
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  defined.store(true, std::memory_order_release);
+  writer.join();
+
+  EXPECT_EQ(engine.active().DefinitionStatements().size(),
+            static_cast<size_t>(kTriggers));
+  EXPECT_EQ(LiveHash(engine), ReplayHash(sink.statements()));
 }
 
 }  // namespace

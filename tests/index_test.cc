@@ -6,7 +6,7 @@
 //       deltas (split, half-full chunks);
 //   (b) a seeded differential of a few thousand writes through the
 //       optimistic and the exclusive commit paths: after every commit the
-//       tip's indexes dump exactly like a from-scratch rebuild, and the
+//       head's indexes dump exactly like a from-scratch rebuild, and the
 //       sequence provably splits chunks and empties chunks;
 //   (c) copy-on-write isolation: snapshots pinned before many later
 //       commits still dump exactly what they dumped when pinned;
@@ -269,7 +269,7 @@ class IndexWorkload {
 
   // One random write, committed through the optimistic path, the
   // exclusive path, or — as an interleaved pair of disjoint optimistic
-  // transactions — with the second adopting onto a tip that moved past
+  // transactions — with the second adopted onto a head that moved past
   // its base. Calls `after_commit` after every commit.
   template <typename Fn>
   void Step(VersionedDatabase* vdb, Fn&& after_commit) {
@@ -491,7 +491,7 @@ TEST(IndexDifferentialTest, PinnedSnapshotsKeepTheirIndexes) {
   while (commits < 600 && !HasFailure()) workload.Step(&vdb, pin);
   ASSERT_FALSE(HasFailure());
   ASSERT_GE(pinned.size(), 2u);
-  // Later commits rewrote the chunks these versions share with the tip;
+  // Later commits rewrote the chunks these versions share with the head;
   // copy-on-write must have left every pinned version's postings alone.
   for (const auto& [snap, dump] : pinned) {
     EXPECT_EQ(snap.db().DebugDumpIndexes(), dump)

@@ -867,10 +867,10 @@ TEST(ActiveRecoveryTest, RestartRefiresTriggersWhereverTheyAreStored) {
       ASSERT_TRUE(session.Execute("create emp (v: 1)").ok());
       ASSERT_EQ(session.Execute("select x.v from x in emp").value(), "42");
       sink.Close();
-      live_hash = DatabaseStateHash(engine.writer_db()).value();
+      ReadSnapshot live = engine.OpenSnapshot();
+      live_hash = DatabaseStateHash(live.db()).value();
       live_hash_with_definitions =
-          DatabaseStateHash(engine.writer_db(),
-                            engine.active().DefinitionStatements())
+          DatabaseStateHash(live.db(), engine.active().DefinitionStatements())
               .value();
     }
 
@@ -881,8 +881,9 @@ TEST(ActiveRecoveryTest, RestartRefiresTriggersWhereverTheyAreStored) {
 
     Result<std::unique_ptr<Engine>> engine = manager.RecoverEngine();
     ASSERT_TRUE(engine.ok()) << engine.status();
-    EXPECT_EQ(DatabaseStateHash((*engine)->writer_db()).value(), live_hash);
-    EXPECT_EQ(DatabaseStateHash((*engine)->writer_db(),
+    ReadSnapshot recovered = (*engine)->OpenSnapshot();
+    EXPECT_EQ(DatabaseStateHash(recovered.db()).value(), live_hash);
+    EXPECT_EQ(DatabaseStateHash(recovered.db(),
                                 (*engine)->active().DefinitionStatements())
                   .value(),
               live_hash_with_definitions);

@@ -200,8 +200,8 @@ TEST(ReplicationTest, ShipsWorkloadAndConvergesStateHash) {
   ASSERT_TRUE(shipper.DrainAll().ok());
 
   // Caught up => the watermark covers every committed version. Checked
-  // before the hashes: StateHashOf republishes the tip (WithExclusive),
-  // which bumps version().
+  // before the hashes: StateHashOf commits through WithExclusive, which
+  // bumps version().
   EXPECT_EQ(primary.engine->min_replicated_version(),
             primary.engine->version());
   EXPECT_EQ(StateHashOf(primary.engine.get()),
@@ -245,8 +245,10 @@ TEST(ReplicationTest, IndexDdlShipsAndReplicaRebuildsIdentically) {
 
   EXPECT_EQ(StateHashOf(primary.engine.get()),
             StateHashOf(&replica.value()->engine()));
-  const Database& pdb = primary.engine->writer_db();
-  const Database& rdb = replica.value()->engine().writer_db();
+  ReadSnapshot primary_snap = primary.engine->OpenSnapshot();
+  ReadSnapshot replica_snap = replica.value()->engine().OpenSnapshot();
+  const Database& pdb = primary_snap.db();
+  const Database& rdb = replica_snap.db();
   ASSERT_NE(rdb.GetIndexDef("psal"), nullptr);
   EXPECT_EQ(rdb.GetIndexDef("plife"), nullptr);  // dropped before drain
   EXPECT_EQ(pdb.DebugDumpIndexes(), rdb.DebugDumpIndexes());
@@ -549,6 +551,46 @@ TEST(ReplicationTest, PromotionFencesOldPrimary) {
   ReplicationBatch stale;
   EXPECT_EQ(promoted.Apply(stale).code(), StatusCode::kFailedPrecondition);
   new_sink.Close();
+}
+
+// A fenced sink refuses every durable statement, and a refused statement
+// publishes nothing: no snapshot, no later commit and no checkpoint of
+// the ex-primary ever holds what its journal could not record — on the
+// exclusive path (definitions) exactly as on the optimistic one.
+TEST(ReplicationTest, FencedSinkRefusesDefinitionsWithoutPublishing) {
+  EpochFence fence;
+  Primary primary = Primary::Start(FreshDir("fence_ddl_primary"));
+  primary.sink->AttachFence(&fence, /*authority_token=*/0);
+  Session session = primary.engine->OpenSession();
+  ASSERT_TRUE(
+      session.Execute("define class emp attributes v: integer end").ok());
+  const uint64_t version = primary.engine->version();
+
+  fence.Fence(1);  // a promotion elsewhere revoked this node's authority
+  for (const std::string& refused :
+       {std::string("define class dept attributes n: integer end"),
+        std::string("trigger audit on create of emp do tick 1"),
+        std::string("create emp (v: 1)")}) {
+    Result<std::string> out = session.Execute(refused);
+    ASSERT_FALSE(out.ok()) << refused;
+    EXPECT_EQ(out.status().code(), StatusCode::kFailedPrecondition)
+        << out.status();
+  }
+  EXPECT_EQ(primary.engine->version(), version);
+  ReadSnapshot snap = primary.engine->OpenSnapshot();
+  EXPECT_EQ(snap.db().GetClass("dept"), nullptr);
+  EXPECT_EQ(snap.db().object_count(), 0u);
+  EXPECT_TRUE(primary.engine->active().DefinitionStatements().empty());
+  // The next commit (an unjournaled exclusive write) publishes a copy of
+  // the head, which does not carry the refused definition either.
+  ASSERT_TRUE(primary.engine
+                  ->WithExclusive([](Database& db, ActiveDatabase& active) {
+                    EXPECT_EQ(db.GetClass("dept"), nullptr);
+                    EXPECT_TRUE(active.DefinitionStatements().empty());
+                    return Status::OK();
+                  })
+                  .ok());
+  EXPECT_EQ(primary.engine->OpenSnapshot().db().GetClass("dept"), nullptr);
 }
 
 // ---------------------------------------------------------------------------

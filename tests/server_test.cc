@@ -456,7 +456,7 @@ uint32_t RecoverAndHash(const std::string& dir) {
   EXPECT_TRUE(engine.ok()) << engine.status().ToString();
   if (!engine.ok()) return 0;
   Result<uint32_t> hash =
-      DatabaseStateHash((*engine)->writer_db(),
+      DatabaseStateHash((*engine)->OpenSnapshot().db(),
                         (*engine)->active().DefinitionStatements());
   EXPECT_TRUE(hash.ok()) << hash.status().ToString();
   return hash.ok() ? hash.value() : 0;

@@ -139,7 +139,8 @@ int Verify(const std::string& dir) {
     std::printf("NOT RECOVERABLE: %s\n", engine.status().ToString().c_str());
     return 1;
   }
-  const Database& db = (*engine)->writer_db();
+  ReadSnapshot snap = (*engine)->OpenSnapshot();
+  const Database& db = snap.db();
   std::printf("OK: recovers to a consistent database "
               "(%zu objects, now = %lld)\n",
               db.object_count(), static_cast<long long>(db.now()));
@@ -214,10 +215,10 @@ int VerifyReplica(const std::string& replica_dir,
     return 1;
   }
   auto replica_hash =
-      DatabaseStateHash(replica.engine->writer_db(),
+      DatabaseStateHash(replica.engine->OpenSnapshot().db(),
                         replica.engine->active().DefinitionStatements());
   auto primary_hash =
-      DatabaseStateHash(primary.engine->writer_db(),
+      DatabaseStateHash(primary.engine->OpenSnapshot().db(),
                         primary.engine->active().DefinitionStatements());
   if (!replica_hash.ok() || !primary_hash.ok()) {
     std::printf("state hash failed: %s\n",

@@ -108,7 +108,7 @@ int main(int argc, char** argv) {
     }
     engine = std::move(recovered).value();
     std::fprintf(stderr, "recovered: %zu objects, %zu statement(s)\n",
-                 engine->writer_db().object_count(),
+                 engine->OpenSnapshot().db().object_count(),
                  stats.statements_applied);
     tchimera::JournalOptions journal_options;
     journal_options.epoch = stats.next_epoch;
