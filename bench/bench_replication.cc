@@ -138,7 +138,7 @@ bool MeasureDrain(const BenchPrimary& primary, size_t batch,
   ReplicationShipper::Options opts;
   opts.max_records_per_fetch = batch;
   opts.sleeper = [](std::chrono::microseconds) {};
-  ReplicationShipper shipper(&source, primary.engine.get(), opts);
+  ReplicationShipper shipper(&source, opts);
   shipper.AddReplica(replica.value().get(), "bench");
   const double start = NowMicros();
   if (!shipper.DrainAll().ok()) return false;

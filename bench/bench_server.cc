@@ -81,7 +81,7 @@ void BM_FrameEncodeDecode(benchmark::State& state) {
   FrameReader reader(1 << 20);
   Frame frame;
   for (auto _ : state) {
-    std::string encoded = EncodeRequest(statement, 0);
+    std::string encoded = EncodeRequest(statement);
     reader.Feed(encoded);
     if (reader.Next(&frame) != FrameReader::Outcome::kFrame) {
       state.SkipWithError("decode failed");

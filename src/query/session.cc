@@ -125,33 +125,6 @@ Engine::Engine(std::unique_ptr<Database> db)
 
 Session Engine::OpenSession() { return Session(this); }
 
-std::shared_ptr<ReplicaLease> Engine::RegisterReplica(std::string name) {
-  auto lease = std::make_shared<ReplicaLease>(std::move(name));
-  std::lock_guard<std::mutex> lock(replicas_mu_);
-  replicas_.push_back(lease);
-  return lease;
-}
-
-uint64_t Engine::min_replicated_version() const {
-  std::lock_guard<std::mutex> lock(replicas_mu_);
-  uint64_t min_version = 0;
-  bool any = false;
-  size_t live = 0;
-  for (size_t i = 0; i < replicas_.size(); ++i) {
-    std::shared_ptr<ReplicaLease> lease = replicas_[i].lock();
-    if (!lease) continue;  // decommissioned replica: drop from the set
-    if (live != i) replicas_[live] = std::move(replicas_[i]);  // no self-move
-    ++live;
-    uint64_t v = lease->replicated_version();
-    min_version = any ? std::min(min_version, v) : v;
-    any = true;
-  }
-  replicas_.resize(live);
-  // No replicas => nothing can lag: every committed version counts as
-  // replicated, and read-your-writes routing degenerates to "always OK".
-  return any ? min_version : vdb_.version();
-}
-
 Status Engine::WithExclusive(
     const std::function<Status(Database&, ActiveDatabase&)>& fn) {
   WriteGuard guard = vdb_.BeginWrite();
@@ -279,16 +252,7 @@ Result<std::string> Engine::ExecuteWriteExclusive(Statement* stmt,
 Result<std::string> Session::Execute(std::string_view statement) {
   TCH_ASSIGN_OR_RETURN(Statement stmt, ParseStatement(statement));
   if (!TraitsOf(stmt.kind).read) {
-    Result<std::string> result =
-        engine_->ExecuteWrite(&stmt, statement, write_retry_policy_);
-    if (result.ok()) {
-      // Remember the engine head for read-your-writes routing. The head
-      // is >= our write's version (others may have committed since),
-      // which only errs toward routing the next read to the primary —
-      // safe.
-      last_write_version_ = engine_->version();
-    }
-    return result;
+    return engine_->ExecuteWrite(&stmt, statement, write_retry_policy_);
   }
   // Read path: pin a snapshot and evaluate on this thread, concurrently
   // with other readers. The snapshot is const; the read executor takes

@@ -42,11 +42,10 @@
 // A Session is NOT thread-safe — it is the per-client handle. The Engine
 // is: any number of sessions on any threads may execute concurrently.
 //
-// See docs/CONCURRENCY.md for the full protocol and tuning knobs.
+// See docs/CONCURRENCY.md for the full protocol.
 #ifndef TCHIMERA_QUERY_SESSION_H_
 #define TCHIMERA_QUERY_SESSION_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -55,7 +54,6 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <vector>
 
 #include "common/result.h"
 #include "core/db/versioned_db.h"
@@ -156,51 +154,10 @@ struct WriteRetryPolicy {
 
 class Session;
 
-// A primary-side handle tracking how far one replica has provably
-// replayed, in primary MVCC versions. The shipping pump
-// (storage/replication.h) advances it whenever a replica reaches a
-// drained durable horizon; Engine::min_replicated_version() aggregates
-// the leases into the watermark that decides read-your-writes routing.
-// Monotone and lock-free on both sides.
-class ReplicaLease {
- public:
-  explicit ReplicaLease(std::string name) : name_(std::move(name)) {}
-  const std::string& name() const { return name_; }
-
-  // The highest primary version this replica is known to reflect.
-  uint64_t replicated_version() const {
-    return version_.load(std::memory_order_acquire);
-  }
-
-  // Monotone advance (a stale pump round can never move a lease back).
-  void AdvanceReplicatedVersion(uint64_t version) {
-    uint64_t cur = version_.load(std::memory_order_relaxed);
-    while (cur < version &&
-           !version_.compare_exchange_weak(cur, version,
-                                           std::memory_order_acq_rel)) {
-    }
-  }
-
- private:
-  std::string name_;
-  std::atomic<uint64_t> version_{0};
-};
-
-// How stale a read a session tolerates when the deployment routes reads
-// to replicas (see docs/REPLICATION.md).
-enum class ReadStaleness {
-  // Replica reads are admissible only when every registered replica has
-  // replayed past this session's last write (the default: a client never
-  // fails to see its own writes).
-  kReadYourWrites,
-  // Any replica snapshot will do; the client accepts bounded lag.
-  kEventual,
-};
-
 class Engine {
  public:
   // Wraps `db` (nullptr = a fresh database). Trigger cascades are
-  // bounded by ActiveDatabase's default depth.
+  // bounded by ActiveDatabase::kMaxCascadeDepth.
   explicit Engine(std::unique_ptr<Database> db = nullptr);
 
   Engine(const Engine&) = delete;
@@ -244,19 +201,6 @@ class Engine {
   // attempts that later succeeded). Tests and bench read this.
   uint64_t conflict_count() const { return vdb_.conflict_count(); }
 
-  // Registers a replica with this (primary) engine and returns its
-  // lease. The engine holds only a weak reference: dropping the returned
-  // shared_ptr (replica decommissioned) removes the replica from the
-  // watermark with no explicit unregister call.
-  std::shared_ptr<ReplicaLease> RegisterReplica(std::string name);
-
-  // The replicated watermark: the highest version every *live* replica
-  // is known to reflect (minimum over the registered leases). With no
-  // replicas registered, returns version() — there is nobody lagging, so
-  // every committed version is "replicated". Expired leases are pruned
-  // in passing.
-  uint64_t min_replicated_version() const;
-
   // The engine-wide compiled-statement cache (see PlanCache). Sessions
   // consult it on the read path; DDL invalidates through the schema
   // version each pinned snapshot carries (Database::schema_version).
@@ -288,12 +232,6 @@ class Engine {
   // Waits for an enqueued ticket to become durable (OK for no ticket).
   // Called after the writer lock is released.
   Status AwaitDurable(const CommitSink::Ticket& ticket);
-
-  // Replica leases (weak: a dropped lease is an unregistered replica).
-  // Guarded by replicas_mu_; never taken together with any other engine
-  // lock, so it cannot participate in a lock cycle.
-  mutable std::mutex replicas_mu_;
-  mutable std::vector<std::weak_ptr<ReplicaLease>> replicas_;
 
   VersionedDatabase vdb_;
   // The committed definitions (see active()). Only writer-lock holders
@@ -339,28 +277,6 @@ class Session {
   // A pinned read view for direct (C++ API) reads.
   ReadSnapshot snapshot() const { return engine_->OpenSnapshot(); }
 
-  // Read routing policy for deployments with replicas. The session only
-  // *answers* the routing question (CanReadFromReplica); actually sending
-  // the read to a replica's engine is the front end's move.
-  void set_read_staleness(ReadStaleness staleness) {
-    read_staleness_ = staleness;
-  }
-  ReadStaleness read_staleness() const { return read_staleness_; }
-
-  // The primary version of this session's most recent successful write
-  // (0 = never wrote). Conservative: sampled from the engine head after
-  // the write, so it is >= the write's own version — read-your-writes
-  // stays safe, at worst a read is routed to the primary unnecessarily.
-  uint64_t last_write_version() const { return last_write_version_; }
-
-  // True when this session's staleness policy admits serving its next
-  // read from a replica: always for kEventual; for kReadYourWrites, only
-  // once the replicated watermark has passed the session's last write.
-  bool CanReadFromReplica() const {
-    if (read_staleness_ == ReadStaleness::kEventual) return true;
-    return engine_->min_replicated_version() >= last_write_version_;
-  }
-
  private:
   friend class Engine;
   explicit Session(Engine* engine) : engine_(engine) {}
@@ -376,8 +292,6 @@ class Session {
   Engine* engine_;
   bool compile_enabled_ = true;
   WriteRetryPolicy write_retry_policy_;
-  ReadStaleness read_staleness_ = ReadStaleness::kReadYourWrites;
-  uint64_t last_write_version_ = 0;
 };
 
 }  // namespace tchimera

@@ -87,8 +87,7 @@ Status Client::ReadFrame(Frame* frame) {
 Result<std::string> Client::Execute(std::string_view statement) {
   last_error_retryable_ = false;
   std::string payload;
-  payload.push_back(static_cast<char>(
-      options_.eventual_reads ? kFlagEventualRead : 0));
+  payload.push_back('\0');  // reserved flags byte (wire.h)
   payload.append(statement);
   TCH_RETURN_IF_ERROR(SendFrame(FrameType::kRequest, payload));
   Frame reply;

@@ -28,9 +28,6 @@ struct ClientOptions {
   int timeout_ms = 30000;
   // Largest reply frame this client will accept.
   size_t max_frame_bytes = 16 << 20;
-  // Set on every request: the client tolerates bounded staleness, so the
-  // server may route reads to a replica.
-  bool eventual_reads = false;
   // ExecuteRetrying: attempts and backoff schedule (doubling from
   // initial, capped). Deterministic — clients that need herd-avoiding
   // jitter layer it on top.

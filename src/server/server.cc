@@ -51,7 +51,6 @@ struct Conn {
 struct Task {
   uint64_t conn_id = 0;
   std::string statement;
-  uint8_t flags = 0;
 };
 
 struct Completion {
@@ -187,7 +186,7 @@ struct Server::Impl {
       return SendErrorAndClose(c, StatusCode::kInvalidArgument, false,
                                "request frame missing flags byte");
     }
-    uint8_t flags = static_cast<unsigned char>(payload[0]);
+    // Byte 0 is the reserved flags byte (wire.h): ignored.
     std::string statement = payload.substr(1);
 
     // Admission: a full task queue rejects everything...
@@ -223,7 +222,7 @@ struct Server::Impl {
     c->in_flight = true;
     {
       std::lock_guard<std::mutex> lk(task_mu);
-      tasks.push_back(Task{c->id, std::move(statement), flags});
+      tasks.push_back(Task{c->id, std::move(statement)});
     }
     task_cv.notify_one();
     return true;
@@ -414,9 +413,6 @@ struct Server::Impl {
         task = std::move(tasks.front());
         tasks.pop_front();
       }
-      session.set_read_staleness((task.flags & kFlagEventualRead) != 0
-                                     ? ReadStaleness::kEventual
-                                     : ReadStaleness::kReadYourWrites);
       Result<std::string> result =
           Status::Unavailable("request not executed");
       bool exhausted = false;

@@ -49,9 +49,9 @@ std::string EncodeHello() {
   return out;
 }
 
-std::string EncodeRequest(std::string_view statement, uint8_t flags) {
+std::string EncodeRequest(std::string_view statement) {
   std::string payload;
-  payload.push_back(static_cast<char>(flags));
+  payload.push_back('\0');  // reserved flags byte
   payload.append(statement);
   std::string out;
   AppendFrame(&out, FrameType::kRequest, payload);

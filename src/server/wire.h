@@ -13,9 +13,8 @@
 //            payload = protocol_version:u32le
 //   kRequest (client→server)
 //            payload = flags:u8  statement-bytes (UTF-8 TQL)
-//            flags bit 0 (kFlagEventualRead): the client tolerates
-//            bounded staleness for this read — the server may route it
-//            to a replica (Session::set_read_staleness(kEventual)).
+//            flags is reserved: clients send 0 and the server ignores
+//            it, whatever its value.
 //   kResult  (server→client) payload = result text of a successful
 //            statement (the same text Session::Execute returns —
 //            values/results rendered by the engine's printer, which is
@@ -55,9 +54,6 @@ enum class FrameType : uint8_t {
   kPong = 6,
 };
 
-// Request flags (payload byte 0 of kRequest).
-inline constexpr uint8_t kFlagEventualRead = 0x01;
-
 struct Frame {
   FrameType type = FrameType::kRequest;
   std::string payload;
@@ -69,7 +65,8 @@ void AppendFrame(std::string* out, FrameType type, std::string_view payload);
 
 // Convenience encoders.
 std::string EncodeHello();
-std::string EncodeRequest(std::string_view statement, uint8_t flags);
+// A kRequest frame with the reserved flags byte 0.
+std::string EncodeRequest(std::string_view statement);
 void AppendError(std::string* out, StatusCode code, bool retryable,
                  std::string_view message);
 

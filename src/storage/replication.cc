@@ -516,39 +516,30 @@ Result<Replica::Promotion> Replica::Promote(EpochFence* fence) {
 // ReplicationShipper
 
 ReplicationShipper::ReplicationShipper(ReplicationSource* source,
-                                       Engine* primary, Options options)
-    : source_(source), primary_(primary), options_(std::move(options)) {
+                                       Options options)
+    : source_(source), options_(std::move(options)) {
   if (!options_.sleeper) {
     options_.sleeper = [](std::chrono::microseconds delay) {
       std::this_thread::sleep_for(delay);
     };
   }
-  if (options_.resync_after_failures == 0) options_.resync_after_failures = 1;
   if (options_.max_records_per_fetch == 0) options_.max_records_per_fetch = 1;
 }
 
-void ReplicationShipper::AddReplica(Replica* replica, std::string name) {
+void ReplicationShipper::AddReplica(Replica* replica,
+                                    const std::string& name) {
   Follower follower;
   follower.replica = replica;
-  follower.name = name;
   // Per-replica seed: identically configured followers must not share a
   // jitter stream (see SeededFor) — after a primary restart they would
   // all retry in lockstep.
   follower.backoff =
       ExponentialBackoff(ExponentialBackoff::SeededFor(options_.backoff, name));
-  if (primary_ != nullptr) {
-    follower.lease = primary_->RegisterReplica(std::move(name));
-  }
   followers_.push_back(std::move(follower));
 }
 
 Status ReplicationShipper::PumpOnce() {
   for (Follower& follower : followers_) {
-    // Sample the primary's head version BEFORE the fetch: if the fetch
-    // then ends at a drained horizon, every version <= head is covered by
-    // what the replica has applied (see the watermark argument in the
-    // header).
-    const uint64_t head = primary_ != nullptr ? primary_->version() : 0;
     Result<ReplicationBatch> fetched = source_->Fetch(
         follower.replica->cursor(), options_.max_records_per_fetch);
     Status failure;
@@ -559,12 +550,8 @@ Status ReplicationShipper::PumpOnce() {
     }
     if (failure.ok()) {
       follower.backoff.Reset();
-      follower.consecutive_failures = 0;
       const ReplicationBatch& batch = fetched.value();
       follower.caught_up = batch.at_horizon && batch.horizon.drained;
-      if (follower.caught_up && follower.lease != nullptr) {
-        follower.lease->AdvanceReplicatedVersion(head);
-      }
       continue;
     }
     follower.caught_up = false;
@@ -579,11 +566,7 @@ Status ReplicationShipper::PumpOnce() {
 Status ReplicationShipper::HandleRetryable(Follower* follower,
                                            const Status& /*cause*/) {
   ++retries_;
-  ++follower->consecutive_failures;
   options_.sleeper(follower->backoff.NextDelay());
-  if (follower->consecutive_failures < options_.resync_after_failures) {
-    return Status::OK();  // plain retry on the next pump
-  }
   Result<ReplicationSource::CheckpointImage> image =
       source_->FetchCheckpoint();
   if (!image.ok()) {
@@ -595,7 +578,6 @@ Status ReplicationShipper::HandleRetryable(Follower* follower,
   }
   TCH_RETURN_IF_ERROR(follower->replica->InstallCheckpoint(image.value()));
   ++resyncs_;
-  follower->consecutive_failures = 0;
   follower->backoff.Reset();
   return Status::OK();
 }

@@ -26,12 +26,9 @@
 //       recovery after a crash — and a checkpoint resync — is ordinary
 //       RecoveryManager::RecoverEngine.
 //
-//   ReplicationShipper — the pump. Drives one source into N replicas,
-//       translates failures into bounded-exponential-backoff retries and
-//       checkpoint resyncs, and maintains each replica's lease on the
-//       primary Engine so Engine::min_replicated_version() /
-//       Session::CanReadFromReplica() implement read-your-writes vs
-//       eventual read routing (query/session.h).
+//   ReplicationShipper — the pump. Drives one source into N replicas
+//       and translates failures into bounded-exponential-backoff
+//       retries and checkpoint resyncs.
 //
 // Failure handling is the point:
 //
@@ -47,16 +44,7 @@
 //     every Enqueue and checkpoint (storage/group_commit.h) — a
 //     recovered ex-primary cannot double-serve.
 //
-// Watermark correctness argument (why the lease update is sound): a
-// statement's journal record is always enqueued before its version is
-// published (both engine commit paths). So if the shipper samples the
-// primary version V, then samples a *drained* horizon H (every accepted
-// statement durable), every version <= V has its record at or below H;
-// a replica that has applied through H therefore reflects every version
-// <= V, and V is a safe replicated watermark for it.
-//
-// See docs/REPLICATION.md for topology, staleness semantics and the
-// promotion protocol.
+// See docs/REPLICATION.md for topology and the promotion protocol.
 #ifndef TCHIMERA_STORAGE_REPLICATION_H_
 #define TCHIMERA_STORAGE_REPLICATION_H_
 
@@ -187,7 +175,7 @@ struct ReplicationBatch {
   // up, poll again later".
   bool at_horizon = false;
   // The horizon sampled for this fetch (drained flag included) — the
-  // shipper's watermark rule needs it.
+  // shipper's caught-up test needs it.
   JournalHorizon horizon;
   // Cursor after consuming this batch.
   ReplicationCursor next;
@@ -294,7 +282,7 @@ class Replica {
   // The stream position the replica needs next.
   const ReplicationCursor& cursor() const { return cursor_; }
 
-  // Snapshot-isolated reads at the replicated watermark. Lock-free.
+  // Snapshot-isolated reads of what the replica has applied. Lock-free.
   ReadSnapshot OpenSnapshot() const { return engine_->OpenSnapshot(); }
   // Read-only sessions over the replica's engine (the replica accepts no
   // writes until promoted; executing writes through this engine is the
@@ -302,10 +290,6 @@ class Replica {
   Engine& engine() { return *engine_; }
   const Engine& engine() const { return *engine_; }
 
-  // Replica-local MVCC version (one bump per applied statement since
-  // open/resync). Monotone; purely informational — cross-node watermark
-  // comparisons use primary versions via the shipper's leases.
-  uint64_t applied_version() const { return engine_->version(); }
   uint64_t statements_applied() const { return statements_applied_; }
   uint64_t checkpoints_installed() const { return checkpoints_installed_; }
   const std::string& dir() const { return dir_; }
@@ -347,33 +331,25 @@ class Replica {
 // Shipper
 
 // Drives one source into N replicas: fetch, apply, translate failures
-// into backoff + resync, maintain the primary-side leases that feed
-// Engine::min_replicated_version(). Single-threaded per shipper (run it
-// on its own thread to pump continuously); multiple shippers may share a
-// source.
+// into backoff + resync. Single-threaded per shipper (run it on its own
+// thread to pump continuously); multiple shippers may share a source.
 class ReplicationShipper {
  public:
   struct Options {
     size_t max_records_per_fetch = 256;
     ExponentialBackoff::Options backoff;
-    // Consecutive failures on a replica before resync-from-checkpoint is
-    // attempted (transient glitches get a plain retry first).
-    size_t resync_after_failures = 1;
     // Injected sleeper for the backoff delays (tests pass a recorder;
     // the default really sleeps).
     std::function<void(std::chrono::microseconds)> sleeper;
   };
 
-  // `primary` may be null (no watermark maintenance — offline shipping).
-  ReplicationShipper(ReplicationSource* source, Engine* primary)
-      : ReplicationShipper(source, primary, Options()) {}
-  ReplicationShipper(ReplicationSource* source, Engine* primary,
-                     Options options);
+  explicit ReplicationShipper(ReplicationSource* source)
+      : ReplicationShipper(source, Options()) {}
+  ReplicationShipper(ReplicationSource* source, Options options);
 
-  // Registers a follower. A lease named `name` is taken on the primary
-  // engine (when one is attached) and released when the shipper is
-  // destroyed or the replica removed.
-  void AddReplica(Replica* replica, std::string name);
+  // Registers a follower. `name` seeds its backoff jitter (see
+  // ExponentialBackoff::SeededFor).
+  void AddReplica(Replica* replica, const std::string& name);
 
   // One fetch+apply round per replica. Returns the first hard
   // (non-retryable) failure; retryable conditions are handled internally
@@ -390,20 +366,16 @@ class ReplicationShipper {
  private:
   struct Follower {
     Replica* replica = nullptr;
-    std::string name;
-    std::shared_ptr<ReplicaLease> lease;  // null without a primary engine
     ExponentialBackoff backoff;
-    size_t consecutive_failures = 0;
     bool caught_up = false;  // last pump ended at a drained horizon
   };
 
-  // Handles a retryable failure on `f`: backoff sleep, then (past the
-  // threshold) resync from checkpoint. Returns a hard error only when
-  // resync itself fails non-retryably.
+  // Handles a retryable failure on `f`: backoff sleep, then resync from
+  // checkpoint. Returns a hard error only when resync itself fails
+  // non-retryably.
   Status HandleRetryable(Follower* f, const Status& cause);
 
   ReplicationSource* source_;
-  Engine* primary_;
   Options options_;
   std::vector<Follower> followers_;
   uint64_t resyncs_ = 0;

@@ -1,9 +1,9 @@
 // Replication tests: journal shipping into replicas, durable-horizon
 // capping, retryable stream faults (seq gap / epoch mismatch / CRC
 // corruption), live-tail reads that never salvage, checkpoint resync,
-// promotion fencing, the read-your-writes watermark, and crash-point
-// enumeration on both the shipping (primary) and replay (replica) sides
-// with state-hash equality after recovery + resync + drain.
+// promotion fencing, and crash-point enumeration on both the shipping
+// (primary) and replay (replica) sides with state-hash equality after
+// recovery + resync + drain.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -178,7 +178,7 @@ std::string FramedRecord(uint64_t seq, const std::string& statement) {
 }
 
 // ---------------------------------------------------------------------------
-// Basic shipping + watermark
+// Basic shipping
 
 TEST(ReplicationTest, ShipsWorkloadAndConvergesStateHash) {
   Primary primary = Primary::Start(FreshDir("basic_primary"));
@@ -186,8 +186,7 @@ TEST(ReplicationTest, ShipsWorkloadAndConvergesStateHash) {
   auto replica = Replica::Open(FreshDir("basic_replica"));
   ASSERT_TRUE(replica.ok()) << replica.status();
 
-  ReplicationShipper shipper(&source, primary.engine.get(),
-                             InstantShipperOptions());
+  ReplicationShipper shipper(&source, InstantShipperOptions());
   shipper.AddReplica(replica.value().get(), "r1");
 
   Session session = primary.engine->OpenSession();
@@ -199,11 +198,6 @@ TEST(ReplicationTest, ShipsWorkloadAndConvergesStateHash) {
   }
   ASSERT_TRUE(shipper.DrainAll().ok());
 
-  // Caught up => the watermark covers every committed version. Checked
-  // before the hashes: StateHashOf commits through WithExclusive, which
-  // bumps version().
-  EXPECT_EQ(primary.engine->min_replicated_version(),
-            primary.engine->version());
   EXPECT_EQ(StateHashOf(primary.engine.get()),
             StateHashOf(&replica.value()->engine()));
   EXPECT_EQ(replica.value()->statements_applied(),
@@ -219,8 +213,7 @@ TEST(ReplicationTest, IndexDdlShipsAndReplicaRebuildsIdentically) {
   ReplicationSource source(primary.journal_path(), primary.SourceOptions());
   auto replica = Replica::Open(FreshDir("idx_replica"));
   ASSERT_TRUE(replica.ok()) << replica.status();
-  ReplicationShipper shipper(&source, primary.engine.get(),
-                             InstantShipperOptions());
+  ReplicationShipper shipper(&source, InstantShipperOptions());
   shipper.AddReplica(replica.value().get(), "r1");
 
   Session session = primary.engine->OpenSession();
@@ -257,37 +250,6 @@ TEST(ReplicationTest, IndexDdlShipsAndReplicaRebuildsIdentically) {
       rdb.IndexProbe("psal", ProbeOp::kEq, Value::Integer(150), rdb.now());
   ASSERT_EQ(hit.size(), 1u);
   EXPECT_EQ(hit[0].id, 1u);
-}
-
-TEST(ReplicationTest, ReadYourWritesWatermarkGatesReplicaReads) {
-  Primary primary = Primary::Start(FreshDir("ryw_primary"));
-  ReplicationSource source(primary.journal_path(), primary.SourceOptions());
-  auto replica = Replica::Open(FreshDir("ryw_replica"));
-  ASSERT_TRUE(replica.ok()) << replica.status();
-  ReplicationShipper shipper(&source, primary.engine.get(),
-                             InstantShipperOptions());
-  shipper.AddReplica(replica.value().get(), "r1");
-
-  Session session = primary.engine->OpenSession();
-  EXPECT_EQ(session.read_staleness(), ReadStaleness::kReadYourWrites);
-  // Nothing written yet: replica reads are trivially admissible.
-  EXPECT_TRUE(session.CanReadFromReplica());
-
-  for (const std::string& statement : WorkloadPartOne()) {
-    ASSERT_TRUE(session.Execute(statement).ok()) << statement;
-  }
-  // The replica has not replayed the writes: read-your-writes forbids
-  // routing this session's reads to it; eventual reads are fine.
-  EXPECT_GT(session.last_write_version(), 0u);
-  EXPECT_FALSE(session.CanReadFromReplica());
-  session.set_read_staleness(ReadStaleness::kEventual);
-  EXPECT_TRUE(session.CanReadFromReplica());
-  session.set_read_staleness(ReadStaleness::kReadYourWrites);
-
-  ASSERT_TRUE(shipper.DrainAll().ok());
-  EXPECT_TRUE(session.CanReadFromReplica());
-  EXPECT_GE(primary.engine->min_replicated_version(),
-            session.last_write_version());
 }
 
 // ---------------------------------------------------------------------------
@@ -454,8 +416,7 @@ TEST(ReplicationTest, LateJoinerResyncsFromCheckpoint) {
   ReplicationSource source(primary.journal_path(), primary.SourceOptions());
   auto replica = Replica::Open(FreshDir("resync_replica"));
   ASSERT_TRUE(replica.ok()) << replica.status();
-  ReplicationShipper shipper(&source, primary.engine.get(),
-                             InstantShipperOptions());
+  ReplicationShipper shipper(&source, InstantShipperOptions());
   shipper.AddReplica(replica.value().get(), "late");
 
   ASSERT_TRUE(shipper.DrainAll().ok());
@@ -470,8 +431,7 @@ TEST(ReplicationTest, FollowerRollsEpochsAcrossPrimaryCheckpoints) {
   ReplicationSource source(primary.journal_path(), primary.SourceOptions());
   auto replica = Replica::Open(FreshDir("roll_replica"));
   ASSERT_TRUE(replica.ok()) << replica.status();
-  ReplicationShipper shipper(&source, primary.engine.get(),
-                             InstantShipperOptions());
+  ReplicationShipper shipper(&source, InstantShipperOptions());
   shipper.AddReplica(replica.value().get(), "r1");
 
   Session session = primary.engine->OpenSession();
@@ -514,8 +474,7 @@ TEST(ReplicationTest, PromotionFencesOldPrimary) {
   ReplicationSource source(primary.journal_path(), primary.SourceOptions());
   auto replica = Replica::Open(FreshDir("fence_replica"));
   ASSERT_TRUE(replica.ok()) << replica.status();
-  ReplicationShipper shipper(&source, primary.engine.get(),
-                             InstantShipperOptions());
+  ReplicationShipper shipper(&source, InstantShipperOptions());
   shipper.AddReplica(replica.value().get(), "r1");
 
   Session session = primary.engine->OpenSession();
@@ -683,8 +642,7 @@ TEST(ReplicationTest, SnapshotReadsRaceFreeWithApply) {
   ReplicationSource source(primary.journal_path(), primary.SourceOptions());
   auto replica = Replica::Open(FreshDir("race_replica"));
   ASSERT_TRUE(replica.ok()) << replica.status();
-  ReplicationShipper shipper(&source, primary.engine.get(),
-                             InstantShipperOptions());
+  ReplicationShipper shipper(&source, InstantShipperOptions());
   shipper.AddReplica(replica.value().get(), "r1");
 
   std::atomic<bool> done{false};
@@ -765,13 +723,10 @@ TEST(ReplicationCrashTest, PrimaryCrashPointsAllRecoverAndShip) {
                              recovered.SourceOptions());
     auto replica = Replica::Open(FreshDir("pcrash_r"));
     ASSERT_TRUE(replica.ok()) << replica.status();
-    ReplicationShipper shipper(&source, recovered.engine.get(),
-                               InstantShipperOptions());
+    ReplicationShipper shipper(&source, InstantShipperOptions());
     shipper.AddReplica(replica.value().get(), "r1");
     Status drained = shipper.DrainAll();
     ASSERT_TRUE(drained.ok()) << drained;
-    EXPECT_EQ(recovered.engine->min_replicated_version(),
-              recovered.engine->version());
     EXPECT_EQ(StateHashOf(recovered.engine.get()),
               StateHashOf(&replica.value()->engine()));
     recovered.sink->Close();
@@ -795,8 +750,7 @@ void RunReplicaFollow(Primary* primary, FaultInjectionFileSystem* ffs,
   ropts.fs = ffs;
   auto replica = Replica::Open(replica_dir, ropts);
   if (!replica.ok()) return;  // crashed during open
-  ReplicationShipper shipper(&source, primary->engine.get(),
-                             InstantShipperOptions());
+  ReplicationShipper shipper(&source, InstantShipperOptions());
   shipper.AddReplica(replica.value().get(), "r1");
   if (!shipper.DrainAll().ok()) return;
 
@@ -864,8 +818,7 @@ TEST(ReplicationCrashTest, ReplicaCrashPointsAllRecoverAndConverge) {
     ASSERT_TRUE(reopened.ok()) << reopened.status();
     ReplicationSource source(primary.journal_path(),
                              primary.SourceOptions());
-    ReplicationShipper shipper(&source, primary.engine.get(),
-                               InstantShipperOptions());
+    ReplicationShipper shipper(&source, InstantShipperOptions());
     shipper.AddReplica(reopened.value().get(), "r1");
     Status drained = shipper.DrainAll();
     ASSERT_TRUE(drained.ok()) << drained;

@@ -238,11 +238,76 @@ TEST(ServerTest, RequestMissingFlagsByteIsRejected) {
   ExpectServerHealthy(t);
 }
 
+// Runs `statements` over raw kRequest frames carrying `flags` against a
+// fresh durable server in `dir`, and returns each reply frame.
+std::vector<Frame> RunRawRequests(const std::string& dir, uint8_t flags,
+                                  const std::vector<std::string>& statements,
+                                  uint64_t* durable) {
+  Engine engine;
+  GroupCommitJournal sink;
+  EXPECT_TRUE(sink.Open(dir + "/journal.tql").ok());
+  engine.set_commit_sink(&sink);
+  ServerOptions options;
+  options.port = 0;
+  Server server(&engine, options);
+  EXPECT_TRUE(server.Start().ok());
+  Result<int> fd = ConnectTcp("127.0.0.1", server.port(), 5000);
+  EXPECT_TRUE(fd.ok()) << fd.status().ToString();
+  std::vector<Frame> replies;
+  Frame hello;
+  if (fd.ok() && ReadRawFrame(fd.value(), &hello)) {
+    for (const std::string& statement : statements) {
+      std::string frame;
+      AppendFrame(&frame, FrameType::kRequest,
+                  std::string(1, static_cast<char>(flags)) + statement);
+      EXPECT_TRUE(SendAll(fd.value(), frame, 5000).ok());
+      Frame reply;
+      EXPECT_TRUE(ReadRawFrame(fd.value(), &reply)) << statement;
+      replies.push_back(std::move(reply));
+    }
+  }
+  if (fd.ok()) CloseFd(fd.value());
+  server.Stop();
+  *durable = sink.durable();
+  sink.Close();
+  return replies;
+}
+
+// The request flags byte is reserved: an older client that set bit 0 on
+// every request must get exactly the replies a flags-0 client gets,
+// for durable writes and reads alike.
+TEST(ServerTest, ReservedFlagsByteIsIgnored) {
+  const std::vector<std::string> statements = {
+      "define class d attributes v: temporal(integer) end",
+      "create d (v: 1)",
+      "tick 2",
+      "update i1 set v = 2",
+      "select x.v from x in d",
+      "history i1.v",
+  };
+  uint64_t durable_plain = 0;
+  uint64_t durable_flagged = 0;
+  std::vector<Frame> plain = RunRawRequests(FreshDir("flags_plain"), 0x00,
+                                            statements, &durable_plain);
+  std::vector<Frame> flagged = RunRawRequests(
+      FreshDir("flags_flagged"), 0x01, statements, &durable_flagged);
+  ASSERT_EQ(plain.size(), statements.size());
+  ASSERT_EQ(flagged.size(), statements.size());
+  for (size_t i = 0; i < statements.size(); ++i) {
+    EXPECT_EQ(plain[i].type, FrameType::kResult) << statements[i];
+    EXPECT_EQ(flagged[i].type, plain[i].type) << statements[i];
+    EXPECT_EQ(flagged[i].payload, plain[i].payload) << statements[i];
+  }
+  EXPECT_EQ(plain[4].payload, "2");
+  EXPECT_EQ(durable_plain, 4u);  // define, create, tick, update
+  EXPECT_EQ(durable_flagged, durable_plain);
+}
+
 TEST(ServerTest, TornFrameThenDisconnectLeavesServerHealthy) {
   TestServer t = TestServer::Start();
   for (int i = 1; i < 5; ++i) {
     int fd = t.RawConnect();
-    std::string frame = EncodeRequest("select 1", 0);
+    std::string frame = EncodeRequest("select 1");
     // Send an i-byte prefix of a valid frame, then vanish.
     ASSERT_TRUE(SendAll(fd, std::string_view(frame).substr(0, i), 5000).ok());
     CloseFd(fd);
@@ -279,7 +344,7 @@ TEST(ServerTest, MidRequestDisconnectDropsReplyNotSession) {
   // would hang or fail.
   for (int i = 0; i < 10; ++i) {
     int fd = t.RawConnect();
-    ASSERT_TRUE(SendAll(fd, EncodeRequest("show now", 0), 5000).ok());
+    ASSERT_TRUE(SendAll(fd, EncodeRequest("show now"), 5000).ok());
     CloseFd(fd);  // gone before the reply
   }
   ExpectServerHealthy(t);
