@@ -12,7 +12,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <functional>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -212,24 +214,64 @@ double SpanUs(Fn&& fn) {
 
 struct SweepPoint {
   long long x = 0;  // history length or extent size
-  double interp_us = 0.0;
-  double vm_us = 0.0;
-  double speedup() const { return vm_us > 0.0 ? interp_us / vm_us : 0.0; }
+  double interp_us = 0.0;    // Session::Execute, compiled reads off
+  double compiled_us = 0.0;  // Session::Execute, a plan-cache hit
+  double key_vm_us = 0.0;    // layer: NormalizePlanKey + the VM run
+  double speedup() const {
+    return compiled_us > 0.0 ? interp_us / compiled_us : 0.0;
+  }
 };
 
-// Measures both sides of a sweep point with INTERLEAVED repeats (best
-// span of each): a transient load spike then degrades the same repeats
-// of both executors instead of landing entirely on whichever side
-// happened to be measured during it.
-template <typename InterpFn, typename VmFn>
-void MeasurePair(InterpFn&& interp, VmFn&& vm, SweepPoint* p) {
+// The best span of each of `fns`, measured with INTERLEAVED repeats: a
+// transient load spike then degrades the same repeats of every side
+// instead of landing entirely on whichever side happened to be measured
+// during it.
+std::vector<double> MeasureInterleaved(
+    const std::vector<std::function<void()>>& fns) {
   constexpr int kRepeats = 5;
+  std::vector<double> best(fns.size(), 0.0);
   for (int r = 0; r < kRepeats; ++r) {
-    double i_us = SpanUs(interp);
-    double v_us = SpanUs(vm);
-    if (r == 0 || i_us < p->interp_us) p->interp_us = i_us;
-    if (r == 0 || v_us < p->vm_us) p->vm_us = v_us;
+    for (size_t i = 0; i < fns.size(); ++i) {
+      const double us = SpanUs(fns[i]);
+      if (r == 0 || us < best[i]) best[i] = us;
+    }
   }
+  return best;
+}
+
+// Times one statement the three ways a sweep point reports: end to end
+// through a compile-off and a compile-on Session over `db`, and the
+// compiled path's key + VM layer alone on the cached program.
+SweepPoint MeasureStatement(long long x, const Database& db,
+                            const std::string& q) {
+  Engine engine(std::make_unique<Database>(db));
+  Session compiled = engine.OpenSession();
+  Session walker = engine.OpenSession();
+  walker.set_compile_enabled(false);
+  Result<std::string> expected = walker.Execute(q);
+  Result<std::string> warmed = compiled.Execute(q);  // fills the cache
+  if (!expected.ok() || !warmed.ok() || *expected != *warmed) {
+    std::fprintf(stderr, "compiled and tree-walked results differ: %s\n",
+                 q.c_str());
+  }
+  ReadSnapshot snap = engine.OpenSnapshot();
+  Statement stmt = ParseStatement(q).value();
+  LowerOutcome outcome = LowerStatement(&stmt, snap.db()).value();
+  const LoweredPlan& plan = *outcome.plan;
+  const std::vector<double> us = MeasureInterleaved({
+      [&] { benchmark::DoNotOptimize(walker.Execute(q)); },
+      [&] { benchmark::DoNotOptimize(compiled.Execute(q)); },
+      [&] {
+        std::string key = NormalizePlanKey(q);
+        benchmark::DoNotOptimize(key);
+        if (plan.kind == LoweredPlan::Kind::kSelect) {
+          benchmark::DoNotOptimize(RunSelect(plan.program, snap.db()));
+        } else {
+          benchmark::DoNotOptimize(RunWhen(plan.program, snap.db()));
+        }
+      },
+  });
+  return SweepPoint{x, us[0], us[1], us[2]};
 }
 
 // One object whose salary flips across a threshold every step: H
@@ -273,74 +315,29 @@ Database MakeExtentDb(int objects, int history) {
   return db;
 }
 
-// Each sweep point compares the two paths as a Session executes them
-// per statement:
-//   interpreted — parse, type check, tree-walk (the tree-walker path
-//     repeats all three on every execution);
-//   compiled — normalize the cache key, then run the cached program
-//     (parse/type-check/lowering happened once at plan-cache miss; the
-//     per-execution residue is the O(length) key normalization — the
-//     map lookup itself is noise).
-// Result formatting is excluded from both sides: it is identical work.
+// Each sweep point compares the two paths end to end, as a Session
+// executes them per statement (result formatting included):
+//   interpreted — parse, type check, tree-walk (repeated on every
+//     execution);
+//   compiled — normalize the cache key, look it up, run the cached
+//     program (no parse: parse, type check and lowering happened once,
+//     at the plan-cache miss).
+// The key + VM layer row is the compiled path without what the session
+// adds around it (snapshot pin, cache lookup, result formatting).
 SweepPoint MeasureWhenPoint(int history) {
-  Database db = MakeHistoryDb(history);
   // A compound condition with several temporal reads: the tree-walker
   // pays a recursive descent plus a binary search per attribute access
   // per boundary; the VM merge-walks the history once per batch (CSE
   // folds the repeated reads into one load).
-  const std::string q =
-      "when i1.salary > 50 and i1.salary * 2 < 300 or "
-      "i1.salary + 25 = 25";
-  Statement stmt = ParseStatement(q).value();
-  LowerOutcome outcome = LowerStatement(&stmt, db).value();
-  const ExecProgram& prog = outcome.plan->program;
-  SweepPoint p;
-  p.x = history;
-  MeasurePair(
-      [&] {
-        Statement walk_stmt = ParseStatement(q).value();
-        auto type =
-            TypeCheckExpr(walk_stmt.when->condition.get(), db, TypeEnv{});
-        benchmark::DoNotOptimize(type);
-        auto held = EvaluateWhen(*walk_stmt.when->condition, db);
-        benchmark::DoNotOptimize(held);
-      },
-      [&] {
-        std::string key = NormalizePlanKey(q);
-        benchmark::DoNotOptimize(key);
-        auto held = RunWhen(prog, db);
-        benchmark::DoNotOptimize(held);
-      },
-      &p);
-  return p;
+  return MeasureStatement(history, MakeHistoryDb(history),
+                          "when i1.salary > 50 and i1.salary * 2 < 300 or "
+                          "i1.salary + 25 = 25");
 }
 
 SweepPoint MeasureSelectPoint(int objects, int history) {
-  Database db = MakeExtentDb(objects, history);
-  const std::string q =
-      "select x.name from x in employee where x.salary > 40 and "
-      "x.salary < 90";
-  Statement stmt = ParseStatement(q).value();
-  LowerOutcome outcome = LowerStatement(&stmt, db).value();
-  const ExecProgram& prog = outcome.plan->program;
-  SweepPoint p;
-  p.x = objects;
-  MeasurePair(
-      [&] {
-        Statement walk_stmt = ParseStatement(q).value();
-        auto types = TypeCheckSelect(&*walk_stmt.select, db);
-        benchmark::DoNotOptimize(types);
-        auto rows = EvaluateSelect(*walk_stmt.select, db);
-        benchmark::DoNotOptimize(rows);
-      },
-      [&] {
-        std::string key = NormalizePlanKey(q);
-        benchmark::DoNotOptimize(key);
-        auto rows = RunSelect(prog, db);
-        benchmark::DoNotOptimize(rows);
-      },
-      &p);
-  return p;
+  return MeasureStatement(objects, MakeExtentDb(objects, history),
+                          "select x.name from x in employee where "
+                          "x.salary > 40 and x.salary < 90");
 }
 
 // --- the index-vs-scan report (temporal secondary indexes) -------------------
@@ -352,6 +349,7 @@ struct IndexPoint {
   long long x = 0;  // extent size or history length
   double scan_us = 0.0;
   double index_us = 0.0;
+  double probe_us = 0.0;  // layer: Database::IndexProbe alone (selects)
   double speedup() const {
     return index_us > 0.0 ? scan_us / index_us : 0.0;
   }
@@ -384,22 +382,18 @@ IndexPoint MeasureIndexSelectPoint(int objects, int history) {
                  idx_prog.access_note.c_str());
   }
 
-  IndexPoint p;
-  p.x = objects;
-  SweepPoint raw;
-  MeasurePair(
+  // The probe the index program starts with, alone: the candidate list
+  // before the extent check and the projection.
+  const Value bound = Value::Integer(5);
+  const std::vector<double> us = MeasureInterleaved({
+      [&] { benchmark::DoNotOptimize(RunSelect(scan_prog, db)); },
+      [&] { benchmark::DoNotOptimize(RunSelect(idx_prog, db)); },
       [&] {
-        auto rows = RunSelect(scan_prog, db);
-        benchmark::DoNotOptimize(rows);
+        benchmark::DoNotOptimize(
+            db.IndexProbe("bench_salary", ProbeOp::kEq, bound, db.now()));
       },
-      [&] {
-        auto rows = RunSelect(idx_prog, db);
-        benchmark::DoNotOptimize(rows);
-      },
-      &raw);
-  p.scan_us = raw.interp_us;
-  p.index_us = raw.vm_us;
-  return p;
+  });
+  return IndexPoint{objects, us[0], us[1], us[2]};
 }
 
 // Selective `during` window over one object with H salary segments: the
@@ -424,46 +418,43 @@ IndexPoint MeasureWhenDuringPoint(int history) {
   LowerOutcome outcome = LowerStatement(&stmt, scan_db).value();
   const ExecProgram& prog = outcome.plan->program;
 
-  IndexPoint p;
-  p.x = history;
-  SweepPoint raw;
-  MeasurePair(
-      [&] {
-        auto held = RunWhen(prog, scan_db);
-        benchmark::DoNotOptimize(held);
-      },
-      [&] {
-        auto held = RunWhen(prog, idx_db);
-        benchmark::DoNotOptimize(held);
-      },
-      &raw);
-  p.scan_us = raw.interp_us;
-  p.index_us = raw.vm_us;
-  return p;
+  const std::vector<double> us = MeasureInterleaved({
+      [&] { benchmark::DoNotOptimize(RunWhen(prog, scan_db)); },
+      [&] { benchmark::DoNotOptimize(RunWhen(prog, idx_db)); },
+  });
+  return IndexPoint{history, us[0], us[1]};
 }
 
 void AppendIndexSweep(const std::vector<IndexPoint>& points,
                       const char* xname, std::string* json) {
   for (size_t i = 0; i < points.size(); ++i) {
-    char buf[160];
+    char buf[200];
     std::snprintf(buf, sizeof(buf),
                   "    {\"%s\": %lld, \"scan_us\": %.2f, "
-                  "\"index_us\": %.2f, \"speedup\": %.2f}%s\n",
+                  "\"index_us\": %.2f, \"speedup\": %.2f",
                   xname, points[i].x, points[i].scan_us, points[i].index_us,
-                  points[i].speedup(), i + 1 < points.size() ? "," : "");
+                  points[i].speedup());
     *json += buf;
+    if (points[i].probe_us > 0.0) {
+      std::snprintf(buf, sizeof(buf), ", \"layer_probe_us\": %.2f",
+                    points[i].probe_us);
+      *json += buf;
+    }
+    *json += i + 1 < points.size() ? "},\n" : "}\n";
   }
 }
 
 void AppendSweep(const std::vector<SweepPoint>& points, const char* xname,
                  std::string* json) {
   for (size_t i = 0; i < points.size(); ++i) {
-    char buf[160];
+    char buf[200];
     std::snprintf(buf, sizeof(buf),
                   "    {\"%s\": %lld, \"interp_us\": %.2f, "
-                  "\"vm_us\": %.2f, \"speedup\": %.2f}%s\n",
-                  xname, points[i].x, points[i].interp_us, points[i].vm_us,
-                  points[i].speedup(), i + 1 < points.size() ? "," : "");
+                  "\"compiled_us\": %.2f, \"speedup\": %.2f, "
+                  "\"layer_key_vm_us\": %.2f}%s\n",
+                  xname, points[i].x, points[i].interp_us,
+                  points[i].compiled_us, points[i].speedup(),
+                  points[i].key_vm_us, i + 1 < points.size() ? "," : "");
     *json += buf;
   }
 }
@@ -501,7 +492,8 @@ int WriteQueryReport(const std::string& path) {
   std::string json;
   json += "{\n";
   json += "  \"benchmark\": \"query\",\n";
-  json += "  \"pipeline\": \"lower+vm vs tree-walker\",\n";
+  json += "  \"pipeline\": \"Session::Execute: plan-cache hit vs "
+          "tree-walker\",\n";
   json += "  \"history_sweep\": [\n";
   AppendSweep(history_sweep, "history", &json);
   json += "  ],\n";

@@ -300,30 +300,42 @@ void IndexPartition::SetTimeline(uint64_t oid, Timeline timeline) {
 
 PostingRange ProbeRange(const IndexPartition& part, ProbeOp op,
                         const Value& bound) {
-  const PostingPos lower = part.PartitionPoint(
-      [&](const IndexEntry& e) { return CompareValues(e.value, bound) < 0; });
-  const PostingPos upper = part.PartitionPoint(
-      [&](const IndexEntry& e) { return CompareValues(bound, e.value) >= 0; });
+  // Each operator searches only for the partition points it uses: a
+  // probe runs once per index shard, and most probes need one or two.
+  const auto lower = [&] {
+    return part.PartitionPoint(
+        [&](const IndexEntry& e) { return CompareValues(e.value, bound) < 0; });
+  };
+  const auto upper = [&] {
+    return part.PartitionPoint([&](const IndexEntry& e) {
+      return CompareValues(bound, e.value) >= 0;
+    });
+  };
   // The inequality kernels return null (never truthy) when the attribute
-  // value is null, but Value::Compare ranks null below everything — so
-  // the null-valued prefix of the postings must not match < / <=. The
-  // planner never probes with a null bound (kEq on null would also have
-  // to match *undefined* attributes, which carry no posting at all).
-  const Value null;
-  const PostingPos after_nulls = part.PartitionPoint(
-      [&](const IndexEntry& e) { return Value::Compare(null, e.value) >= 0; });
+  // value is null, but Value::Compare ranks null below every other kind —
+  // so the null-valued postings form a prefix, which must not match < /
+  // <=. The planner never probes with a null bound (kEq on null would
+  // also have to match *undefined* attributes, which carry no posting).
+  const auto after_nulls = [&] {
+    return part.PartitionPoint(
+        [](const IndexEntry& e) { return e.value.is_null(); });
+  };
   const PostingPos end = part.All().last;
   switch (op) {
     case ProbeOp::kEq:
-      return {lower, upper};
-    case ProbeOp::kLt:
-      return {after_nulls, std::max(lower, after_nulls)};
-    case ProbeOp::kLe:
-      return {after_nulls, std::max(upper, after_nulls)};
+      return {lower(), upper()};
+    case ProbeOp::kLt: {
+      const PostingPos first = after_nulls();
+      return {first, std::max(lower(), first)};
+    }
+    case ProbeOp::kLe: {
+      const PostingPos first = after_nulls();
+      return {first, std::max(upper(), first)};
+    }
     case ProbeOp::kGt:
-      return {upper, end};
+      return {upper(), end};
     case ProbeOp::kGe:
-      return {std::max(lower, after_nulls), end};
+      return {std::max(lower(), after_nulls()), end};
   }
   return {end, end};
 }

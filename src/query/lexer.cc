@@ -1,5 +1,6 @@
 #include "query/lexer.h"
 
+#include <cassert>
 #include <cctype>
 #include <cstdlib>
 #include <string>
@@ -15,6 +16,97 @@ bool IsIdentStart(char c) {
 bool IsIdentChar(char c) {
   return std::isalnum(static_cast<unsigned char>(c)) || c == '_' || c == '-';
 }
+bool IsDigit(char c) { return std::isdigit(static_cast<unsigned char>(c)); }
+
+// The end of the quoted literal whose opening quote is at `pos`: one past
+// the closing quote, or the end of the input when it never closes. A
+// backslash takes the next byte with it, whatever it is (a bad escape is
+// an error the lexer raises inside this span).
+size_t QuotedEnd(std::string_view input, size_t pos) {
+  ++pos;
+  while (pos < input.size()) {
+    const char c = input[pos++];
+    if (c == '\\') {
+      if (pos == input.size()) break;
+      ++pos;
+    } else if (c == '\'') {
+      break;
+    }
+  }
+  return pos;
+}
+
+// The end of the number starting at `pos`: digits, a `.` followed by a
+// digit, and an exponent `e[+-]digit`; anything else ends it.
+size_t NumberEnd(std::string_view input, size_t pos) {
+  while (pos < input.size()) {
+    const char c = input[pos];
+    if (IsDigit(c)) {
+      ++pos;
+    } else if (c == '.' && pos + 1 < input.size() && IsDigit(input[pos + 1])) {
+      ++pos;
+    } else if ((c == 'e' || c == 'E') && pos + 1 < input.size()) {
+      size_t next = pos + 1;
+      if (input[next] == '+' || input[next] == '-') ++next;
+      if (next >= input.size() || !IsDigit(input[next])) break;
+      pos = next + 1;
+    } else {
+      break;
+    }
+  }
+  return pos;
+}
+
+// True if the identifier-shaped `span` is an oid literal (`i<digits>`)
+// or a time literal (`t<digits>`, `tnow`).
+bool IsOidOrTimeLiteral(std::string_view span) {
+  if (span.size() < 2 || (span[0] != 'i' && span[0] != 't')) return false;
+  if (span == "tnow") return true;
+  for (size_t i = 1; i < span.size(); ++i) {
+    if (!IsDigit(span[i])) return false;
+  }
+  return true;
+}
+
+}  // namespace
+
+size_t SkipGap(std::string_view input, size_t pos) {
+  while (pos < input.size()) {
+    const char c = input[pos];
+    if (std::isspace(static_cast<unsigned char>(c))) {
+      ++pos;
+    } else if (c == '-' && pos + 1 < input.size() && input[pos + 1] == '-') {
+      // SQL-style line comment; the newline is the next gap byte.
+      while (pos < input.size() && input[pos] != '\n') ++pos;
+    } else {
+      break;
+    }
+  }
+  return pos;
+}
+
+size_t TokenEnd(std::string_view input, size_t pos) {
+  const char c = input[pos];
+  if (c == '\'') return QuotedEnd(input, pos);
+  if (c == 'c' && pos + 1 < input.size() && input[pos + 1] == '\'') {
+    return QuotedEnd(input, pos + 1);
+  }
+  if (IsIdentStart(c)) {
+    // Oid and time literals are identifier-shaped: `i5-x` is one
+    // identifier, so their span is the identifier's.
+    ++pos;
+    while (pos < input.size() && IsIdentChar(input[pos])) ++pos;
+    return pos;
+  }
+  if (IsDigit(c)) return NumberEnd(input, pos);
+  if ((c == '<' || c == '>') && pos + 1 < input.size()) {
+    const char next = input[pos + 1];
+    if (next == '=' || (c == '<' && next == '>')) return pos + 2;
+  }
+  return pos + 1;
+}
+
+namespace {
 
 class Lexer {
  public:
@@ -33,7 +125,7 @@ class Lexer {
 
   // Lexes the token at the cursor (kEnd at the end of the input).
   Status LexOne(Token* tok) {
-    SkipSpaceAndComments();
+    pos_ = SkipGap(input_, pos_);
     tok->position = pos_;
     if (pos_ >= input_.size()) {
       tok->kind = TokenKind::kEnd;
@@ -46,21 +138,6 @@ class Lexer {
   }
 
  private:
-  void SkipSpaceAndComments() {
-    while (pos_ < input_.size()) {
-      char c = input_[pos_];
-      if (std::isspace(static_cast<unsigned char>(c))) {
-        ++pos_;
-      } else if (c == '-' && pos_ + 1 < input_.size() &&
-                 input_[pos_ + 1] == '-') {
-        // SQL-style line comment.
-        while (pos_ < input_.size() && input_[pos_] != '\n') ++pos_;
-      } else {
-        break;
-      }
-    }
-  }
-
   Status ErrorHere(const std::string& what) {
     return Status::InvalidArgument(what + " at position " +
                                    std::to_string(pos_));
@@ -105,66 +182,36 @@ class Lexer {
     return ErrorHere("unterminated string literal");
   }
 
-  Status LexNumber(Token* tok) {
-    size_t start = pos_;
-    bool is_real = false;
-    while (pos_ < input_.size()) {
-      char c = input_[pos_];
-      if (std::isdigit(static_cast<unsigned char>(c))) {
-        ++pos_;
-      } else if (c == '.' && pos_ + 1 < input_.size() &&
-                 std::isdigit(static_cast<unsigned char>(input_[pos_ + 1]))) {
-        is_real = true;
-        ++pos_;
-      } else if ((c == 'e' || c == 'E') && pos_ + 1 < input_.size()) {
-        size_t next = pos_ + 1;
-        if (input_[next] == '+' || input_[next] == '-') ++next;
-        if (next < input_.size() &&
-            std::isdigit(static_cast<unsigned char>(input_[next]))) {
-          is_real = true;
-          pos_ = next + 1;
-        } else {
-          break;
-        }
-      } else {
-        break;
-      }
-    }
-    std::string text(input_.substr(start, pos_ - start));
-    if (is_real) {
+  // Converts the number spelled by `span` (NumberEnd's span: digits,
+  // `.digits` and an exponent) — real iff it has a fraction or exponent.
+  static void LexNumber(std::string_view span, Token* tok) {
+    const std::string text(span);
+    if (text.find_first_of(".eE") != std::string::npos) {
       tok->kind = TokenKind::kReal;
       tok->real_value = std::strtod(text.c_str(), nullptr);
     } else {
       tok->kind = TokenKind::kInteger;
       tok->int_value = std::strtoll(text.c_str(), nullptr, 10);
     }
-    return Status::OK();
   }
 
+  // Builds the token spanning [pos_, TokenEnd) — the split is TokenEnd's;
+  // this only classifies and converts the span.
   Status Next(Token* tok) {
-    char c = input_[pos_];
-    // Quoted literals.
-    if (c == '\'') return LexQuoted(tok, TokenKind::kString);
-    if (c == 'c' && pos_ + 1 < input_.size() && input_[pos_ + 1] == '\'') {
-      ++pos_;
-      return LexQuoted(tok, TokenKind::kCharLit);
+    const size_t end = TokenEnd(input_, pos_);
+    const std::string_view span = input_.substr(pos_, end - pos_);
+    const char c = span[0];
+    if (c == '\'' || (c == 'c' && span.size() > 1 && span[1] == '\'')) {
+      if (c == 'c') ++pos_;
+      TCH_RETURN_IF_ERROR(LexQuoted(
+          tok, c == 'c' ? TokenKind::kCharLit : TokenKind::kString));
+      assert(pos_ == end);
+      return Status::OK();
     }
-    // Oid / time literals: i<digits>, t<digits>, tnow — only when not part
-    // of a longer identifier.
-    if ((c == 'i' || c == 't') && pos_ + 1 < input_.size()) {
-      size_t end = pos_ + 1;
-      if (c == 't' && input_.compare(end, 3, "now") == 0) {
-        end += 3;
-      } else {
-        while (end < input_.size() &&
-               std::isdigit(static_cast<unsigned char>(input_[end]))) {
-          ++end;
-        }
-      }
-      bool has_body = end > pos_ + 1;
-      bool terminated = end >= input_.size() || !IsIdentChar(input_[end]);
-      if (has_body && terminated) {
-        std::string body(input_.substr(pos_ + 1, end - pos_ - 1));
+    pos_ = end;
+    if (IsIdentStart(c)) {
+      if (IsOidOrTimeLiteral(span)) {
+        const std::string body(span.substr(1));
         if (c == 'i') {
           tok->kind = TokenKind::kOidLit;
           tok->int_value = std::strtoll(body.c_str(), nullptr, 10);
@@ -173,15 +220,9 @@ class Lexer {
           tok->int_value =
               body == "now" ? kNow : std::strtoll(body.c_str(), nullptr, 10);
         }
-        pos_ = end;
         return Status::OK();
       }
-    }
-    if (IsIdentStart(c)) {
-      size_t start = pos_;
-      ++pos_;
-      while (pos_ < input_.size() && IsIdentChar(input_[pos_])) ++pos_;
-      std::string word(input_.substr(start, pos_ - start));
+      std::string word(span);
       std::string lower = word;
       for (char& ch : lower) {
         ch = static_cast<char>(std::tolower(static_cast<unsigned char>(ch)));
@@ -195,9 +236,11 @@ class Lexer {
       }
       return Status::OK();
     }
-    if (std::isdigit(static_cast<unsigned char>(c))) return LexNumber(tok);
+    if (IsDigit(c)) {
+      LexNumber(span, tok);
+      return Status::OK();
+    }
     // Punctuation.
-    ++pos_;
     switch (c) {
       case '(':
         tok->kind = TokenKind::kLParen;
@@ -248,23 +291,12 @@ class Lexer {
         tok->kind = TokenKind::kSlash;
         return Status::OK();
       case '<':
-        if (pos_ < input_.size() && input_[pos_] == '=') {
-          ++pos_;
-          tok->kind = TokenKind::kLe;
-        } else if (pos_ < input_.size() && input_[pos_] == '>') {
-          ++pos_;
-          tok->kind = TokenKind::kNeq;
-        } else {
-          tok->kind = TokenKind::kLt;
-        }
+        tok->kind = span == "<=" ? TokenKind::kLe
+                    : span == "<>" ? TokenKind::kNeq
+                                   : TokenKind::kLt;
         return Status::OK();
       case '>':
-        if (pos_ < input_.size() && input_[pos_] == '=') {
-          ++pos_;
-          tok->kind = TokenKind::kGe;
-        } else {
-          tok->kind = TokenKind::kGt;
-        }
+        tok->kind = span == ">=" ? TokenKind::kGe : TokenKind::kGt;
         return Status::OK();
       default:
         --pos_;

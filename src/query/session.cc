@@ -1,10 +1,10 @@
 #include "query/session.h"
 
 #include <algorithm>
-#include <cctype>
 #include <utility>
 
 #include "query/interpreter.h"
+#include "query/lexer.h"
 #include "query/parser.h"
 #include "query/vm.h"
 
@@ -13,58 +13,18 @@ namespace tchimera {
 // --- plan cache --------------------------------------------------------------
 
 std::string NormalizePlanKey(std::string_view statement) {
+  // The token spellings in order, one space wherever the text had a gap
+  // (whitespace or a comment). The lexer cuts with the same SkipGap and
+  // TokenEnd, so the key lexes to the text's own tokens: equal keys mean
+  // equal token streams, and a bad text's key is just as bad.
   std::string out;
   out.reserve(statement.size());
-  bool in_space = true;  // swallow leading whitespace
-  // Set when the scan ends inside a quoted literal that never closed
-  // (including one whose closing quote was escaped away by a trailing
-  // backslash). Every byte after the opening quote is then literal
-  // content, and the final trailing-space trim must not touch it: with
-  // the trim, `select 'ab` and `select 'ab ` — lexically different
-  // texts — would collapse onto one cache key.
-  bool unterminated_quote = false;
-  for (size_t i = 0; i < statement.size(); ++i) {
-    char c = statement[i];
-    if (c == '\'') {
-      // Quoted literal: copied byte-for-byte (including escapes — the
-      // lexer's escape rules must not interact with normalization).
-      out += c;
-      ++i;
-      bool terminated = false;
-      while (i < statement.size()) {
-        out += statement[i];
-        if (statement[i] == '\\' && i + 1 < statement.size()) {
-          out += statement[++i];
-        } else if (statement[i] == '\'') {
-          terminated = true;
-          break;
-        }
-        ++i;
-      }
-      unterminated_quote = !terminated;
-      in_space = false;
-      continue;
-    }
-    if (c == '-' && i + 1 < statement.size() && statement[i + 1] == '-') {
-      // `--` line comment: skip to end of line.
-      while (i < statement.size() && statement[i] != '\n') ++i;
-      --i;  // the newline (or end) is handled as whitespace next round
-      continue;
-    }
-    if (std::isspace(static_cast<unsigned char>(c))) {
-      if (!in_space) out += ' ';
-      in_space = true;
-      continue;
-    }
-    out += c;
-    in_space = false;
-  }
-  // Trim only separator whitespace. Bytes inside an unterminated literal
-  // are content: trimming them makes lexically different statements
-  // (differing exactly in that trailing literal whitespace, or in a
-  // trailing backslash that escaped a final space) share a key.
-  if (!unterminated_quote) {
-    while (!out.empty() && out.back() == ' ') out.pop_back();
+  size_t pos = SkipGap(statement, 0);
+  while (pos < statement.size()) {
+    const size_t end = TokenEnd(statement, pos);
+    out.append(statement.substr(pos, end - pos));
+    pos = SkipGap(statement, end);
+    if (pos > end && pos < statement.size()) out += ' ';
   }
   return out;
 }
@@ -73,19 +33,20 @@ std::shared_ptr<const CachedPlan> PlanCache::Lookup(
     const std::string& key, uint64_t schema_version) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = map_.find(key);
-  if (it == map_.end()) {
-    ++stats_.misses;
-    return nullptr;
-  }
+  if (it == map_.end()) return nullptr;
   if (it->second.schema_version != schema_version) {
     // Compiled under a different schema: a DDL committed since. Evict.
     map_.erase(it);
     ++stats_.invalidations;
-    ++stats_.misses;
     return nullptr;
   }
   ++stats_.hits;
   return it->second.plan;
+}
+
+void PlanCache::CountMiss() {
+  std::lock_guard<std::mutex> lock(mu_);
+  ++stats_.misses;
 }
 
 void PlanCache::Insert(const std::string& key, uint64_t schema_version,
@@ -249,58 +210,69 @@ Result<std::string> Engine::ExecuteWriteExclusive(Statement* stmt,
   return out;
 }
 
-Result<std::string> Session::Execute(std::string_view statement) {
-  TCH_ASSIGN_OR_RETURN(Statement stmt, ParseStatement(statement));
-  if (!TraitsOf(stmt.kind).read) {
-    return engine_->ExecuteWrite(&stmt, statement, write_retry_policy_);
+namespace {
+
+// Runs a cached plan on the batch VM and formats its result.
+Result<std::string> RunPlan(const LoweredPlan& plan, const Database& db) {
+  if (plan.kind == LoweredPlan::Kind::kSelect) {
+    TCH_ASSIGN_OR_RETURN(std::vector<SelectRow> rows,
+                         RunSelect(plan.program, db));
+    return FormatSelectRows(rows);
   }
-  // Read path: pin a snapshot and evaluate on this thread, concurrently
-  // with other readers. The snapshot is const; the read executor takes
-  // it as such.
-  ReadSnapshot snap = engine_->OpenSnapshot();
-  if (compile_enabled_ && (stmt.kind == Statement::Kind::kSelect ||
-                           stmt.kind == Statement::Kind::kWhen)) {
-    TCH_ASSIGN_OR_RETURN(
-        std::optional<std::string> compiled,
-        TryCompiledRead(&stmt, snap.db(), NormalizePlanKey(statement)));
-    if (compiled.has_value()) return *std::move(compiled);
-    // Negative cache entry: fall through to the tree-walker below.
-  }
-  return ExecuteReadStatement(&stmt, snap.db());
+  TCH_ASSIGN_OR_RETURN(IntervalSet held, RunWhen(plan.program, db));
+  return held.ToString();
 }
 
-Result<std::optional<std::string>> Session::TryCompiledRead(
-    Statement* stmt, const Database& db, const std::string& key) {
+}  // namespace
+
+Result<std::string> Session::Execute(std::string_view statement) {
+  // With compilation on, the plan cache is consulted before parsing: a
+  // cached plan runs with no AST at all (its key is sound for that, see
+  // NormalizePlanKey). The snapshot pinned for the lookup is the one the
+  // statement reads, so the plan runs under the schema it was checked
+  // against.
+  std::string key;
+  ReadSnapshot snap;
+  std::shared_ptr<const CachedPlan> cached;
   PlanCache& cache = engine_->plan_cache();
-  // The snapshot's own schema version: consistent with the class table
-  // the plan compiles against, so a DDL committing concurrently can
-  // never cache a plan under the wrong version.
-  const uint64_t schema_version = db.schema_version();
-  std::shared_ptr<const CachedPlan> cached =
-      cache.Lookup(key, schema_version);
-  if (cached == nullptr) {
-    // Miss: lower now (type errors surface unchanged — the tree-walker
-    // would report the identical error) and publish the outcome,
-    // negative outcomes included.
-    TCH_ASSIGN_OR_RETURN(LowerOutcome outcome, LowerStatement(stmt, db));
+  if (compile_enabled_) {
+    key = NormalizePlanKey(statement);
+    snap = engine_->OpenSnapshot();
+    cached = cache.Lookup(key, snap.db().schema_version());
+    if (cached != nullptr && cached->plan.has_value()) {
+      return RunPlan(*cached->plan, snap.db());
+    }
+  }
+  // A miss, a negative entry, or a text that is no select/when.
+  TCH_ASSIGN_OR_RETURN(Statement stmt, ParseStatement(statement));
+  if (!TraitsOf(stmt.kind).read) {
+    snap = ReadSnapshot();  // writes run on the head, not on this pin
+    return engine_->ExecuteWrite(&stmt, statement, write_retry_policy_);
+  }
+  // Read path: evaluate on a pinned snapshot on this thread, concurrently
+  // with other readers. The snapshot is const; the read executor takes
+  // it as such.
+  if (!snap.valid()) snap = engine_->OpenSnapshot();
+  if (compile_enabled_ && cached == nullptr &&
+      (stmt.kind == Statement::Kind::kSelect ||
+       stmt.kind == Statement::Kind::kWhen)) {
+    // Only here is a miss a miss: the text compiles or is remembered as
+    // a fallback. Type errors surface unchanged (the tree-walker would
+    // report the identical error) and are not cached.
+    cache.CountMiss();
+    TCH_ASSIGN_OR_RETURN(LowerOutcome outcome,
+                         LowerStatement(&stmt, snap.db()));
     auto fresh = std::make_shared<CachedPlan>();
     if (outcome.compiled()) {
       fresh->plan = std::move(outcome.plan);
     } else {
       fresh->fallback_reason = std::move(outcome.fallback_reason);
     }
-    cache.Insert(key, schema_version, fresh);
-    cached = std::move(fresh);
+    cache.Insert(key, snap.db().schema_version(), fresh);
+    if (fresh->plan.has_value()) return RunPlan(*fresh->plan, snap.db());
   }
-  if (!cached->plan.has_value()) return std::optional<std::string>();
-  const LoweredPlan& plan = *cached->plan;
-  if (plan.kind == LoweredPlan::Kind::kSelect) {
-    TCH_ASSIGN_OR_RETURN(std::vector<SelectRow> rows,
-                         RunSelect(plan.program, db));
-    return std::optional<std::string>(FormatSelectRows(rows));
-  }
-  TCH_ASSIGN_OR_RETURN(IntervalSet held, RunWhen(plan.program, db));
-  return std::optional<std::string>(held.ToString());
+  // A fallback (negative entry) or a read kind the compiler never takes.
+  return ExecuteReadStatement(&stmt, snap.db());
 }
 
 }  // namespace tchimera

@@ -2,13 +2,16 @@
 //
 // Layering (top to bottom):
 //
-//   Session   — one per client (thread). Parses each statement once
-//               and routes it on TraitsOf(kind) (query/ast.h), the one
-//               statement classification: read kinds (select / snapshot
-//               / history / when / show / explain) run on a ReadSnapshot
-//               through the const read executor, concurrently with every
-//               other reader; everything else goes to the Engine's write
-//               path with the parsed statement.
+//   Session   — one per client (thread). Looks a statement up in the
+//               plan cache before parsing it (compiled reads on): a
+//               cached select/when plan runs on a ReadSnapshot with no
+//               parse at all. Anything else is parsed once and routed on
+//               TraitsOf(kind) (query/ast.h), the one statement
+//               classification: read kinds (select / snapshot / history
+//               / when / show / explain) run on a ReadSnapshot through
+//               the const read executor, concurrently with every other
+//               reader; everything else goes to the Engine's write path
+//               with the parsed statement.
 //   Engine    — wraps the database in a VersionedDatabase (MVCC: reads
 //               are lock-free loads of the published version) and holds
 //               the committed trigger and constraint definitions. Every
@@ -73,10 +76,17 @@ struct CachedPlan {
   std::string fallback_reason;  // set iff !plan
 };
 
-// Canonical cache key for a statement: `--` comments stripped, quoted
-// literals preserved byte-for-byte, whitespace runs collapsed to one
-// space, trimmed. Deliberately NOT case-folded — identifiers are
-// case-sensitive.
+// Canonical cache key for a statement: its token spellings, with one
+// space wherever the text has whitespace or a `--` comment between two
+// tokens (none at either end). Quoted literals keep their bytes; `--`
+// inside a token (`k--a` is one identifier) is no comment. Deliberately
+// NOT case-folded — identifiers are case-sensitive.
+//
+// Soundness: the lexer splits with the same functions (query/lexer.h),
+// so the key lexes to the statement's own token stream. Two statements
+// with one key therefore parse identically — which lets Session::Execute
+// run a cached plan without parsing — and a text that fails to lex has a
+// key that fails the same way, so it can never hit a valid text's plan.
 std::string NormalizePlanKey(std::string_view statement);
 
 // The engine-wide compiled-statement cache, keyed on normalized text and
@@ -93,10 +103,14 @@ class PlanCache {
 
   static constexpr size_t kMaxEntries = 256;
 
-  // The cached plan compiled under exactly `schema_version`, or nullptr
-  // (miss). An entry compiled under a different version is dropped.
+  // The cached plan compiled under exactly `schema_version` (counted as
+  // a hit), or nullptr. An entry compiled under a different version is
+  // dropped (an invalidation). A nullptr is not yet a miss: the caller
+  // looks up before it knows whether the text is a select/when at all,
+  // and calls CountMiss once it does.
   std::shared_ptr<const CachedPlan> Lookup(const std::string& key,
                                            uint64_t schema_version);
+  void CountMiss();
   void Insert(const std::string& key, uint64_t schema_version,
               std::shared_ptr<const CachedPlan> plan);
 
@@ -202,7 +216,7 @@ class Engine {
   uint64_t conflict_count() const { return vdb_.conflict_count(); }
 
   // The engine-wide compiled-statement cache (see PlanCache). Sessions
-  // consult it on the read path; DDL invalidates through the schema
+  // consult it before parsing; DDL invalidates through the schema
   // version each pinned snapshot carries (Database::schema_version).
   PlanCache& plan_cache() { return plan_cache_; }
 
@@ -256,10 +270,12 @@ class Session {
 
   Result<std::string> Execute(std::string_view statement);
 
-  // Compiled execution of select/when (on by default): lower to an
-  // ExecProgram (consulting the engine's plan cache) and run the batch
-  // VM; non-lowerable statements and every other verb tree-walk. Off
-  // (`--no-compile`) forces the tree-walking evaluator for everything.
+  // Compiled execution of select/when (on by default): every statement
+  // is first looked up in the engine's plan cache by its key; a hit runs
+  // the cached ExecProgram on the batch VM without parsing, a select/
+  // when miss is lowered and cached. Non-lowerable statements and every
+  // other verb tree-walk. Off (`--no-compile`) forces the tree-walking
+  // evaluator for everything and never touches the cache.
   void set_compile_enabled(bool enabled) { compile_enabled_ = enabled; }
   bool compile_enabled() const { return compile_enabled_; }
 
@@ -280,14 +296,6 @@ class Session {
  private:
   friend class Engine;
   explicit Session(Engine* engine) : engine_(engine) {}
-
-  // The compiled read path for one parsed select/when: consult the plan
-  // cache (keyed on `key` + the snapshot's schema version), lower on a
-  // miss, run the VM. Returns nullopt when the statement must
-  // tree-walk (negative cache entry); type errors propagate unchanged.
-  Result<std::optional<std::string>> TryCompiledRead(Statement* stmt,
-                                                     const Database& db,
-                                                     const std::string& key);
 
   Engine* engine_;
   bool compile_enabled_ = true;

@@ -5,13 +5,20 @@
 // behaviour (hits, DDL invalidation) through Engine/Session.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <functional>
+#include <map>
 #include <random>
 #include <string>
+#include <string_view>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/db/database.h"
 #include "query/interpreter.h"
+#include "query/lexer.h"
 #include "query/lower.h"
 #include "query/parser.h"
 #include "query/session.h"
@@ -273,6 +280,179 @@ TEST(PlanCacheTest, NormalizePlanKeyUnterminatedLiteral) {
   // after it stay significant.
   EXPECT_NE(NormalizePlanKey("select 'a\\'"),
             NormalizePlanKey("select 'a\\' "));
+}
+
+// Two attributes whose names differ only after a `--`: the lexer keeps
+// `--` inside an identifier, so the key must too, or both selects would
+// share one cached plan.
+TEST(PlanCacheTest, DashesInsideAnIdentifierAreNoComment) {
+  Engine engine;
+  Session s = engine.OpenSession();
+  Session walker = engine.OpenSession();
+  walker.set_compile_enabled(false);
+  ASSERT_TRUE(s.Execute("define class c attributes k--a: integer, "
+                        "k--b: integer end")
+                  .ok());
+  ASSERT_TRUE(s.Execute("create c (k--a: 1, k--b: 2)").ok());
+  EXPECT_NE(NormalizePlanKey("select x.k--a from x in c"),
+            NormalizePlanKey("select x.k--b from x in c"));
+  for (const char* q : {"select x.k--a from x in c",
+                        "select x.k--b from x in c"}) {
+    Result<std::string> compiled = s.Execute(q);
+    Result<std::string> walked = walker.Execute(q);
+    ASSERT_TRUE(compiled.ok()) << q << ": " << compiled.status();
+    ASSERT_TRUE(walked.ok()) << q << ": " << walked.status();
+    EXPECT_EQ(*compiled, *walked) << q;
+  }
+  EXPECT_EQ(*s.Execute("select x.k--b from x in c"), "2");
+  EXPECT_EQ(engine.plan_cache().stats().misses, 2u);
+}
+
+// What the lexer makes of a text, comparable across texts: "error", or
+// (kind, text, int_value, real_value) per token.
+std::string LexSignature(std::string_view text) {
+  Result<std::vector<Token>> tokens = Tokenize(text);
+  if (!tokens.ok()) return "error";
+  std::string sig;
+  for (const Token& t : *tokens) {
+    sig += std::to_string(static_cast<int>(t.kind)) + ":" +
+           std::to_string(t.text.size()) + ":" + t.text + ":" +
+           std::to_string(t.int_value) + ":" + std::to_string(t.real_value) +
+           "|";
+  }
+  return sig;
+}
+
+TEST(PlanCacheTest, EqualKeysMeanEqualTokenStreams) {
+  // Token spellings that sit on the lexer's boundaries: `--` inside an
+  // identifier or after a number, exponents that are not, quotes with
+  // escapes (one unterminated), char literals and two-byte operators.
+  const std::vector<std::string> tokens = {
+      "select", "x",       "k--a",   "k--b",    "a---b",  "i5--x",
+      "i5",     "t7",      "tnow",   "5e--3",   "5e-3",   "5",
+      "5.5",    "'a b'",   "'a  b'", "'x--y'",  "'it\\'s'", "'\\\\'",
+      "c'x'",   "c'-'",    "'open",  "'a\\",    "<=",     "<>",
+      ">=",     "<",       ">",      "=",       "-",      ".",
+      "(",      ")",       "#"};
+  // Gaps between them, the empty one included: it fuses neighbours.
+  const std::vector<std::string> gaps = {
+      "", "", " ", "  ", "\t", "\n", " -- note\n", "--c\n", "-- x  y\n ",
+      " \n\t "};
+  const std::vector<std::string> tails = {"", " ", "--end", " -- end",
+                                          "\n"};
+  std::mt19937 rng(20261018);
+  auto pick = [&](const std::vector<std::string>& from) {
+    return from[std::uniform_int_distribution<size_t>(0, from.size() - 1)(
+        rng)];
+  };
+  std::map<std::string, std::pair<std::string, std::string>> by_key;
+  size_t shared = 0;
+  for (int base = 0; base < 4000; ++base) {
+    std::vector<std::string> seq(
+        std::uniform_int_distribution<size_t>(1, 5)(rng));
+    for (std::string& tok : seq) tok = pick(tokens);
+    // Several renderings of one token sequence: the ones whose gaps
+    // agree on being empty share a key.
+    for (int render = 0; render < 6; ++render) {
+      std::string text;
+      for (const std::string& tok : seq) text += pick(gaps) + tok;
+      text += pick(tails);
+      const std::string key = NormalizePlanKey(text);
+      const std::string sig = LexSignature(text);
+      // The key is itself a text with the statement's tokens.
+      ASSERT_EQ(LexSignature(key), sig)
+          << "text: [" << text << "]\nkey: [" << key << "]";
+      auto [it, fresh] = by_key.emplace(key, std::make_pair(text, sig));
+      if (fresh) continue;
+      ++shared;
+      ASSERT_EQ(it->second.second, sig)
+          << "texts: [" << it->second.first << "] and [" << text
+          << "] share the key [" << key << "]";
+    }
+  }
+  // Not vacuous: many texts met an earlier text's key.
+  EXPECT_GT(shared, 2000u);
+}
+
+TEST(PlanCacheTest, OnlyCompilableTextsCountLookups) {
+  Engine engine;
+  Session s = engine.OpenSession();
+  Session off = engine.OpenSession();
+  off.set_compile_enabled(false);
+  for (const char* w :
+       {"define class p attributes v: temporal(integer) end",
+        "create p (v: 1)", "advance to 5", "update i1 set v = 2",
+        "create index pv on p (v)", "drop index pv"}) {
+    ASSERT_TRUE(s.Execute(w).ok()) << w;
+  }
+  for (const char* r : {"snapshot i1", "history i1.v", "show classes",
+                        "show object i1", "explain when i1.v > 1"}) {
+    ASSERT_TRUE(s.Execute(r).ok()) << r;
+  }
+  for (const char* q :
+       {"select x from x in p where x.v > 0", "when i1.v > 1"}) {
+    ASSERT_TRUE(off.Execute(q).ok()) << q;
+  }
+  // A failed parse is no lookup outcome either.
+  EXPECT_FALSE(s.Execute("select from").ok());
+  PlanCache::Stats stats = engine.plan_cache().stats();
+  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_EQ(stats.misses, 0u);
+  EXPECT_EQ(engine.plan_cache().size(), 0u);
+
+  // A select that does not type-check reaches the lowering decision: a
+  // miss every time, and never cached.
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_FALSE(s.Execute("select x from x in p where x.nope > 0").ok());
+  }
+  stats = engine.plan_cache().stats();
+  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_EQ(stats.misses, 2u);
+  EXPECT_EQ(engine.plan_cache().size(), 0u);
+}
+
+TEST(PlanCacheTest, NegativeEntryCountsOneHitPerExecution) {
+  Engine engine;
+  Session s = engine.OpenSession();
+  ASSERT_TRUE(s.Execute("define class p attributes v: integer end").ok());
+  ASSERT_TRUE(s.Execute("create p (v: 1)").ok());
+  const std::string q = "select x, y from x in p, y in p";
+  Result<std::string> first = s.Execute(q);
+  ASSERT_TRUE(first.ok()) << first.status();
+  for (uint64_t n = 1; n <= 3; ++n) {
+    Result<std::string> again = s.Execute(q);
+    ASSERT_TRUE(again.ok());
+    EXPECT_EQ(*again, *first);
+    const PlanCache::Stats stats = engine.plan_cache().stats();
+    EXPECT_EQ(stats.hits, n);
+    EXPECT_EQ(stats.misses, 1u);
+  }
+}
+
+TEST(PlanCacheTest, DdlBetweenHitsRelowers) {
+  Engine engine;
+  Session s = engine.OpenSession();
+  Session walker = engine.OpenSession();
+  walker.set_compile_enabled(false);
+  ASSERT_TRUE(s.Execute("define class p attributes v: integer end").ok());
+  ASSERT_TRUE(s.Execute("create p (v: 1)").ok());
+  const std::string q = "select x, x.v from x in p where x.v > 0";
+  const std::string before = *s.Execute(q);
+  ASSERT_EQ(*s.Execute(q), before);  // a hit
+  // A subclass widens p's extent: the plan is re-lowered under the new
+  // schema and sees the subclass member.
+  ASSERT_TRUE(
+      s.Execute("define class sub under p attributes w: integer end").ok());
+  ASSERT_TRUE(s.Execute("create sub (v: 2, w: 0)").ok());
+  Result<std::string> relowered = s.Execute(q);
+  ASSERT_TRUE(relowered.ok()) << relowered.status();
+  EXPECT_EQ(*relowered, *walker.Execute(q));
+  EXPECT_NE(*relowered, before);
+  EXPECT_EQ(*s.Execute(q), *relowered);  // a hit on the new plan
+  const PlanCache::Stats stats = engine.plan_cache().stats();
+  EXPECT_EQ(stats.hits, 2u);
+  EXPECT_EQ(stats.misses, 2u);
+  EXPECT_EQ(stats.invalidations, 1u);
 }
 
 TEST(PlanCacheTest, HitsAndDdlInvalidation) {
@@ -631,6 +811,76 @@ TEST(VmWhenTest, BoundaryRestrictionKeepsSemantics) {
   ASSERT_TRUE(compiled.ok()) << compiled.status();
   EXPECT_EQ(*walked, *compiled);
   EXPECT_EQ(*walked, IntervalSet::Of(Interval(7, 11)).ToString());
+}
+
+// Four sessions run cached select/when texts while a writer flips a value
+// index on and off and updates the indexed attribute. Each result must
+// be the tree-walker's on the snapshot the statement read; when a commit
+// lands during an execution that snapshot is unknown, and the read is
+// not compared. CI also runs this under TSan.
+TEST(PlanCacheConcurrencyTest, CachedReadsMatchTreeWalkerUnderIndexDdl) {
+  Engine engine;
+  {
+    Session setup = engine.OpenSession();
+    ASSERT_TRUE(
+        setup.Execute("define class p attributes v: temporal(integer) end")
+            .ok());
+    for (int i = 0; i < 70; ++i) {
+      ASSERT_TRUE(setup.Execute("create p (v: " + std::to_string(i) + ")")
+                      .ok());
+    }
+  }
+  const std::vector<std::string> queries = {
+      "select x from x in p where x.v = 7",
+      "select x.v from x in p where x.v > 60",
+      "select x from x in p where x.v >= 65",
+      "select x from x in p where x.v < 3",
+      "select x, x.v from x in p where x.v <= 2",
+      "when i1.v > 3",
+      "when i5.v = 5 during [0, 50]",
+  };
+  std::atomic<bool> stop{false};
+  std::atomic<int> compared{0};
+  std::thread writer([&] {
+    Session w = engine.OpenSession();
+    std::mt19937 rng(7);
+    for (int i = 0; i < 200; ++i) {
+      std::string stmt;
+      if (i % 10 == 0) {
+        stmt = (i / 10) % 2 == 0 ? "create index pv on p (v)"
+                                 : "drop index pv";
+      } else {
+        stmt = "update i" + std::to_string(1 + rng() % 70) + " set v = " +
+               std::to_string(rng() % 70);
+      }
+      EXPECT_TRUE(w.Execute(stmt).ok()) << stmt;
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+    stop = true;
+  });
+  std::vector<std::thread> readers;
+  for (size_t r = 0; r < 4; ++r) {
+    readers.emplace_back([&, r] {
+      Session s = engine.OpenSession();
+      for (size_t n = r; !stop.load(); ++n) {
+        const std::string& q = queries[n % queries.size()];
+        ReadSnapshot before = engine.OpenSnapshot();
+        Result<std::string> got = s.Execute(q);
+        ReadSnapshot after = engine.OpenSnapshot();
+        ASSERT_TRUE(got.ok()) << q << ": " << got.status();
+        if (before.version() != after.version()) continue;
+        Statement stmt = ParseStatement(q).value();
+        Result<std::string> walked = ExecuteReadStatement(&stmt, before.db());
+        ASSERT_TRUE(walked.ok()) << q << ": " << walked.status();
+        EXPECT_EQ(*got, *walked) << q;
+        ++compared;
+      }
+    });
+  }
+  writer.join();
+  for (std::thread& t : readers) t.join();
+  EXPECT_GT(compared.load(), 100);
+  EXPECT_GT(engine.plan_cache().stats().hits, 0u);
 }
 
 }  // namespace
