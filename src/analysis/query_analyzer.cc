@@ -442,7 +442,7 @@ void AnalyzeCreateIndex(const CreateIndexStmt& stmt, size_t position,
                   "class '" + stmt.class_name +
                       "' declares no attribute '" + stmt.attr + "'",
                   "a value index covers one declared attribute; check "
-                  "the spelling or use `lifespan` for a timeline index");
+                  "the spelling or use `lifespan` for a lifespan index");
   }
 }
 

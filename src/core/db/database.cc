@@ -199,8 +199,7 @@ void Database::ReindexOid(uint64_t id) {
   for (const auto& [name, def] : *index_defs_) {
     const IndexedFacts after = CaptureIndexedFacts(def, obj);
     if (!SameIndexedFacts(before[i], after)) {
-      MutableIndexShard(id).parts[name].ApplyDelta(def, Oid{id}, before[i],
-                                                   after);
+      MutableIndexShard(id).parts[name].ApplyDelta(Oid{id}, before[i], after);
     }
     ++i;
   }
@@ -351,33 +350,6 @@ size_t Database::IndexChunkCount(std::string_view index_name) const {
   return n;
 }
 
-const std::vector<TimePoint>* Database::AttrTimeline(
-    Oid oid, std::string_view attr) const {
-  const IndexDef* def = FindValueIndex(attr);
-  if (def == nullptr) return nullptr;
-  const IndexShard* shard = IndexShardAt(ShardIndex(oid.id));
-  if (shard == nullptr) return nullptr;
-  auto it = shard->parts.find(def->name);
-  if (it == shard->parts.end()) return nullptr;
-  return it->second.TimelineOf(oid.id);
-}
-
-const std::vector<TimePoint>* Database::LifespanTimeline(Oid oid) const {
-  const IndexDef* def = nullptr;
-  for (const auto& [unused, d] : *index_defs_) {
-    if (d.kind == IndexKind::kLifespan) {
-      def = &d;
-      break;
-    }
-  }
-  if (def == nullptr) return nullptr;
-  const IndexShard* shard = IndexShardAt(ShardIndex(oid.id));
-  if (shard == nullptr) return nullptr;
-  auto it = shard->parts.find(def->name);
-  if (it == shard->parts.end()) return nullptr;
-  return it->second.TimelineOf(oid.id);
-}
-
 std::string Database::DebugDumpIndexes() const {
   std::string out;
   for (const auto& [name, def] : *index_defs_) {
@@ -395,11 +367,6 @@ std::string Database::DebugDumpIndexes() const {
       part.ForEach(part.All(), [&](const IndexEntry& e) {
         out += "  post " + e.value.ToString() + " " + e.valid.ToString() +
                " " + e.oid.ToString() + "\n";
-      });
-      part.ForEachTimeline([&](uint64_t id, const std::vector<TimePoint>& tl) {
-        out += "  timeline " + Oid{id}.ToString();
-        for (TimePoint b : tl) out += " " + std::to_string(b);
-        out += "\n";
       });
     }
   }

@@ -265,17 +265,8 @@ class Database final : public ExtentProvider {
   size_t IndexEntryCount(std::string_view index_name) const;
   size_t IndexChunkCount(std::string_view index_name) const;
 
-  // The pre-extracted boundary timeline of `oid`'s attribute `attr`
-  // under any value index covering it (nullptr when not indexed), and of
-  // its lifespan under any lifespan index. Used by WHEN boundary
-  // collection to binary-search a `during` window instead of walking
-  // segments (query/evaluator.cc).
-  const std::vector<TimePoint>* AttrTimeline(Oid oid,
-                                             std::string_view attr) const;
-  const std::vector<TimePoint>* LifespanTimeline(Oid oid) const;
-
-  // Canonical text dump of every index's full content (defs, postings,
-  // timelines). Two databases with identical objects and index defs dump
+  // Canonical text dump of every index's full content (defs and
+  // postings). Two databases with identical objects and index defs dump
   // identically — the bit-identical-rebuild check recovery/replication
   // tests assert.
   std::string DebugDumpIndexes() const;

@@ -59,41 +59,6 @@ std::span<const Segment> PostedSegments(const IndexedFacts& facts,
   return {single, 1};
 }
 
-// The sorted unique boundary instants of `facts` under `def`: segment
-// starts and the instant after each closed segment's end — the same
-// points CollectWhenBoundaries derives by walking the segments directly
-// (query/evaluator.cc), stored unclamped so the timeline is
-// clock-independent — or the lifespan edges.
-IndexPartition::Timeline BoundaryTimeline(const IndexDef& def,
-                                          const IndexedFacts& facts) {
-  IndexPartition::Timeline timeline;
-  if (!facts.present) return timeline;
-  if (def.kind == IndexKind::kLifespan) {
-    if (!facts.lifespan.empty()) {
-      timeline.push_back(facts.lifespan.start());
-      if (!facts.lifespan.is_ongoing()) {
-        timeline.push_back(facts.lifespan.end() + 1);
-      }
-    }
-    return timeline;
-  }
-  if (facts.stored.kind() != ValueKind::kTemporal) return timeline;
-  const std::vector<Segment>& segments = facts.stored.AsTemporal().segments();
-  timeline.reserve(2 * segments.size());
-  for (const Segment& seg : segments) {
-    timeline.push_back(seg.interval.start());
-    if (!seg.interval.is_ongoing()) timeline.push_back(seg.interval.end() + 1);
-  }
-  // Disjoint segments in time order give sorted points; only a kNow-ending
-  // segment followed by a later one breaks that.
-  if (!std::is_sorted(timeline.begin(), timeline.end())) {
-    std::sort(timeline.begin(), timeline.end());
-  }
-  timeline.erase(std::unique(timeline.begin(), timeline.end()),
-                 timeline.end());
-  return timeline;
-}
-
 }  // namespace
 
 bool IndexEntryLess(const IndexEntry& a, const IndexEntry& b) {
@@ -105,12 +70,7 @@ bool IndexEntryLess(const IndexEntry& a, const IndexEntry& b) {
 
 IndexedFacts CaptureIndexedFacts(const IndexDef& def, const Object* obj) {
   IndexedFacts facts;
-  if (obj == nullptr) return facts;
-  if (def.kind == IndexKind::kLifespan) {
-    facts.present = true;
-    facts.lifespan = obj->lifespan();
-    return facts;
-  }
+  if (obj == nullptr || def.kind != IndexKind::kValue) return facts;
   const Value* stored = obj->Attribute(def.attr);
   if (stored == nullptr) return facts;
   facts.present = true;
@@ -121,7 +81,6 @@ IndexedFacts CaptureIndexedFacts(const IndexDef& def, const Object* obj) {
 bool SameIndexedFacts(const IndexedFacts& a, const IndexedFacts& b) {
   if (a.present != b.present) return false;
   if (!a.present) return true;
-  if (!(a.lifespan == b.lifespan)) return false;
   if (a.stored.kind() == ValueKind::kTemporal &&
       b.stored.kind() == ValueKind::kTemporal) {
     return &a.stored.AsTemporal() == &b.stored.AsTemporal();
@@ -134,25 +93,16 @@ IndexPartition IndexPartition::Build(
   IndexPartition part;
   std::vector<IndexEntry> postings;
   for (const Object* obj : objects) {
-    const IndexedFacts facts = CaptureIndexedFacts(def, obj);
-    if (def.kind == IndexKind::kValue) {
-      Segment single;
-      for (const Segment& seg : PostedSegments(facts, &single)) {
-        postings.push_back({seg.value, seg.interval, obj->id()});
-      }
-    }
-    Timeline timeline = BoundaryTimeline(def, facts);
-    if (!timeline.empty()) {
-      part.timelines_.emplace_back(
-          obj->id().id, std::make_shared<const Timeline>(std::move(timeline)));
+    Segment single;
+    for (const Segment& seg :
+         PostedSegments(CaptureIndexedFacts(def, obj), &single)) {
+      postings.push_back({seg.value, seg.interval, obj->id()});
     }
   }
   // Postings order by value first, so they need a sort even for a shard's
   // oid-ordered slots; the sort keys are unique per (oid, start), so a
   // build is deterministic for given object state.
   std::sort(postings.begin(), postings.end(), IndexEntryLess);
-  std::sort(part.timelines_.begin(), part.timelines_.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
   part.size_ = postings.size();
   for (size_t i = 0; i < postings.size(); i += kPostingChunkCapacity) {
     const size_t stop = std::min(postings.size(), i + kPostingChunkCapacity);
@@ -163,54 +113,41 @@ IndexPartition IndexPartition::Build(
   return part;
 }
 
-void IndexPartition::ApplyDelta(const IndexDef& def, Oid oid,
-                                const IndexedFacts& before,
+void IndexPartition::ApplyDelta(Oid oid, const IndexedFacts& before,
                                 const IndexedFacts& after) {
-  // The timeline holds interval edges only: a new value over the same
-  // interval leaves it as is.
-  bool intervals_changed = false;
-  if (def.kind == IndexKind::kLifespan) {
-    intervals_changed = before.present != after.present ||
-                        !(before.lifespan == after.lifespan);
-  } else {
-    // Both segment lists are in time order with unique starts, so a
-    // merge on the start instant pairs each old posting with its
-    // replacement. A posting's key ends in its start, so erasing the old
-    // one before inserting the new one never collides.
-    Segment before_single;
-    Segment after_single;
-    const std::span<const Segment> old_segs =
-        PostedSegments(before, &before_single);
-    const std::span<const Segment> new_segs =
-        PostedSegments(after, &after_single);
-    size_t i = 0;
-    size_t j = 0;
-    while (i < old_segs.size() || j < new_segs.size()) {
-      const Segment* o = i < old_segs.size() ? &old_segs[i] : nullptr;
-      const Segment* n = j < new_segs.size() ? &new_segs[j] : nullptr;
-      if (o != nullptr && n != nullptr &&
-          o->interval.start() == n->interval.start()) {
-        ++i;
-        ++j;
-        const bool same_interval = o->interval == n->interval;
-        if (same_interval && IdenticalValue(o->value, n->value)) continue;
-        intervals_changed |= !same_interval;
-      } else {
-        if (n == nullptr ||
-            (o != nullptr && o->interval.start() < n->interval.start())) {
-          ++i;
-          n = nullptr;
-        } else {
-          ++j;
-          o = nullptr;
-        }
-        intervals_changed = true;
+  // Both segment lists are in time order with unique starts, so a merge
+  // on the start instant pairs each old posting with its replacement. A
+  // posting's key ends in its start, so erasing the old one before
+  // inserting the new one never collides.
+  Segment before_single;
+  Segment after_single;
+  const std::span<const Segment> old_segs =
+      PostedSegments(before, &before_single);
+  const std::span<const Segment> new_segs =
+      PostedSegments(after, &after_single);
+  size_t i = 0;
+  size_t j = 0;
+  while (i < old_segs.size() || j < new_segs.size()) {
+    const Segment* o = i < old_segs.size() ? &old_segs[i] : nullptr;
+    const Segment* n = j < new_segs.size() ? &new_segs[j] : nullptr;
+    if (o != nullptr && n != nullptr &&
+        o->interval.start() == n->interval.start()) {
+      ++i;
+      ++j;
+      if (o->interval == n->interval && IdenticalValue(o->value, n->value)) {
+        continue;
       }
-      if (o != nullptr) Erase({o->value, o->interval, oid});
-      if (n != nullptr) Insert({n->value, n->interval, oid});
+    } else if (n == nullptr ||
+               (o != nullptr && o->interval.start() < n->interval.start())) {
+      ++i;
+      n = nullptr;
+    } else {
+      ++j;
+      o = nullptr;
     }
+    if (o != nullptr) Erase({o->value, o->interval, oid});
+    if (n != nullptr) Insert({n->value, n->interval, oid});
   }
-  if (intervals_changed) SetTimeline(oid.id, BoundaryTimeline(def, after));
 }
 
 size_t IndexPartition::Count(const PostingRange& range) const {
@@ -222,15 +159,6 @@ size_t IndexPartition::Count(const PostingRange& range) const {
     n += stop - p.offset;
   }
   return n;
-}
-
-const IndexPartition::Timeline* IndexPartition::TimelineOf(
-    uint64_t oid) const {
-  auto it = std::lower_bound(
-      timelines_.begin(), timelines_.end(), oid,
-      [](const auto& entry, uint64_t id) { return entry.first < id; });
-  return it == timelines_.end() || it->first != oid ? nullptr
-                                                    : it->second.get();
 }
 
 void IndexPartition::Insert(IndexEntry entry) {
@@ -281,21 +209,6 @@ void IndexPartition::Erase(const IndexEntry& key) {
   chunk->insert(chunk->end(), old.begin(), old.begin() + pos.offset);
   chunk->insert(chunk->end(), old.begin() + pos.offset + 1, old.end());
   chunks_[pos.chunk] = std::move(chunk);
-}
-
-void IndexPartition::SetTimeline(uint64_t oid, Timeline timeline) {
-  auto it = std::lower_bound(
-      timelines_.begin(), timelines_.end(), oid,
-      [](const auto& entry, uint64_t id) { return entry.first < id; });
-  const bool found = it != timelines_.end() && it->first == oid;
-  if (timeline.empty()) {
-    if (found) timelines_.erase(it);
-  } else if (!found) {
-    timelines_.emplace(it, oid,
-                       std::make_shared<const Timeline>(std::move(timeline)));
-  } else if (*it->second != timeline) {
-    it->second = std::make_shared<const Timeline>(std::move(timeline));
-  }
 }
 
 PostingRange ProbeRange(const IndexPartition& part, ProbeOp op,

@@ -1,9 +1,10 @@
 // Temporal secondary indexes (see docs/INDEXING.md).
 //
-// Two kinds, both derived *purely* from single-object state, so an index
-// can always be rebuilt deterministically from the objects alone (journal
-// replay, checkpoint recovery and replica resync all rely on this — only
-// index *definitions* are persisted, never index data):
+// Two kinds of declaration, and only one of them stores data. Index data
+// is derived *purely* from single-object state, so it can always be
+// rebuilt deterministically from the objects alone (journal replay,
+// checkpoint recovery and replica resync all rely on this — only index
+// *definitions* are persisted, never index data):
 //
 //   kValue     — an equality/range index over the values of one named
 //                attribute. Each temporal segment of the attribute's
@@ -14,25 +15,18 @@
 //                exact ordering the query kernels use for =, <, <=, >,
 //                >= (query/evaluator.cc ApplyBinaryOp), so a range probe
 //                agrees with a scan on every value kind.
-//   kLifespan  — a timeline index over object lifespans: per-oid sorted
-//                boundary instants (lifespan start, end+1 when closed).
-//
-// Both kinds additionally keep a per-oid *timeline*: the sorted, unique
-// boundary instants of the indexed attribute's history (segment starts,
-// ends+1; for kLifespan the lifespan edges). WHEN evaluation slices these
-// with binary search instead of walking every segment when a `during`
-// window is present (query/evaluator.cc CollectWhenBoundaries).
+//   kLifespan  — a declaration only: it parses, journals, persists and
+//                lists like a value index, but holds no postings.
 //
 // Storage is chunked copy-on-write: Database keeps one IndexShard per
 // object shard, cloned with the same epoch protocol as the object shards
 // (core/db/database.h). A partition's sorted postings live in shared,
-// immutable chunks of at most kPostingChunkCapacity entries, and each
-// oid's timeline is a shared immutable vector, so a shard clone copies
-// pointers only. A write applies a per-oid delta (IndexPartition::
-// ApplyDelta): it diffs the oid's indexed facts captured before the
-// mutation against the facts after it, and erases and inserts only the
-// postings that changed, each found by binary search on
-// (value, oid, start) — copying just the chunks it touches. Per write
+// immutable chunks of at most kPostingChunkCapacity entries, so a shard
+// clone copies chunk pointers only. A write applies a per-oid delta
+// (IndexPartition::ApplyDelta): it diffs the oid's indexed facts
+// captured before the mutation against the facts after it, and erases
+// and inserts only the postings that changed, each found by binary
+// search on (value, oid, start) — copying just the chunks it touches. Per write
 // that is O(changed postings · log P + chunks touched), independent of
 // the shard's size. Entries are keyed by oid only — the index covers
 // every object that has the indexed attribute, regardless of class; the
@@ -109,43 +103,41 @@ struct PostingRange {
 };
 
 // What one index reads of one object: the stored value of the indexed
-// attribute (kValue; `present` is false when the object or the attribute
-// is absent) or the object's lifespan (kLifespan). Value is an immutable
+// attribute (`present` is false when the object or the attribute is
+// absent, and always for a kLifespan declaration). Value is an immutable
 // shared rep, so capturing facts before a mutation is a refcount copy.
 struct IndexedFacts {
   bool present = false;
   Value stored;
-  Interval lifespan;
 };
 
 IndexedFacts CaptureIndexedFacts(const IndexDef& def, const Object* obj);
 
 // A cheap identity test: true only when `a` and `b` certainly index
-// identically (same temporal rep, equal scalar, equal lifespan). A false
-// answer merely costs an empty delta.
+// identically (same temporal rep, or equal scalar). A false answer merely
+// costs an empty delta.
 bool SameIndexedFacts(const IndexedFacts& a, const IndexedFacts& b);
 
 // The per-shard slice of one index.
 class IndexPartition {
  public:
   using Chunk = std::vector<IndexEntry>;
-  using Timeline = std::vector<TimePoint>;
 
   // Bulk build over `objects` (any order): postings sorted and packed
-  // into full chunks, timelines in oid order.
+  // into full chunks.
   static IndexPartition Build(const IndexDef& def,
                               const std::vector<const Object*>& objects);
 
-  // Moves `oid`'s entries under `def` from those of `before` to those of
-  // `after`: erases the postings only `before` has and inserts the ones
-  // only `after` has, then refreshes the oid's timeline if it changed.
-  void ApplyDelta(const IndexDef& def, Oid oid, const IndexedFacts& before,
+  // Moves `oid`'s postings from those of `before` to those of `after`:
+  // erases the postings only `before` has and inserts the ones only
+  // `after` has.
+  void ApplyDelta(Oid oid, const IndexedFacts& before,
                   const IndexedFacts& after);
 
   // Total postings, and the chunks holding them.
   size_t size() const { return size_; }
   size_t chunk_count() const { return chunks_.size(); }
-  bool empty() const { return chunks_.empty() && timelines_.empty(); }
+  bool empty() const { return chunks_.empty(); }
 
   PostingRange All() const { return {{0, 0}, {chunks_.size(), 0}}; }
   size_t Count(const PostingRange& range) const;
@@ -176,34 +168,20 @@ class IndexPartition {
                 std::partition_point(c.begin(), c.end(), before) - c.begin())};
   }
 
-  // `oid`'s timeline; nullptr when it has none.
-  const Timeline* TimelineOf(uint64_t oid) const;
-  // Visits (oid, timeline) in ascending oid order.
-  template <typename Fn>
-  void ForEachTimeline(Fn&& fn) const {
-    for (const auto& [oid, timeline] : timelines_) fn(oid, *timeline);
-  }
-
  private:
   void Insert(IndexEntry entry);
   void Erase(const IndexEntry& key);
-  // Installs `timeline` for `oid` (removes the entry when empty), keeping
-  // the shared vector when the content is unchanged.
-  void SetTimeline(uint64_t oid, Timeline timeline);
 
   // Non-empty chunks; their concatenation is sorted by IndexEntryLess.
   // Empty for kLifespan indexes.
   std::vector<std::shared_ptr<const Chunk>> chunks_;
   size_t size_ = 0;
-  // Sorted by oid; every timeline is non-empty.
-  std::vector<std::pair<uint64_t, std::shared_ptr<const Timeline>>>
-      timelines_;
 };
 
 // One COW shard of the index store: every registered index's partition
 // for this shard's oids. Cloned when a writer first touches the shard in
 // its epoch (same protocol as Database::ObjectShard) — a clone shares
-// every chunk and timeline with the original.
+// every chunk with the original.
 struct IndexShard {
   uint64_t epoch = 0;
   std::map<std::string, IndexPartition, std::less<>> parts;

@@ -86,24 +86,29 @@ void Object::RemoveAttribute(std::string_view name) {
   if (it != attributes_.end() && it->name == name) attributes_.erase(it);
 }
 
+Result<TemporalFunction> Object::TemporalAttributeCopy(
+    std::string_view name) const {
+  const Attr* a = FindAttr(name);
+  if (a == nullptr) return TemporalFunction();
+  if (a->value.kind() != ValueKind::kTemporal) {
+    return Status::FailedPrecondition(
+        "attribute '" + std::string(name) + "' of " + id_.ToString() +
+        " is static; temporal update is not applicable");
+  }
+  return a->value.AsTemporal();
+}
+
 Status Object::AssertTemporalAttribute(std::string_view name, TimePoint t,
                                        Value v) {
-  return DefineTemporalAttribute(name, Interval::FromUntilNow(t),
-                                 std::move(v));
+  TCH_ASSIGN_OR_RETURN(TemporalFunction f, TemporalAttributeCopy(name));
+  TCH_RETURN_IF_ERROR(f.AssertFrom(t, std::move(v)));
+  SetAttribute(name, Value::Temporal(std::move(f)));
+  return Status::OK();
 }
 
 Status Object::DefineTemporalAttribute(std::string_view name,
                                        const Interval& interval, Value v) {
-  Attr* a = FindAttr(name);
-  TemporalFunction f;
-  if (a != nullptr) {
-    if (a->value.kind() != ValueKind::kTemporal) {
-      return Status::FailedPrecondition(
-          "attribute '" + std::string(name) + "' of " + id_.ToString() +
-          " is static; temporal update is not applicable");
-    }
-    f = a->value.AsTemporal();
-  }
+  TCH_ASSIGN_OR_RETURN(TemporalFunction f, TemporalAttributeCopy(name));
   TCH_RETURN_IF_ERROR(f.Define(interval, std::move(v)));
   SetAttribute(name, Value::Temporal(std::move(f)));
   return Status::OK();

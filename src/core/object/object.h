@@ -138,6 +138,9 @@ class Object {
 
   Attr* FindAttr(std::string_view name);
   const Attr* FindAttr(std::string_view name) const;
+  // A copy of temporal attribute `name`'s function (empty when the slot
+  // does not exist yet); fails when the attribute is static.
+  Result<TemporalFunction> TemporalAttributeCopy(std::string_view name) const;
 
   Oid id_;
   Interval lifespan_;

@@ -107,7 +107,8 @@ struct DropClassStmt {
 
 // `create index <name> on <class> ( <attr> )` — an equality/range index
 // over the attribute's values — or `create index <name> on <class>
-// lifespan` — a timeline index over object lifespans (core/db/index.h).
+// lifespan` — a lifespan index declaration, which stores no data
+// (core/db/index.h).
 struct CreateIndexStmt {
   std::string name;
   std::string class_name;

@@ -448,11 +448,22 @@ std::vector<TimePoint> CollectWhenBoundaries(
   auto add = [&boundaries, lo, hi](TimePoint t) {
     if (t >= lo && t <= hi) boundaries.push_back(t);
   };
-  auto add_segments = [&add](const Value& stored) {
+  // A segment contributes its start and, when closed, end + 1. The later
+  // of those never decreases along the history (disjoint segments in time
+  // order: a closed segment's end + 1 is at most the next start), so a
+  // binary search finds the first segment reaching `lo`, and the walk
+  // stops at the first start past `hi` — O(log H + k), not O(H).
+  auto add_segments = [&add, lo, hi](const Value& stored) {
     if (stored.kind() != ValueKind::kTemporal) return;
-    for (const auto& seg : stored.AsTemporal().segments()) {
-      add(seg.interval.start());
-      if (!seg.interval.is_ongoing()) add(seg.interval.end() + 1);
+    const auto& segments = stored.AsTemporal().segments();
+    auto it = std::partition_point(
+        segments.begin(), segments.end(), [lo](const auto& seg) {
+          return (seg.interval.is_ongoing() ? seg.interval.start()
+                                            : seg.interval.end() + 1) < lo;
+        });
+    for (; it != segments.end() && it->interval.start() <= hi; ++it) {
+      add(it->interval.start());
+      if (!it->interval.is_ongoing()) add(it->interval.end() + 1);
     }
   };
   for (const WhenBoundaryReq& req : reqs) {
@@ -467,17 +478,6 @@ std::vector<TimePoint> CollectWhenBoundaries(
       continue;
     }
     for (const std::string& name : req.attrs) {
-      // A value index on this attribute keeps the same boundary instants
-      // pre-sorted per oid (core/db/index.h): slice the window by binary
-      // search instead of walking every segment. The point set is
-      // identical to the segment walk, so an index never changes the
-      // answer — it only skips the out-of-range segments.
-      if (const std::vector<TimePoint>* tl = db.AttrTimeline(req.oid, name)) {
-        auto first = std::lower_bound(tl->begin(), tl->end(), lo);
-        auto last = std::upper_bound(first, tl->end(), hi);
-        boundaries.insert(boundaries.end(), first, last);
-        continue;
-      }
       const Value* stored = obj->Attribute(name);
       if (stored != nullptr) add_segments(*stored);
     }

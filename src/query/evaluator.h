@@ -116,10 +116,8 @@ std::vector<WhenBoundaryReq> CollectWhenBoundaryReqs(const Expr& condition);
 // instead: the carry-in instant `lo` plus every boundary inside the
 // range. An empty range yields no boundaries at all — the condition is
 // then never evaluated (so a data-dependent error outside the window
-// does not fire on either execution path). When a value index covers a
-// required attribute, its per-oid timeline is sliced by binary search
-// instead of walking every history segment; the point set is identical
-// either way, so an index can never change a WHEN answer.
+// does not fire on either execution path). Each history is sliced to the
+// range by binary search over its segments instead of walked whole.
 //
 // The boundary list is sorted but NOT always unique before the final
 // dedup: the carry-in `lo` can coincide with the first in-range segment

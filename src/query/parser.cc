@@ -344,7 +344,7 @@ class Parser {
   }
 
   // create index <name> on <class> ( <attr> )   -- value index
-  // create index <name> on <class> lifespan     -- lifespan timeline index
+  // create index <name> on <class> lifespan     -- lifespan index
   Result<Statement> ParseCreateIndex() {
     Statement s;
     s.kind = Statement::Kind::kCreateIndex;

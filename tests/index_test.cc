@@ -154,7 +154,7 @@ TEST(IndexPartitionTest, DeltaGrownProbesMatchLinearScanAndBulkBuild) {
   const IndexedFacts absent;
   IndexPartition grown;
   for (const Object* obj : raw) {
-    grown.ApplyDelta(kRunDef, obj->id(), absent,
+    grown.ApplyDelta(obj->id(), absent,
                      CaptureIndexedFacts(kRunDef, obj));
   }
   // Random-order inserts split chunks, leaving them between half and
@@ -177,7 +177,7 @@ TEST(IndexPartitionTest, DeltaGrownProbesMatchLinearScanAndBulkBuild) {
       kept.push_back(raw[i]);
       continue;
     }
-    grown.ApplyDelta(kRunDef, raw[i]->id(),
+    grown.ApplyDelta(raw[i]->id(),
                      CaptureIndexedFacts(kRunDef, raw[i]), absent);
   }
   EXPECT_LT(grown.chunk_count(), chunks_before);
@@ -227,10 +227,10 @@ std::vector<Oid> ScanProbe(const Database& db, const std::string& attr,
 }
 
 // Schema: a temporal value index (ev), a non-temporal value index whose
-// attribute migrations add and drop (eb), and a lifespan index (el). The
-// indexes exist before any object, so every posting is inserted by a
-// delta (no bulk build) — a chunk count above one per partition can only
-// come from a split.
+// attribute migrations add and drop (eb), and a lifespan index (el, a
+// declaration without postings). The indexes exist before any object, so
+// every posting is inserted by a delta (no bulk build) — a chunk count
+// above one per partition can only come from a split.
 constexpr char kSchema[] =
     "define class emp attributes v: temporal(integer) end\n"
     "define class mgr under emp attributes bonus: integer end\n"

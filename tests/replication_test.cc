@@ -655,6 +655,9 @@ TEST(ReplicationTest, SnapshotReadsRaceFreeWithApply) {
       reads.fetch_add(1, std::memory_order_relaxed);
     }
   });
+  // Drain only once the reader runs, so its reads overlap the apply
+  // however the two threads happen to be scheduled.
+  while (reads.load(std::memory_order_relaxed) == 0) std::this_thread::yield();
   Status drained = shipper.DrainAll();
   done.store(true, std::memory_order_release);
   reader.join();

@@ -5,6 +5,7 @@
 
 #include <map>
 #include <random>
+#include <vector>
 
 #include "core/values/temporal_function.h"
 
@@ -169,6 +170,55 @@ TEST_P(TemporalFunctionPropertyTest, RandomOpsMatchDenseModel) {
     }
     ASSERT_EQ(static_cast<size_t>(f.Domain(kHorizon).Cardinality()),
               model.size());
+  }
+}
+
+// AssertFrom(t, v) is Define([t, now], v) with O(1) tail paths. On
+// seeded random histories — gaps, closed and ongoing tails, segments
+// after t — and every t at a segment edge (same-instant rewrites
+// included), both must build the same function.
+TEST_P(TemporalFunctionPropertyTest, AssertFromMatchesDefineFromUntilNow) {
+  std::mt19937_64 rng(GetParam());
+  auto pick = [&rng](int64_t n) {
+    return static_cast<int64_t>(rng() % static_cast<uint64_t>(n));
+  };
+  for (int round = 0; round < 300; ++round) {
+    TemporalFunction f;
+    for (int64_t k = pick(8); k > 0; --k) {
+      const TimePoint a = pick(kHorizon);
+      const TimePoint b = a + pick(10);
+      switch (pick(3)) {
+        case 0:
+          ASSERT_TRUE(f.Define(Interval(a, b), I(pick(3))).ok());
+          break;
+        case 1:
+          ASSERT_TRUE(f.Define(Interval::FromUntilNow(a), I(pick(3))).ok());
+          break;
+        default:
+          ASSERT_TRUE(f.Erase(Interval(a, b)).ok());
+          break;
+      }
+    }
+    std::vector<TimePoint> ts = {0, pick(kHorizon + 10)};
+    for (const TemporalFunction::Segment& seg : f.segments()) {
+      const TimePoint start = seg.interval.start();
+      ts.insert(ts.end(), {start, start + 1});
+      if (!seg.interval.is_ongoing()) {
+        const TimePoint end = seg.interval.end();
+        ts.insert(ts.end(), {end, end + 1, end + 2});
+      }
+    }
+    for (TimePoint t : ts) {
+      for (int64_t v = 0; v < 3; ++v) {
+        TemporalFunction fast = f;
+        TemporalFunction slow = f;
+        ASSERT_TRUE(fast.AssertFrom(t, I(v)).ok());
+        ASSERT_TRUE(slow.Define(Interval::FromUntilNow(t), I(v)).ok());
+        EXPECT_EQ(fast, slow) << f.ToString() << " asserting " << v
+                              << " from " << t << ": " << fast.ToString()
+                              << " vs " << slow.ToString();
+      }
+    }
   }
 }
 

@@ -5,6 +5,7 @@
 // behaviour (hits, DDL invalidation) through Engine/Session.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <functional>
@@ -17,6 +18,8 @@
 #include <vector>
 
 #include "core/db/database.h"
+#include "core/temporal/interval_set.h"
+#include "core/values/temporal_function.h"
 #include "query/interpreter.h"
 #include "query/lexer.h"
 #include "query/lower.h"
@@ -774,9 +777,8 @@ TEST(VmWhenTest, AdjacentIntervalBoundariesMatchTreeWalker) {
   same("when i1.v = 2 during [0,now]");
   same("when i1.v <> 2 during [5,14]");
 
-  // The same battery with a value index present: CollectWhenBoundaries
-  // switches to the pre-extracted timeline slice, which must be
-  // point-identical to the segment walk it replaces.
+  // The same battery with a value index present: an index must never
+  // change a WHEN answer.
   ASSERT_TRUE(interp.Execute("create index pv on p (v)").ok());
   pinned("when i1.v = 2", IntervalSet::Of(Interval(10, 19)));
   pinned("when i1.v = 2 during [10,19]", IntervalSet::Of(Interval(10, 19)));
@@ -784,6 +786,96 @@ TEST(VmWhenTest, AdjacentIntervalBoundariesMatchTreeWalker) {
   pinned("when i1.v = 2 during [19,20]", IntervalSet::Of(Interval(19, 19)));
   pinned("when i1.v >= 1 during [26,40]", IntervalSet());
   same("when i1.v <> 2 during [5,14]");
+}
+
+// Windowed WHEN on seeded random histories of a non-indexed attribute
+// (gaps, a closed or ongoing tail, retroactive splices, current-time
+// asserts), against a brute-force oracle that evaluates the condition at
+// every instant of the window. The VM and the tree-walker share
+// CollectWhenBoundaries, so only an independent oracle can catch a
+// window-slicing bug. Windows start in gaps, on segment edges, and inside
+// the first and last segments.
+TEST(VmWhenTest, WindowedWhenMatchesPerInstantOracle) {
+  constexpr TimePoint kNowAt = 120;
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    std::mt19937_64 rng(seed);
+    auto pick = [&rng](int64_t n) {
+      return static_cast<int64_t>(rng() % static_cast<uint64_t>(n));
+    };
+    std::vector<TemporalFunction::Segment> segments;
+    for (TimePoint t = pick(4); t < kNowAt - 10;) {
+      const TimePoint end = t + pick(6);
+      segments.push_back({Interval(t, end), Value::Integer(pick(10))});
+      t = end + 1 + (pick(3) == 0 ? 1 + pick(5) : 0);  // sometimes a gap
+    }
+    if (seed % 2 == 0) {  // an ongoing tail; odd seeds end closed
+      segments.push_back({Interval::FromUntilNow(kNowAt - 8),
+                          Value::Integer(pick(10))});
+    }
+    Result<TemporalFunction> history = TemporalFunction::Make(segments);
+    ASSERT_TRUE(history.ok()) << history.status();
+
+    Database db;
+    Interpreter interp(&db);
+    ASSERT_TRUE(
+        interp.Execute("define class p attributes v: temporal(integer) end")
+            .ok());
+    ASSERT_TRUE(db.AdvanceTo(kNowAt - 20).ok());
+    ASSERT_TRUE(
+        db.CreateObjectAt("p", 0, {{"v", Value::Temporal(*history)}}).ok());
+    for (int k = 0; k < 6; ++k) {
+      const TimePoint lo = pick(kNowAt - 24);
+      Status spliced = db.UpdateAttributeAt(
+          Oid{1}, "v", Interval(lo, lo + pick(4)), Value::Integer(pick(10)));
+      ASSERT_TRUE(spliced.ok()) << spliced;
+    }
+    if (seed % 2 == 0) {
+      for (int k = 0; k < 4; ++k) {
+        ASSERT_TRUE(db.AdvanceTo(db.now() + 1 + pick(5)).ok());
+        ASSERT_TRUE(
+            db.UpdateAttribute(Oid{1}, "v", Value::Integer(pick(10))).ok());
+      }
+    }
+    ASSERT_TRUE(db.AdvanceTo(kNowAt).ok());
+    ASSERT_EQ(db.FindValueIndex("v"), nullptr);
+    const TemporalFunction& v =
+        db.GetObject(Oid{1})->Attribute("v")->AsTemporal();
+
+    // Window starts: every segment edge, the instant after each segment
+    // (a gap start when one follows), an instant inside the first and the
+    // last segment, and a few random ones.
+    std::vector<TimePoint> starts = {0, kNowAt, kNowAt + 2};
+    for (const auto& seg : v.segments()) {
+      const TimePoint end = seg.interval.is_ongoing() ? kNowAt
+                                                      : seg.interval.end();
+      starts.insert(starts.end(), {seg.interval.start(), end, end + 1});
+    }
+    for (const auto* seg : {&v.segments().front(), &v.segments().back()}) {
+      starts.push_back(seg->interval.start() + 1);
+    }
+    for (int k = 0; k < 4; ++k) starts.push_back(pick(kNowAt));
+
+    for (TimePoint lo : starts) {
+      const int64_t threshold = pick(10);
+      const TimePoint hi = lo + pick(30);
+      const std::string q = "when i1.v > " + std::to_string(threshold) +
+                            " during [" + std::to_string(lo) + "," +
+                            std::to_string(hi) + "]";
+      IntervalSet want;
+      for (TimePoint t = lo; t <= std::min(hi, kNowAt); ++t) {
+        const Value* at = v.At(t);
+        if (at != nullptr && at->AsInteger() > threshold) {
+          want.Add(Interval::At(t));
+        }
+      }
+      Result<std::string> walked = interp.Execute(q);
+      Result<std::string> compiled = RunCompiled(q, db);
+      ASSERT_TRUE(walked.ok()) << q << ": " << walked.status();
+      ASSERT_TRUE(compiled.ok()) << q << ": " << compiled.status();
+      EXPECT_EQ(*walked, want.ToString()) << "seed " << seed << ": " << q;
+      EXPECT_EQ(*compiled, want.ToString()) << "seed " << seed << ": " << q;
+    }
+  }
 }
 
 TEST(VmWhenTest, BoundaryRestrictionKeepsSemantics) {
