@@ -54,10 +54,10 @@ void BM_AssertFromGeneralSplice(benchmark::State& state) {
 BENCHMARK(BM_AssertFromGeneralSplice)->Arg(8)->Arg(64)->Arg(512);
 
 void BM_ExtentMembershipChange(benchmark::State& state) {
-  // AddMember/RemoveMember copies the current member set: O(extent).
-  // This is the price of keeping extents as first-class temporal values
-  // (the paper's class `history`, Definition 4.1) rather than per-object
-  // interval indexes.
+  // AddMember/RemoveMember edit one oid's membership rows: a binary
+  // search plus one chunk copy, O(log extent + chunk), independent of how
+  // many members the extent holds. The paper's set-valued `ext`
+  // (Definition 4.1) is built from the rows only when read.
   const int64_t extent = state.range(0);
   ClassDef cls("c", 0, {}, {}, {}, {}, {});
   for (int64_t i = 0; i < extent; ++i) {

@@ -6,8 +6,10 @@
 // Besides the google-benchmark suite, a custom main emits the
 // machine-readable compiled-vs-interpreted report (BENCH_query.json, a
 // CI artifact): a sweep over history length (WHEN over an object with H
-// salary segments) and extent size (WHERE over N objects).
+// salary segments) and extent size (WHERE over N objects), plus the
+// create-growth sweep, whose create_growth ratio the report gates on.
 #include <benchmark/benchmark.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
@@ -437,6 +439,77 @@ DuringPoint MeasureWhenDuringPoint(int history) {
   return DuringPoint{history, us[0]};
 }
 
+// Create growth: `create` through Session::Execute on an Engine, with
+// one `tick` between creates so each lands at its own instant (the case
+// where a set-valued extent history stored a full member-set copy per
+// instant). Each create adds the oid to employee's ext and proper-ext
+// and to person's ext. At each checkpoint N the sweep reports the median
+// create over the kGrowthWindow creates ending at N, and the resident
+// memory added per 1k creates since the previous checkpoint.
+struct GrowthPoint {
+  long long members = 0;
+  double create_us = 0.0;
+  double rss_mib_per_1k = 0.0;
+};
+
+constexpr int kGrowthWindow = 501;
+
+double ResidentMib() {
+  long pages = 0;
+  long resident = 0;
+  std::FILE* f = std::fopen("/proc/self/statm", "r");
+  if (f == nullptr) return 0.0;
+  if (std::fscanf(f, "%ld %ld", &pages, &resident) != 2) resident = 0;
+  std::fclose(f);
+  return static_cast<double>(resident) *
+         static_cast<double>(sysconf(_SC_PAGESIZE)) / (1024.0 * 1024.0);
+}
+
+std::vector<GrowthPoint> MeasureCreateGrowth(
+    const std::vector<int>& checkpoints) {
+  Engine engine;
+  Session s = engine.OpenSession();
+  for (const char* ddl :
+       {"define class person attributes name: temporal(string), "
+        "age: integer end",
+        "define class employee under person attributes "
+        "salary: temporal(integer) end"}) {
+    if (!s.Execute(ddl).ok()) std::fprintf(stderr, "failed: %s\n", ddl);
+  }
+  std::vector<GrowthPoint> out;
+  std::vector<double> window;
+  double rss_before = ResidentMib();
+  int created = 0;
+  for (int checkpoint : checkpoints) {
+    const int from = created;
+    for (; created < checkpoint; ++created) {
+      const std::string q = "create employee (name: 'e" +
+                            std::to_string(created) +
+                            "', age: 30, salary: " +
+                            std::to_string(created % 1000) + ")";
+      const auto begin = std::chrono::steady_clock::now();
+      const bool ok = s.Execute(q).ok();
+      const auto end = std::chrono::steady_clock::now();
+      if (!ok || !s.Execute("tick").ok()) {
+        std::fprintf(stderr, "create growth failed at %d\n", created);
+        return out;
+      }
+      if (checkpoint - created <= kGrowthWindow) {
+        window.push_back(
+            std::chrono::duration<double, std::micro>(end - begin).count());
+      }
+    }
+    std::nth_element(window.begin(), window.begin() + window.size() / 2,
+                     window.end());
+    const double rss = ResidentMib();
+    out.push_back({checkpoint, window[window.size() / 2],
+                   (rss - rss_before) * 1000.0 / (checkpoint - from)});
+    rss_before = rss;
+    window.clear();
+  }
+  return out;
+}
+
 void AppendIndexSweep(const std::vector<IndexPoint>& points,
                       std::string* json) {
   for (size_t i = 0; i < points.size(); ++i) {
@@ -469,6 +542,9 @@ void AppendSweep(const std::vector<SweepPoint>& points, const char* xname,
 }
 
 int WriteQueryReport(const std::string& path) {
+  // First, while the heap is fresh, so its RSS readings are the creates'.
+  const std::vector<GrowthPoint> create_sweep =
+      MeasureCreateGrowth({1000, 4000, 16000});
   std::vector<SweepPoint> history_sweep;
   for (int h : {64, 256, 1024, 4096}) {
     history_sweep.push_back(MeasureWhenPoint(h));
@@ -485,6 +561,13 @@ int WriteQueryReport(const std::string& path) {
   for (int h : {64, 256, 1024, 4096, 16384}) {
     during_sweep.push_back(MeasureWhenDuringPoint(h));
   }
+  // Per-create cost at the largest extent over the smallest; the report
+  // fails (exit 1) above kMaxCreateGrowth, so CI gates on it.
+  constexpr double kMaxCreateGrowth = 2.0;
+  const double create_growth =
+      create_sweep.size() == 3
+          ? create_sweep.back().create_us / create_sweep.front().create_us
+          : 0.0;
   // Index-vs-scan speedup on the selective WHERE at the largest extent,
   // and how much a one-posting probe grows from the smallest extent to
   // the largest.
@@ -523,11 +606,24 @@ int WriteQueryReport(const std::string& path) {
     json += buf;
   }
   json += "  ],\n";
+  json += "  \"create_sweep\": [\n";
+  for (size_t i = 0; i < create_sweep.size(); ++i) {
+    std::snprintf(buf, sizeof(buf),
+                  "    {\"members\": %lld, \"create_us\": %.2f, "
+                  "\"rss_mib_per_1k_creates\": %.2f}%s\n",
+                  create_sweep[i].members, create_sweep[i].create_us,
+                  create_sweep[i].rss_mib_per_1k,
+                  i + 1 < create_sweep.size() ? "," : "");
+    json += buf;
+  }
+  json += "  ],\n";
   std::snprintf(buf, sizeof(buf),
                 "  \"history_sweep_min_speedup\": %.2f,\n"
                 "  \"index_speedup_at_max\": %.2f,\n"
-                "  \"probe_growth\": %.2f\n",
-                min_history_speedup, index_speedup_at_max, probe_growth);
+                "  \"probe_growth\": %.2f,\n"
+                "  \"create_growth\": %.2f\n",
+                min_history_speedup, index_speedup_at_max, probe_growth,
+                create_growth);
   json += buf;
   json += "}\n";
 
@@ -540,9 +636,15 @@ int WriteQueryReport(const std::string& path) {
   std::fclose(f);
   std::fprintf(stderr,
                "wrote %s (min history-sweep speedup: %.2fx, "
-               "index speedup at max size: %.2fx, probe growth: %.2fx)\n%s",
+               "index speedup at max size: %.2fx, probe growth: %.2fx, "
+               "create growth: %.2fx)\n%s",
                path.c_str(), min_history_speedup, index_speedup_at_max,
-               probe_growth, json.c_str());
+               probe_growth, create_growth, json.c_str());
+  if (create_growth == 0.0 || create_growth > kMaxCreateGrowth) {
+    std::fprintf(stderr, "create growth %.2f is outside (0, %.1f]\n",
+                 create_growth, kMaxCreateGrowth);
+    return 1;
+  }
   return 0;
 }
 

@@ -536,15 +536,15 @@ class SchemaAnalysis {
     const TimePoint now = base_->now();
     for (const std::string& name : base_->ClassNames()) {
       const ClassDef* def = base_->GetClass(name);
-      CheckExtentWithin(name, "ext", def->ext().Domain(now), name,
-                        def->lifespan(), now);
-      CheckExtentWithin(name, "proper-ext", def->proper_ext().Domain(now),
+      const Interval ext = def->ext_rows().Domain(def->lifespan().end());
+      CheckExtentWithin(name, "ext", ext, name, def->lifespan(), now);
+      CheckExtentWithin(name, "proper-ext",
+                        def->proper_ext_rows().Domain(def->lifespan().end()),
                         name, def->lifespan(), now);
       for (const std::string& super : def->direct_superclasses()) {
         const ClassDef* sdef = base_->GetClass(super);
         if (sdef == nullptr) continue;
-        CheckExtentWithin(name, "ext", def->ext().Domain(now), super,
-                          sdef->lifespan(), now);
+        CheckExtentWithin(name, "ext", ext, super, sdef->lifespan(), now);
       }
     }
     for (const std::string& name : decl_order_) {
@@ -568,23 +568,21 @@ class SchemaAnalysis {
   }
 
   void CheckExtentWithin(const std::string& cls, const char* which,
-                         const IntervalSet& extent_domain,
+                         const Interval& extent_domain,
                          const std::string& owner, const Interval& lifespan,
                          TimePoint now) {
-    for (const Interval& iv : extent_domain.intervals()) {
-      if (lifespan.Covers(iv, now)) continue;
-      const bool self = owner == cls;
-      diags_->Report(
-          "TC012", SourceLocation::kNoOffset,
-          "class '" + cls + "': " + which + " interval " + iv.ToString() +
-              " lies outside the lifespan " + lifespan.ToString() +
-              (self ? "" : " of superclass '" + owner + "'"),
-          self ? "ext(c) is confined to lifespan(c) (Invariant 5.1)"
-               : "every member of a class is a member of its superclasses "
-                 "(Invariant 6.1), and their extents are confined to their "
-                 "lifespans (Invariant 5.1)");
-      break;  // one finding per (class, owner) pair is enough
-    }
+    if (lifespan.Covers(extent_domain, now)) return;
+    const bool self = owner == cls;
+    diags_->Report(
+        "TC012", SourceLocation::kNoOffset,
+        "class '" + cls + "': " + which + " interval " +
+            extent_domain.Resolve(now).ToString() +
+            " lies outside the lifespan " + lifespan.ToString() +
+            (self ? "" : " of superclass '" + owner + "'"),
+        self ? "ext(c) is confined to lifespan(c) (Invariant 5.1)"
+             : "every member of a class is a member of its superclasses "
+               "(Invariant 6.1), and their extents are confined to their "
+               "lifespans (Invariant 5.1)");
   }
 
   const Database* base_;

@@ -250,22 +250,23 @@ Status CheckReferentialIntegrityAllTime(const Database& db) {
 }
 
 Status CheckInvariant51(const Database& db) {
-  // (1) For every class and every extent segment, each member's lifespan
-  // covers the segment.
+  // (1) For every class and every extent row, the member's lifespan
+  // covers the row.
   for (const std::string& cls_name : db.ClassNames()) {
-    const ClassDef* cls = db.GetClass(cls_name);
-    for (const auto& seg : cls->ext().segments()) {
-      if (seg.value.kind() != ValueKind::kSet) continue;
-      for (const Value& e : seg.value.Elements()) {
-        const Object* obj = db.GetObject(e.AsOid());
-        if (obj == nullptr || !RawCovers(obj->lifespan(), seg.interval)) {
-          return Status::ConsistencyViolation(
-              "Invariant 5.1(1): " + e.AsOid().ToString() +
+    Status st;
+    db.GetClass(cls_name)->ext_rows().ForEachRow(
+        [&](const ExtentRows::Row& r) {
+          const Object* obj = db.GetObject(r.oid);
+          if (!st.ok() ||
+              (obj != nullptr && RawCovers(obj->lifespan(), r.iv))) {
+            return;
+          }
+          st = Status::ConsistencyViolation(
+              "Invariant 5.1(1): " + r.oid.ToString() +
               " is in the extent of " + cls_name + " over " +
-              seg.interval.ToString() + " outside its lifespan");
-        }
-      }
-    }
+              r.iv.ToString() + " outside its lifespan");
+        });
+    TCH_RETURN_IF_ERROR(st);
   }
   // (2) Proper-extent membership intervals == class-history intervals.
   for (Oid oid : db.AllOids()) {
@@ -277,15 +278,8 @@ Status CheckInvariant51(const Database& db) {
       from_history[seg.value.AsString()].Add(seg.interval);
     }
     for (const std::string& cls_name : db.ClassNames()) {
-      const ClassDef* cls = db.GetClass(cls_name);
-      IntervalSet from_extent;
-      Value needle = Value::OfOid(oid);
-      for (const auto& seg : cls->proper_ext().segments()) {
-        if (seg.value.kind() == ValueKind::kSet &&
-            seg.value.Contains(needle)) {
-          from_extent.Add(seg.interval);
-        }
-      }
+      const IntervalSet from_extent(
+          db.GetClass(cls_name)->proper_ext_rows().RowsOf(oid));
       auto it = from_history.find(cls_name);
       IntervalSet expected =
           it == from_history.end() ? IntervalSet() : it->second;
@@ -357,20 +351,19 @@ Status CheckInvariant61(const Database& db) {
             " of " + sub_name + " is not within lifespan " +
             super->lifespan().ToString() + " of superclass " + super_name);
       }
-      // (2) Extent inclusion at every instant (piecewise).
-      for (const auto& seg : sub->ext().segments()) {
-        if (seg.value.kind() != ValueKind::kSet) continue;
-        for (const Value& e : seg.value.Elements()) {
-          if (!super->RawMemberIntervals(e.AsOid())
-                   .CoversInterval(seg.interval)) {
-            return Status::ConsistencyViolation(
-                "Invariant 6.1(2): " + e.AsOid().ToString() +
-                " is in the extent of " + sub_name + " over " +
-                seg.interval.ToString() +
-                " but not in the extent of superclass " + super_name);
-          }
+      // (2) Extent inclusion at every instant (row by row).
+      Status st;
+      sub->ext_rows().ForEachRow([&](const ExtentRows::Row& r) {
+        if (!st.ok() ||
+            super->RawMemberIntervals(r.oid).CoversInterval(r.iv)) {
+          return;
         }
-      }
+        st = Status::ConsistencyViolation(
+            "Invariant 6.1(2): " + r.oid.ToString() +
+            " is in the extent of " + sub_name + " over " + r.iv.ToString() +
+            " but not in the extent of superclass " + super_name);
+      });
+      TCH_RETURN_IF_ERROR(st);
     }
   }
   return Status::OK();
@@ -385,10 +378,8 @@ Status CheckInvariant62(const Database& db) {
     Result<std::string> h = db.isa().HierarchyId(cls_name);
     if (!h.ok()) return h.status();
     std::set<Oid> ever;
-    for (const auto& seg : cls->ext().segments()) {
-      if (seg.value.kind() != ValueKind::kSet) continue;
-      for (const Value& e : seg.value.Elements()) ever.insert(e.AsOid());
-    }
+    cls->ext_rows().ForEachRow(
+        [&](const ExtentRows::Row& r) { ever.insert(r.oid); });
     for (Oid oid : ever) {
       auto [it, inserted] = hierarchy_of.emplace(oid, *h);
       if (!inserted && it->second != *h) {

@@ -1166,16 +1166,4 @@ void Database::AdoptChanges(const Database& src, const WriteFootprint& fp) {
   }
 }
 
-size_t Database::ApproxObjectBytes() const {
-  size_t bytes = 0;
-  for (size_t s = 0; s < kObjectShardCount; ++s) {
-    const ObjectShard* shard = ObjectShardAt(s);
-    if (shard == nullptr) continue;
-    for (const auto& [unused, slot] : shard->slots) {
-      bytes += slot.obj->ApproxBytes();
-    }
-  }
-  return bytes;
-}
-
 }  // namespace tchimera

@@ -57,7 +57,7 @@ struct WriteFootprint {
   // separately because referential integrity (Definition 5.6) must be
   // re-validated against objects a *concurrent* committer touched.
   std::set<uint64_t> deleted_oids;
-  // Classes cloned for mutation (extent splices, c-attribute updates).
+  // Classes cloned for mutation (membership rows, c-attribute updates).
   std::set<std::string> classes;
   // Schema-shape changes (define/drop/restore): conflict with everything —
   // they rewrite the ISA graph and class table spine.
@@ -174,8 +174,8 @@ class Database final : public ExtentProvider {
   Result<Oid> CreateObject(std::string_view class_name,
                            FieldInits init = {});
   // Creates an object retroactively, alive from `start` (start <= now and
-  // within the class lifespan). Extent histories are spliced, not
-  // overwritten.
+  // within the class lifespan). The new oid gets membership rows from
+  // `start`; other members' rows are untouched.
   Result<Oid> CreateObjectAt(std::string_view class_name, TimePoint start,
                              FieldInits init = {});
 
@@ -282,9 +282,6 @@ class Database final : public ExtentProvider {
                           const Interval& interval) const override;
   std::optional<std::string> MostSpecificClass(Oid oid,
                                                TimePoint t) const override;
-
-  // Total approximate footprint of all stored objects (bench accounting).
-  size_t ApproxObjectBytes() const;
 
   // --- raw restore (storage layer only) -----------------------------------
 

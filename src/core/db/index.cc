@@ -1,8 +1,7 @@
 #include "core/db/index.h"
 
+#include <algorithm>
 #include <bit>
-#include <cassert>
-#include <iterator>
 #include <span>
 
 #include "core/values/temporal_function.h"
@@ -90,7 +89,6 @@ bool SameIndexedFacts(const IndexedFacts& a, const IndexedFacts& b) {
 
 IndexPartition IndexPartition::Build(
     const IndexDef& def, const std::vector<const Object*>& objects) {
-  IndexPartition part;
   std::vector<IndexEntry> postings;
   for (const Object* obj : objects) {
     Segment single;
@@ -103,13 +101,8 @@ IndexPartition IndexPartition::Build(
   // oid-ordered slots; the sort keys are unique per (oid, start), so a
   // build is deterministic for given object state.
   std::sort(postings.begin(), postings.end(), IndexEntryLess);
-  part.size_ = postings.size();
-  for (size_t i = 0; i < postings.size(); i += kPostingChunkCapacity) {
-    const size_t stop = std::min(postings.size(), i + kPostingChunkCapacity);
-    part.chunks_.push_back(std::make_shared<const Chunk>(
-        std::make_move_iterator(postings.begin() + i),
-        std::make_move_iterator(postings.begin() + stop)));
-  }
+  IndexPartition part;
+  static_cast<SortedChunks&>(part) = SortedChunks::Build(std::move(postings));
   return part;
 }
 
@@ -148,67 +141,6 @@ void IndexPartition::ApplyDelta(Oid oid, const IndexedFacts& before,
     if (o != nullptr) Erase({o->value, o->interval, oid});
     if (n != nullptr) Insert({n->value, n->interval, oid});
   }
-}
-
-size_t IndexPartition::Count(const PostingRange& range) const {
-  size_t n = 0;
-  for (PostingPos p = range.first; p < range.last; p = {p.chunk + 1, 0}) {
-    const size_t stop = p.chunk == range.last.chunk
-                            ? range.last.offset
-                            : chunks_[p.chunk]->size();
-    n += stop - p.offset;
-  }
-  return n;
-}
-
-void IndexPartition::Insert(IndexEntry entry) {
-  PostingPos pos = PartitionPoint(
-      [&](const IndexEntry& e) { return IndexEntryLess(e, entry); });
-  ++size_;
-  if (chunks_.empty()) {
-    chunks_.push_back(std::make_shared<const Chunk>(1, entry));
-    return;
-  }
-  if (pos.chunk == chunks_.size()) {
-    pos = {pos.chunk - 1, chunks_.back()->size()};  // append to the last
-  }
-  const Chunk& old = *chunks_[pos.chunk];
-  auto chunk = std::make_shared<Chunk>();
-  chunk->reserve(old.size() + 1);
-  chunk->insert(chunk->end(), old.begin(), old.begin() + pos.offset);
-  chunk->push_back(std::move(entry));
-  chunk->insert(chunk->end(), old.begin() + pos.offset, old.end());
-  if (chunk->size() > kPostingChunkCapacity) {
-    const size_t half = chunk->size() / 2;
-    auto tail = std::make_shared<const Chunk>(
-        std::make_move_iterator(chunk->begin() + half),
-        std::make_move_iterator(chunk->end()));
-    chunk->resize(half);
-    chunks_.insert(chunks_.begin() + pos.chunk + 1, std::move(tail));
-  }
-  chunks_[pos.chunk] = std::move(chunk);
-}
-
-void IndexPartition::Erase(const IndexEntry& key) {
-  const PostingPos pos = PartitionPoint(
-      [&](const IndexEntry& e) { return IndexEntryLess(e, key); });
-  // The delta only erases postings the partition holds: their facts were
-  // captured while the index reflected them.
-  const bool held = pos.chunk < chunks_.size() &&
-                    !IndexEntryLess(key, (*chunks_[pos.chunk])[pos.offset]);
-  assert(held);
-  if (!held) return;
-  const Chunk& old = *chunks_[pos.chunk];
-  --size_;
-  if (old.size() == 1) {
-    chunks_.erase(chunks_.begin() + pos.chunk);
-    return;
-  }
-  auto chunk = std::make_shared<Chunk>();
-  chunk->reserve(old.size() - 1);
-  chunk->insert(chunk->end(), old.begin(), old.begin() + pos.offset);
-  chunk->insert(chunk->end(), old.begin() + pos.offset + 1, old.end());
-  chunks_[pos.chunk] = std::move(chunk);
 }
 
 PostingRange ProbeRange(const IndexPartition& part, ProbeOp op,

@@ -21,31 +21,29 @@
 // Storage is chunked copy-on-write: Database keeps one IndexShard per
 // object shard, cloned with the same epoch protocol as the object shards
 // (core/db/database.h). A partition's sorted postings live in shared,
-// immutable chunks of at most kPostingChunkCapacity entries, so a shard
-// clone copies chunk pointers only. A write applies a per-oid delta
-// (IndexPartition::ApplyDelta): it diffs the oid's indexed facts
-// captured before the mutation against the facts after it, and erases
-// and inserts only the postings that changed, each found by binary
-// search on (value, oid, start) — copying just the chunks it touches. Per write
-// that is O(changed postings · log P + chunks touched), independent of
-// the shard's size. Entries are keyed by oid only — the index covers
-// every object that has the indexed attribute, regardless of class; the
-// declared class is validated at creation and used by the planner's cost
-// model, while extent membership is re-checked per probe (so class
-// filtering can never diverge from a scan).
+// immutable chunks (common/sorted_chunks.h, also the store of class
+// extent rows), so a shard clone copies chunk pointers only. A write
+// applies a per-oid delta (IndexPartition::ApplyDelta): it diffs the
+// oid's indexed facts captured before the mutation against the facts
+// after it, and erases and inserts only the postings that changed, each
+// found by binary search on (value, oid, start) — copying just the chunks
+// it touches. Per write that is O(changed postings · log P + chunks
+// touched), independent of the shard's size. Entries are keyed by oid
+// only — the index covers every object that has the indexed attribute,
+// regardless of class; the declared class is validated at creation and
+// used by the planner's cost model, while extent membership is
+// re-checked per probe (so class filtering can never diverge from a
+// scan).
 #ifndef TCHIMERA_CORE_DB_INDEX_H_
 #define TCHIMERA_CORE_DB_INDEX_H_
 
-#include <algorithm>
-#include <compare>
 #include <cstddef>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
+#include "common/sorted_chunks.h"
 #include "core/object/object.h"
 #include "core/temporal/interval.h"
 #include "core/values/value.h"
@@ -84,23 +82,17 @@ struct IndexEntry {
 // Sort key for postings: (value, oid, valid.start) under Value::Compare.
 bool IndexEntryLess(const IndexEntry& a, const IndexEntry& b);
 
-// Postings per chunk. A bulk build packs chunks full; an insert into a
-// full chunk splits it in half; an erase that empties a chunk drops it.
-inline constexpr size_t kPostingChunkCapacity = 64;
-
-// A position in a partition's chunked postings. Normalized: `offset` is
-// inside chunk `chunk`, except for the end position {chunk count, 0}.
-struct PostingPos {
-  size_t chunk = 0;
-  size_t offset = 0;
-  friend auto operator<=>(const PostingPos&, const PostingPos&) = default;
+// Orders postings by IndexEntryLess, for the chunk store.
+struct IndexEntryOrder {
+  bool operator()(const IndexEntry& a, const IndexEntry& b) const {
+    return IndexEntryLess(a, b);
+  }
 };
 
-// The half-open posting range [first, last).
-struct PostingRange {
-  PostingPos first;
-  PostingPos last;
-};
+// Postings live in the shared chunk store (common/sorted_chunks.h).
+inline constexpr size_t kPostingChunkCapacity = kChunkCapacity;
+using PostingPos = ChunkPos;
+using PostingRange = ChunkRange;
 
 // What one index reads of one object: the stored value of the indexed
 // attribute (`present` is false when the object or the attribute is
@@ -118,11 +110,10 @@ IndexedFacts CaptureIndexedFacts(const IndexDef& def, const Object* obj);
 // costs an empty delta.
 bool SameIndexedFacts(const IndexedFacts& a, const IndexedFacts& b);
 
-// The per-shard slice of one index.
-class IndexPartition {
+// The per-shard slice of one index: its postings, sorted by
+// IndexEntryLess in shared chunks. Empty for kLifespan indexes.
+class IndexPartition : public SortedChunks<IndexEntry, IndexEntryOrder> {
  public:
-  using Chunk = std::vector<IndexEntry>;
-
   // Bulk build over `objects` (any order): postings sorted and packed
   // into full chunks.
   static IndexPartition Build(const IndexDef& def,
@@ -133,49 +124,6 @@ class IndexPartition {
   // `after` has.
   void ApplyDelta(Oid oid, const IndexedFacts& before,
                   const IndexedFacts& after);
-
-  // Total postings, and the chunks holding them.
-  size_t size() const { return size_; }
-  size_t chunk_count() const { return chunks_.size(); }
-  bool empty() const { return chunks_.empty(); }
-
-  PostingRange All() const { return {{0, 0}, {chunks_.size(), 0}}; }
-  size_t Count(const PostingRange& range) const;
-  template <typename Fn>
-  void ForEach(const PostingRange& range, Fn&& fn) const {
-    for (PostingPos p = range.first; p < range.last; p = {p.chunk + 1, 0}) {
-      const Chunk& chunk = *chunks_[p.chunk];
-      const size_t stop =
-          p.chunk == range.last.chunk ? range.last.offset : chunk.size();
-      for (size_t i = p.offset; i < stop; ++i) fn(chunk[i]);
-    }
-  }
-
-  // The first position whose posting does not satisfy `before` (postings
-  // satisfying it must form a prefix): binary search over the chunks'
-  // last postings, then within one chunk.
-  template <typename Pred>
-  PostingPos PartitionPoint(Pred before) const {
-    auto chunk = std::partition_point(
-        chunks_.begin(), chunks_.end(),
-        [&](const std::shared_ptr<const Chunk>& c) {
-          return before(c->back());
-        });
-    if (chunk == chunks_.end()) return {chunks_.size(), 0};
-    const Chunk& c = **chunk;
-    return {static_cast<size_t>(chunk - chunks_.begin()),
-            static_cast<size_t>(
-                std::partition_point(c.begin(), c.end(), before) - c.begin())};
-  }
-
- private:
-  void Insert(IndexEntry entry);
-  void Erase(const IndexEntry& key);
-
-  // Non-empty chunks; their concatenation is sorted by IndexEntryLess.
-  // Empty for kLifespan indexes.
-  std::vector<std::shared_ptr<const Chunk>> chunks_;
-  size_t size_ = 0;
 };
 
 // One COW shard of the index store: every registered index's partition

@@ -93,24 +93,14 @@ Result<std::unique_ptr<Database>> TimeSlice(const Database& db,
       }
       spec.c_methods = cls->c_methods();
       // Extents freeze at their t-state, ongoing from t.
-      TemporalFunction ext = TemporalFunction::Constant(
-          Interval::FromUntilNow(at),
-          Value::Set([&] {
-            std::vector<Value> members;
-            for (Oid oid : cls->ExtentAt(at)) {
-              members.push_back(Value::OfOid(oid));
-            }
-            return members;
-          }()));
-      TemporalFunction pext = TemporalFunction::Constant(
-          Interval::FromUntilNow(at),
-          Value::Set([&] {
-            std::vector<Value> instances;
-            for (Oid oid : cls->ProperExtentAt(at)) {
-              instances.push_back(Value::OfOid(oid));
-            }
-            return instances;
-          }()));
+      const auto frozen = [&](const std::vector<Oid>& oids) {
+        std::vector<Value> members;
+        for (Oid oid : oids) members.push_back(Value::OfOid(oid));
+        return TemporalFunction::Constant(Interval::FromUntilNow(at),
+                                          Value::Set(std::move(members)));
+      };
+      TemporalFunction ext = frozen(cls->ExtentAt(at));
+      TemporalFunction pext = frozen(cls->ProperExtentAt(at));
       std::vector<Value::Field> c_values;
       for (const AttributeDef& ca : spec.c_attributes) {
         Result<Value> v = cls->CAttributeValue(ca.name);

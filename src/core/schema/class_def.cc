@@ -1,76 +1,14 @@
 #include "core/schema/class_def.h"
 
 #include <algorithm>
+#include <iterator>
+#include <map>
+#include <set>
 
 #include "core/types/type_registry.h"
 
 namespace tchimera {
 namespace {
-
-// Adds/removes an oid in a set-valued temporal function over [t, now].
-// Unlike a plain AssertFrom (which would overwrite any changes recorded
-// after t), this splices per segment, so retroactive membership updates
-// preserve later history.
-Status UpdateOidSet(TemporalFunction* f, Oid oid, TimePoint t, bool add) {
-  Value needle = Value::OfOid(oid);
-  // Fast path: the change lands inside the final ongoing segment (every
-  // current-time create / migrate / delete does). Read-modify-assert is
-  // then an O(set) tail operation instead of a full segment-vector
-  // rebuild.
-  if (!f->empty()) {
-    const auto& last = f->segments().back();
-    if (last.interval.is_ongoing() && last.interval.start() <= t) {
-      std::vector<Value> elems;
-      if (last.value.kind() == ValueKind::kSet) {
-        elems = last.value.Elements();
-      }
-      auto it = std::find(elems.begin(), elems.end(), needle);
-      if (add == (it != elems.end())) return Status::OK();  // no change
-      if (add) {
-        elems.push_back(needle);
-      } else {
-        elems.erase(it);
-      }
-      return f->AssertFrom(t, Value::Set(std::move(elems)));
-    }
-  } else if (add) {
-    return f->AssertFrom(t, Value::Set({needle}));
-  }
-  std::vector<TemporalFunction::Segment> out;
-  TimePoint cursor = t;  // next instant of [t, +inf) not yet produced
-  bool tail_done = false;
-  for (const auto& seg : f->segments()) {
-    const Interval& iv = seg.interval;
-    if (iv.end() < t) {
-      out.push_back(seg);
-      continue;
-    }
-    // Part strictly before t is unchanged.
-    if (iv.start() < t) {
-      out.push_back({Interval(iv.start(), t - 1), seg.value});
-    }
-    TimePoint s = std::max(iv.start(), t);
-    // Gap [cursor, s-1] inside the update range: membership was empty.
-    if (add && cursor < s) {
-      out.push_back({Interval(cursor, s - 1), Value::Set({needle})});
-    }
-    // Overlapping part: modified set.
-    std::vector<Value> elems;
-    if (seg.value.kind() == ValueKind::kSet) elems = seg.value.Elements();
-    auto it = std::find(elems.begin(), elems.end(), needle);
-    if (add && it == elems.end()) elems.push_back(needle);
-    if (!add && it != elems.end()) elems.erase(it);
-    out.push_back({Interval(s, iv.end()), Value::Set(std::move(elems))});
-    if (IsNow(iv.end())) tail_done = true;
-    cursor = IsNow(iv.end()) ? kNow : iv.end() + 1;
-  }
-  // Tail [cursor, +inf) uncovered by any segment.
-  if (add && !tail_done) {
-    out.push_back({Interval(cursor, kNow), Value::Set({needle})});
-  }
-  TCH_ASSIGN_OR_RETURN(*f, TemporalFunction::Make(std::move(out)));
-  return Status::OK();
-}
 
 template <typename T>
 void SortByName(std::vector<T>* items) {
@@ -79,6 +17,137 @@ void SortByName(std::vector<T>* items) {
 }
 
 }  // namespace
+
+ExtentRows ExtentRows::FromFunction(const TemporalFunction& f) {
+  ExtentRows out;
+  if (f.empty()) return out;
+  out.since_ = f.DomainStart();
+  std::map<Oid, std::vector<Interval>> pieces;
+  for (const auto& seg : f.segments()) {
+    if (seg.value.kind() != ValueKind::kSet) continue;
+    for (const Value& e : seg.value.Elements()) {
+      pieces[e.AsOid()].push_back(seg.interval);
+    }
+  }
+  std::vector<Row> rows;
+  for (auto& [oid, ivs] : pieces) {
+    const IntervalSet coalesced(std::move(ivs));
+    for (const Interval& iv : coalesced.intervals()) rows.push_back({oid, iv});
+  }
+  out.rows_ = Rows::Build(std::move(rows));
+  return out;
+}
+
+TemporalFunction ExtentRows::Function(TimePoint end) const {
+  const Interval dom = Domain(end);
+  if (dom.empty()) return {};
+  // The members change only where a row starts or just after one ends.
+  std::map<TimePoint, std::vector<std::pair<Oid, bool>>> changes{
+      {dom.start(), {}}};
+  ForEachRow([&](const Row& r) {
+    const TimePoint s = std::max(r.iv.start(), dom.start());
+    const TimePoint e = std::min(r.iv.end(), dom.end());
+    if (s > e) return;
+    changes[s].emplace_back(r.oid, true);
+    if (e < dom.end()) changes[e + 1].emplace_back(r.oid, false);
+  });
+  std::set<Oid> members;
+  std::vector<TemporalFunction::Segment> segments;
+  for (auto it = changes.begin(); it != changes.end(); ++it) {
+    for (const auto& [oid, join] : it->second) {
+      if (join) {
+        members.insert(oid);
+      } else {
+        members.erase(oid);
+      }
+    }
+    std::vector<Value> set;
+    for (Oid oid : members) set.push_back(Value::OfOid(oid));
+    const auto next = std::next(it);
+    const TimePoint to = next == changes.end() ? dom.end() : next->first - 1;
+    segments.push_back({Interval(it->first, to), Value::Set(std::move(set))});
+  }
+  // Disjoint by construction, so Make only coalesces.
+  return *TemporalFunction::Make(std::move(segments));
+}
+
+Interval ExtentRows::Domain(TimePoint end) const {
+  return since_.has_value() ? Interval(*since_, end) : Interval::Empty();
+}
+
+ChunkPos ExtentRows::Seek(Oid oid, TimePoint from) const {
+  // An oid's rows are disjoint, so their ends ascend with their starts:
+  // the rows ending at or after `from` are a suffix of its block.
+  return rows_.PartitionPoint([&](const Row& r) {
+    return r.oid < oid || (r.oid == oid && r.iv.end() < from);
+  });
+}
+
+bool ExtentRows::Contains(Oid oid, TimePoint t) const {
+  // The first row of `oid` ending at or after t is the only candidate.
+  const ChunkPos p = Seek(oid, t);
+  if (p == rows_.All().last) return false;
+  const Row& r = rows_.At(p);
+  return r.oid == oid && r.iv.start() <= t;
+}
+
+std::vector<Oid> ExtentRows::At(TimePoint t) const {
+  std::vector<Oid> out;
+  ForEachRow([&](const Row& r) {
+    if (r.iv.start() <= t && t <= r.iv.end()) out.push_back(r.oid);
+  });
+  return out;
+}
+
+std::vector<Interval> ExtentRows::RowsOf(Oid oid, TimePoint from) const {
+  std::vector<Interval> out;
+  rows_.ForEach(
+      {Seek(oid, from),
+       rows_.PartitionPoint([&](const Row& r) { return r.oid <= oid; })},
+      [&](const Row& r) { out.push_back(r.iv); });
+  return out;
+}
+
+void ExtentRows::Replace(Oid oid, const std::vector<Interval>& old,
+                         const std::vector<Interval>& fresh) {
+  if (old == fresh) return;
+  for (const Interval& iv : old) rows_.Erase({oid, iv});
+  for (const Interval& iv : fresh) rows_.Insert({oid, iv});
+}
+
+Status ExtentRows::Add(Oid oid, TimePoint t) {
+  since_ = since_.has_value() ? std::min(*since_, t) : t;
+  // The rows ending at or after t-1 meet [t, now] and merge with it.
+  const std::vector<Interval> old = RowsOf(oid, t - 1);
+  const TimePoint start = old.empty() ? t : std::min(t, old.front().start());
+  Replace(oid, old, {Interval::FromUntilNow(start)});
+  return Status::OK();
+}
+
+Status ExtentRows::Remove(Oid oid, TimePoint t) {
+  // Of the rows ending at or after t, only the first can start before t
+  // and keep that part.
+  const std::vector<Interval> old = RowsOf(oid, t);
+  std::vector<Interval> fresh;
+  if (!old.empty() && old.front().start() < t) {
+    fresh.emplace_back(old.front().start(), t - 1);
+  }
+  Replace(oid, old, fresh);
+  return Status::OK();
+}
+
+void ExtentRows::Clip(TimePoint t) {
+  std::vector<Row> kept;
+  ForEachRow([&](const Row& r) {
+    if (r.iv.start() <= t) {
+      kept.push_back(
+          {r.oid, Interval(r.iv.start(), std::min(r.iv.end(), t))});
+    }
+  });
+  rows_ = Rows::Build(std::move(kept));
+}
+
+void ExtentRows::Erase(Oid oid) { Replace(oid, RowsOf(oid), {}); }
 
 std::string MethodDef::ToString() const {
   std::string out = name + ": ";
@@ -130,8 +199,8 @@ Value ClassDef::History() const {
   for (size_t i = 0; i < c_attributes_.size(); ++i) {
     fields.emplace_back(c_attributes_[i].name, c_attr_values_[i]);
   }
-  fields.emplace_back("ext", Value::Temporal(ext_));
-  fields.emplace_back("proper-ext", Value::Temporal(proper_ext_));
+  fields.emplace_back("ext", Value::Temporal(ext()));
+  fields.emplace_back("proper-ext", Value::Temporal(proper_ext()));
   // Field names are unique by construction ("ext"/"proper-ext" are
   // reserved and rejected as c-attribute names at definition time).
   Result<Value> record = Value::Record(std::move(fields));
@@ -210,70 +279,10 @@ const Type* ClassDef::StaticType() const {
   return r.ok() ? r.value() : nullptr;
 }
 
-std::vector<Oid> ClassDef::ExtentAt(TimePoint t) const {
-  std::vector<Oid> out;
-  const Value* v = ext_.At(t);
-  if (v != nullptr && v->kind() == ValueKind::kSet) {
-    for (const Value& e : v->Elements()) out.push_back(e.AsOid());
-  }
-  return out;
-}
-
-std::vector<Oid> ClassDef::ProperExtentAt(TimePoint t) const {
-  std::vector<Oid> out;
-  const Value* v = proper_ext_.At(t);
-  if (v != nullptr && v->kind() == ValueKind::kSet) {
-    for (const Value& e : v->Elements()) out.push_back(e.AsOid());
-  }
-  return out;
-}
-
-bool ClassDef::InExtentAt(Oid oid, TimePoint t) const {
-  const Value* v = ext_.At(t);
-  return v != nullptr && v->kind() == ValueKind::kSet &&
-         v->Contains(Value::OfOid(oid));
-}
-
-bool ClassDef::InProperExtentAt(Oid oid, TimePoint t) const {
-  const Value* v = proper_ext_.At(t);
-  return v != nullptr && v->kind() == ValueKind::kSet &&
-         v->Contains(Value::OfOid(oid));
-}
-
 IntervalSet ClassDef::MemberIntervals(Oid oid, TimePoint current) const {
-  std::vector<Interval> out;
-  Value needle = Value::OfOid(oid);
-  for (const auto& seg : ext_.segments()) {
-    if (seg.value.kind() == ValueKind::kSet && seg.value.Contains(needle)) {
-      Interval r = seg.interval.Resolve(current);
-      if (!r.empty()) out.push_back(r);
-    }
-  }
+  std::vector<Interval> out = ext_.RowsOf(oid);
+  for (Interval& iv : out) iv = iv.Resolve(current);
   return IntervalSet(std::move(out));
-}
-
-IntervalSet ClassDef::RawMemberIntervals(Oid oid) const {
-  std::vector<Interval> out;
-  Value needle = Value::OfOid(oid);
-  for (const auto& seg : ext_.segments()) {
-    if (seg.value.kind() == ValueKind::kSet && seg.value.Contains(needle)) {
-      out.push_back(seg.interval);
-    }
-  }
-  return IntervalSet(std::move(out));
-}
-
-Status ClassDef::AddMember(Oid oid, TimePoint t) {
-  return UpdateOidSet(&ext_, oid, t, /*add=*/true);
-}
-Status ClassDef::RemoveMember(Oid oid, TimePoint t) {
-  return UpdateOidSet(&ext_, oid, t, /*add=*/false);
-}
-Status ClassDef::AddInstance(Oid oid, TimePoint t) {
-  return UpdateOidSet(&proper_ext_, oid, t, /*add=*/true);
-}
-Status ClassDef::RemoveInstance(Oid oid, TimePoint t) {
-  return UpdateOidSet(&proper_ext_, oid, t, /*add=*/false);
 }
 
 Result<Value> ClassDef::CAttributeValue(std::string_view name) const {
@@ -313,44 +322,15 @@ Status ClassDef::RestoreState(const Interval& lifespan, TemporalFunction ext,
         std::to_string(c_attributes_.size()) + " c-attributes");
   }
   lifespan_ = lifespan;
-  ext_ = std::move(ext);
-  proper_ext_ = std::move(proper_ext);
+  ext_ = ExtentRows::FromFunction(ext);
+  proper_ext_ = ExtentRows::FromFunction(proper_ext);
   c_attr_values_ = std::move(c_attr_values);
   return Status::OK();
 }
 
-namespace {
-
-// Rebuilds `f` with `oid` removed from every set-valued segment.
-TemporalFunction WithoutOid(const TemporalFunction& f, Oid oid) {
-  const Value target = Value::OfOid(oid);
-  std::vector<TemporalFunction::Segment> segments;
-  segments.reserve(f.segment_count());
-  for (const TemporalFunction::Segment& seg : f.segments()) {
-    if (seg.value.kind() != ValueKind::kSet) {
-      segments.push_back(seg);
-      continue;
-    }
-    std::vector<Value> kept;
-    kept.reserve(seg.value.Elements().size());
-    for (const Value& e : seg.value.Elements()) {
-      if (!(e == target)) kept.push_back(e);
-    }
-    if (kept.empty()) continue;  // empty pieces leave the domain entirely
-    segments.push_back({seg.interval, Value::Set(std::move(kept))});
-  }
-  // The segments came from a valid function, so they stay disjoint and
-  // Make cannot fail; fall back to the original defensively.
-  Result<TemporalFunction> rebuilt =
-      TemporalFunction::Make(std::move(segments));
-  return rebuilt.ok() ? *std::move(rebuilt) : f;
-}
-
-}  // namespace
-
 void ClassDef::ScrubFromExtents(Oid oid) {
-  ext_ = WithoutOid(ext_, oid);
-  proper_ext_ = WithoutOid(proper_ext_, oid);
+  ext_.Erase(oid);
+  proper_ext_.Erase(oid);
 }
 
 Status ClassDef::CloseLifespan(TimePoint t) {
@@ -363,8 +343,8 @@ Status ClassDef::CloseLifespan(TimePoint t) {
                                  " before its creation");
   }
   lifespan_ = Interval(lifespan_.start(), t);
-  ext_.CloseAt(t);
-  proper_ext_.CloseAt(t);
+  ext_.Clip(t);
+  proper_ext_.Clip(t);
   return Status::OK();
 }
 

@@ -9,6 +9,13 @@
 // (the members / instances of the class over time), and `mc` is the
 // metaclass identifier.
 //
+// Membership is per-oid interval data (Invariants 5.1-5.2 tie it to each
+// object's class history), so ClassDef stores each extent history as
+// oid-sorted membership rows (ExtentRows) in shared chunks: a membership
+// change is O(log n + one chunk), and a clone copies chunk pointers. The
+// paper's set-valued function is built from the rows only when asked for
+// (ext(), proper_ext(): History, meta-objects, snapshots).
+//
 // ClassDef also derives the three types associated with a class
 // (Section 4): the structural type (all attributes), the historical type
 // (the T^- images of the temporal attributes) and the static type (the
@@ -16,12 +23,16 @@
 #ifndef TCHIMERA_CORE_SCHEMA_CLASS_DEF_H_
 #define TCHIMERA_CORE_SCHEMA_CLASS_DEF_H_
 
+#include <limits>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "common/result.h"
+#include "common/sorted_chunks.h"
 #include "core/temporal/interval.h"
+#include "core/temporal/interval_set.h"
 #include "core/types/type.h"
 #include "core/values/temporal_function.h"
 #include "core/values/value.h"
@@ -63,6 +74,66 @@ struct ClassSpec {
   std::vector<MethodDef> methods;         // declared (may refine inherited)
   std::vector<AttributeDef> c_attributes;
   std::vector<MethodDef> c_methods;
+};
+
+// One extent history as membership rows {oid, iv}, sorted by
+// (oid, iv.start). An oid's intervals are raw (kNow-ended while ongoing),
+// disjoint and coalesced. The paper's function over the rows has domain
+// [since, end] -- `since` is the first instant anything was ever added --
+// and the value {} wherever the class has no member, a state the rows
+// alone cannot express (e.g. a create and a migrate in one instant).
+class ExtentRows {
+ public:
+  struct Row {
+    Oid oid;
+    Interval iv;
+  };
+
+  // Rebuilds the rows and `since` from the paper's function (restore).
+  static ExtentRows FromFunction(const TemporalFunction& f);
+  // The function over [since, end]: empty before anything was added.
+  TemporalFunction Function(TimePoint end) const;
+  // [since, end]; empty before anything was added.
+  Interval Domain(TimePoint end) const;
+
+  bool Contains(Oid oid, TimePoint t) const;
+  // The members at t, ascending.
+  std::vector<Oid> At(TimePoint t) const;
+  // `oid`'s raw intervals ending at or after `from`, in time order.
+  std::vector<Interval> RowsOf(
+      Oid oid, TimePoint from = std::numeric_limits<TimePoint>::min()) const;
+  template <typename Fn>
+  void ForEachRow(Fn&& fn) const {
+    rows_.ForEach(rows_.All(), fn);
+  }
+
+  // `oid`'s intervals union / minus [t, now]; always OK.
+  Status Add(Oid oid, TimePoint t);
+  Status Remove(Oid oid, TimePoint t);
+  // Clips every row to end by t (class deletion).
+  void Clip(TimePoint t);
+  // Drops every row of `oid`.
+  void Erase(Oid oid);
+
+ private:
+  struct RowOrder {
+    bool operator()(const Row& a, const Row& b) const {
+      return a.oid != b.oid ? a.oid < b.oid : a.iv.start() < b.iv.start();
+    }
+  };
+  // The first row of `oid` ending at or after `from`, or the row after
+  // its block.
+  ChunkPos Seek(Oid oid, TimePoint from) const;
+  // Replaces `oid`'s rows `old` with `fresh`.
+  void Replace(Oid oid, const std::vector<Interval>& old,
+               const std::vector<Interval>& fresh);
+
+  // Rows are 24 trivially copyable bytes, so a chunk copy is one memcpy
+  // even at 512 rows, while fewer chunks keep a ClassDef clone (one per
+  // committed membership change) cheap as the extent grows.
+  using Rows = SortedChunks<Row, RowOrder, 512>;
+  Rows rows_;
+  std::optional<TimePoint> since_;
 };
 
 class ClassDef {
@@ -131,29 +202,42 @@ class ClassDef {
 
   // --- extent history and c-attribute values (mutated by the database) ---
 
-  // E(t): members over time (sets of oids).
-  const TemporalFunction& ext() const { return ext_; }
+  // E(t): members over time (sets of oids), built from the rows.
+  TemporalFunction ext() const { return ext_.Function(lifespan_.end()); }
   // PE(t): instances over time; PE(t) subset of E(t) always.
-  const TemporalFunction& proper_ext() const { return proper_ext_; }
+  TemporalFunction proper_ext() const {
+    return proper_ext_.Function(lifespan_.end());
+  }
+  // The stored rows behind ext() / proper_ext().
+  const ExtentRows& ext_rows() const { return ext_; }
+  const ExtentRows& proper_ext_rows() const { return proper_ext_; }
 
   // pi(c, t) as stored in this class: the member oids at instant t.
   // (Function pi of Table 3 is pi(c,t) = C.history.ext(t).)
-  std::vector<Oid> ExtentAt(TimePoint t) const;
-  std::vector<Oid> ProperExtentAt(TimePoint t) const;
-  bool InExtentAt(Oid oid, TimePoint t) const;
-  bool InProperExtentAt(Oid oid, TimePoint t) const;
+  std::vector<Oid> ExtentAt(TimePoint t) const { return ext_.At(t); }
+  std::vector<Oid> ProperExtentAt(TimePoint t) const {
+    return proper_ext_.At(t);
+  }
+  bool InExtentAt(Oid oid, TimePoint t) const { return ext_.Contains(oid, t); }
+  bool InProperExtentAt(Oid oid, TimePoint t) const {
+    return proper_ext_.Contains(oid, t);
+  }
   // All instants at which `oid` is a member: the basis of c_lifespan.
   IntervalSet MemberIntervals(Oid oid, TimePoint current) const;
   // Like MemberIntervals but with ongoing membership kept unclipped
   // (endpoint kNow), for subset checks against ongoing intervals.
-  IntervalSet RawMemberIntervals(Oid oid) const;
+  IntervalSet RawMemberIntervals(Oid oid) const {
+    return IntervalSet(ext_.RowsOf(oid));
+  }
 
   // Adds/removes `oid` from the member set (`ext`) or instance set
-  // (`proper-ext`) from instant `t` onward.
-  Status AddMember(Oid oid, TimePoint t);
-  Status RemoveMember(Oid oid, TimePoint t);
-  Status AddInstance(Oid oid, TimePoint t);
-  Status RemoveInstance(Oid oid, TimePoint t);
+  // (`proper-ext`) from instant `t` onward; never fails.
+  Status AddMember(Oid oid, TimePoint t) { return ext_.Add(oid, t); }
+  Status RemoveMember(Oid oid, TimePoint t) { return ext_.Remove(oid, t); }
+  Status AddInstance(Oid oid, TimePoint t) { return proper_ext_.Add(oid, t); }
+  Status RemoveInstance(Oid oid, TimePoint t) {
+    return proper_ext_.Remove(oid, t);
+  }
 
   // The current value of c-attribute `name` (for a temporal c-attribute
   // the whole function); null Value when unset.
@@ -175,9 +259,9 @@ class ClassDef {
                       std::vector<Value> c_attr_values);
 
   // Removes every trace of `oid` from ext / proper-ext, at all instants
-  // (segments whose member set becomes empty are dropped). Not a model
-  // operation: recovery-only surgery used when quarantining an object
-  // that failed the post-recovery audit (see storage/recovery.h).
+  // (the domain stays [since, end], with {} where no member is left). Not
+  // a model operation: recovery-only surgery used when quarantining an
+  // object that failed the post-recovery audit (see storage/recovery.h).
   void ScrubFromExtents(Oid oid);
 
  private:
@@ -191,8 +275,8 @@ class ClassDef {
   std::string metaclass_;
 
   std::vector<Value> c_attr_values_;  // parallel to c_attributes_
-  TemporalFunction ext_;
-  TemporalFunction proper_ext_;
+  ExtentRows ext_;
+  ExtentRows proper_ext_;
 };
 
 }  // namespace tchimera

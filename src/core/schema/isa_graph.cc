@@ -137,14 +137,6 @@ std::vector<std::string> IsaGraph::Subclasses(std::string_view name) const {
   return out;
 }
 
-const std::vector<std::string>& IsaGraph::DirectSuperclasses(
-    std::string_view name) const {
-  static const std::vector<std::string>& kEmpty =
-      *new std::vector<std::string>();
-  const Node* node = Find(name);
-  return node == nullptr ? kEmpty : node->direct_supers;
-}
-
 Result<std::string> IsaGraph::HierarchyId(std::string_view name) const {
   const Node* node = Find(name);
   if (node == nullptr) {

@@ -43,8 +43,6 @@ class IsaGraph final : public IsaProvider {
   std::vector<std::string> Superclasses(std::string_view name) const;
   // All (transitive) subclasses of `name`, itself excluded.
   std::vector<std::string> Subclasses(std::string_view name) const;
-  const std::vector<std::string>& DirectSuperclasses(
-      std::string_view name) const;
 
   // The identifier of the connected component (hierarchy) `name` belongs
   // to: the lexicographically smallest root of the component. Two classes

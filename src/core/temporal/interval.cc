@@ -9,38 +9,6 @@ std::string InstantToString(TimePoint t) {
   return std::to_string(t);
 }
 
-const char* AllenRelationName(AllenRelation r) {
-  switch (r) {
-    case AllenRelation::kBefore:
-      return "before";
-    case AllenRelation::kMeets:
-      return "meets";
-    case AllenRelation::kOverlaps:
-      return "overlaps";
-    case AllenRelation::kStarts:
-      return "starts";
-    case AllenRelation::kDuring:
-      return "during";
-    case AllenRelation::kFinishes:
-      return "finishes";
-    case AllenRelation::kEquals:
-      return "equals";
-    case AllenRelation::kFinishedBy:
-      return "finished-by";
-    case AllenRelation::kContains:
-      return "contains";
-    case AllenRelation::kStartedBy:
-      return "started-by";
-    case AllenRelation::kOverlappedBy:
-      return "overlapped-by";
-    case AllenRelation::kMetBy:
-      return "met-by";
-    case AllenRelation::kAfter:
-      return "after";
-  }
-  return "unknown";
-}
-
 Interval Interval::Resolve(TimePoint current) const {
   if (empty()) return Empty();
   TimePoint s = ResolveInstant(start_, current);

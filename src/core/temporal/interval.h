@@ -31,8 +31,6 @@ enum class AllenRelation {
   kAfter,         // inverse of kBefore
 };
 
-const char* AllenRelationName(AllenRelation r);
-
 // A closed interval of instants, possibly empty, possibly ending at the
 // symbolic `now`. Immutable value type.
 class Interval {

@@ -189,9 +189,4 @@ Result<const Type*> TMinus(const Type* t) {
   return t->element();
 }
 
-size_t InternedTypeCount() {
-  std::lock_guard<std::mutex> lock(TypeFactory::Mutex());
-  return TypeFactory::Map().size();
-}
-
 }  // namespace tchimera::types

@@ -44,9 +44,6 @@ Result<const Type*> Temporal(const Type* element);
 // counterpart T. Fails with TypeError when `t` is not a temporal type.
 Result<const Type*> TMinus(const Type* t);
 
-// Number of types interned so far (diagnostics / benchmarks).
-size_t InternedTypeCount();
-
 }  // namespace tchimera::types
 
 #endif  // TCHIMERA_CORE_TYPES_TYPE_REGISTRY_H_

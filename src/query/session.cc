@@ -1,6 +1,7 @@
 #include "query/session.h"
 
 #include <algorithm>
+#include <cctype>
 #include <utility>
 
 #include "query/interpreter.h"
@@ -212,6 +213,19 @@ Result<std::string> Engine::ExecuteWriteExclusive(Statement* stmt,
 
 namespace {
 
+// True when the first token is `select` or `when` (any case): only
+// those statements are ever cached, so every other text skips the key,
+// the snapshot pin and the lookup.
+bool MayHitPlanCache(std::string_view statement) {
+  const size_t pos = SkipGap(statement, 0);
+  if (pos == statement.size()) return false;
+  std::string word(statement.substr(pos, TokenEnd(statement, pos) - pos));
+  for (char& c : word) {
+    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  }
+  return word == "select" || word == "when";
+}
+
 // Runs a cached plan on the batch VM and formats its result.
 Result<std::string> RunPlan(const LoweredPlan& plan, const Database& db) {
   if (plan.kind == LoweredPlan::Kind::kSelect) {
@@ -226,16 +240,17 @@ Result<std::string> RunPlan(const LoweredPlan& plan, const Database& db) {
 }  // namespace
 
 Result<std::string> Session::Execute(std::string_view statement) {
-  // With compilation on, the plan cache is consulted before parsing: a
-  // cached plan runs with no AST at all (its key is sound for that, see
-  // NormalizePlanKey). The snapshot pinned for the lookup is the one the
-  // statement reads, so the plan runs under the schema it was checked
-  // against.
+  // With compilation on, a select or when consults the plan cache before
+  // parsing: a cached plan runs with no AST at all (its key is sound for
+  // that, see NormalizePlanKey). The snapshot pinned for the lookup is the
+  // one the statement reads, so the plan runs under the schema it was
+  // checked against.
   std::string key;
   ReadSnapshot snap;
   std::shared_ptr<const CachedPlan> cached;
   PlanCache& cache = engine_->plan_cache();
-  if (compile_enabled_) {
+  const bool cacheable = compile_enabled_ && MayHitPlanCache(statement);
+  if (cacheable) {
     key = NormalizePlanKey(statement);
     snap = engine_->OpenSnapshot();
     cached = cache.Lookup(key, snap.db().schema_version());
@@ -253,7 +268,7 @@ Result<std::string> Session::Execute(std::string_view statement) {
   // with other readers. The snapshot is const; the read executor takes
   // it as such.
   if (!snap.valid()) snap = engine_->OpenSnapshot();
-  if (compile_enabled_ && cached == nullptr &&
+  if (cacheable && cached == nullptr &&
       (stmt.kind == Statement::Kind::kSelect ||
        stmt.kind == Statement::Kind::kWhen)) {
     // Only here is a miss a miss: the text compiles or is remembered as

@@ -360,8 +360,8 @@ Result<std::vector<SelectRow>> RunSelect(const ExecProgram& prog,
     // Index access path: probe the value index for the oids whose
     // indexed attribute satisfies the planned comparison at `at`, then
     // keep only extent members. The probe covers every object with the
-    // attribute regardless of class, and an extent is a canonically
-    // sorted oid set — so the filtered, ascending probe output visits
+    // attribute regardless of class, and ExtentAt lists an extent in
+    // ascending oid order — so the filtered, ascending probe output visits
     // exactly the extent rows a scan would keep after its first
     // conjunct, in the same order. The full WHERE still runs below:
     // identical rows, projections, and error behavior by construction.

@@ -151,6 +151,43 @@ TEST_F(ConsistencyTest, ClassHistoryExtentMismatchViolates51And52) {
   EXPECT_FALSE(CheckInvariant52(db_).ok());
 }
 
+TEST(ExtentInvariantTest, RestoredExtentViolationsAreCaught) {
+  // Hand-restored extents (as a corrupt snapshot would carry them): i1
+  // lives over [5,60] and is an instance of person there, but a member
+  // of person over [5,now]; it is a member of employee over [2,now] but
+  // of its superclass person only over [5,now]; and it is also a member
+  // of `other`, a class of another hierarchy.
+  Database db;
+  db.Tick(10);
+  const auto extent = [](const Interval& iv) {
+    TemporalFunction f;
+    EXPECT_TRUE(f.Define(iv, Value::Set({Value::OfOid(Oid{1})})).ok());
+    return f;
+  };
+  const Interval life = Interval::FromUntilNow(0);
+  ClassSpec person{"person", {}, {}, {}, {}, {}};
+  ClassSpec employee{"employee", {"person"}, {}, {}, {}, {}};
+  ClassSpec other{"other", {}, {}, {}, {}, {}};
+  ASSERT_TRUE(db.RestoreClass(person, life, extent(Interval(5, kNow)),
+                              extent(Interval(5, 60)), {})
+                  .ok());
+  ASSERT_TRUE(db.RestoreClass(employee, life, extent(Interval(2, kNow)),
+                              TemporalFunction(), {})
+                  .ok());
+  ASSERT_TRUE(db.RestoreClass(other, life, extent(Interval(5, kNow)),
+                              TemporalFunction(), {})
+                  .ok());
+  TemporalFunction history;
+  ASSERT_TRUE(history.Define(Interval(5, 60), Value::String("person")).ok());
+  ASSERT_TRUE(db.RestoreObject(Oid{1}, Interval(5, 60), history, {}).ok());
+  Status s51 = CheckInvariant51(db);
+  EXPECT_NE(s51.message().find("5.1(1)"), std::string::npos) << s51;
+  Status s61 = CheckInvariant61(db);
+  EXPECT_NE(s61.message().find("6.1(2)"), std::string::npos) << s61;
+  Status s62 = CheckInvariant62(db);
+  EXPECT_NE(s62.message().find("6.2"), std::string::npos) << s62;
+}
+
 TEST_F(ConsistencyTest, PopulatedDatabaseStaysConsistent) {
   // The full random workload (updates + migrations over many steps)
   // preserves every invariant — the mutators maintain them by

@@ -3,6 +3,11 @@
 // definition time.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <string>
+#include <vector>
+
 #include "core/db/database.h"
 #include "core/schema/refinement.h"
 #include "core/types/type_registry.h"
@@ -122,6 +127,209 @@ TEST(ClassDefTest, CloseLifespan) {
   EXPECT_FALSE(cls.InExtentAt(Oid{1}, 10));
   // Classes are never recreated (Section 4).
   EXPECT_FALSE(cls.CloseLifespan(12).ok());
+}
+
+// --- extent rows against the spliced set-valued function -------------------
+
+// The reference: each extent history stored as one set-valued temporal
+// function, spliced per membership change. These two functions are the
+// set-splice implementation that the membership rows replaced, kept
+// verbatim as the oracle.
+Status RefUpdateOidSet(TemporalFunction* f, Oid oid, TimePoint t, bool add) {
+  Value needle = Value::OfOid(oid);
+  if (!f->empty()) {
+    const auto& last = f->segments().back();
+    if (last.interval.is_ongoing() && last.interval.start() <= t) {
+      std::vector<Value> elems;
+      if (last.value.kind() == ValueKind::kSet) {
+        elems = last.value.Elements();
+      }
+      auto it = std::find(elems.begin(), elems.end(), needle);
+      if (add == (it != elems.end())) return Status::OK();  // no change
+      if (add) {
+        elems.push_back(needle);
+      } else {
+        elems.erase(it);
+      }
+      return f->AssertFrom(t, Value::Set(std::move(elems)));
+    }
+  } else if (add) {
+    return f->AssertFrom(t, Value::Set({needle}));
+  }
+  std::vector<TemporalFunction::Segment> out;
+  TimePoint cursor = t;  // next instant of [t, +inf) not yet produced
+  bool tail_done = false;
+  for (const auto& seg : f->segments()) {
+    const Interval& iv = seg.interval;
+    if (iv.end() < t) {
+      out.push_back(seg);
+      continue;
+    }
+    if (iv.start() < t) {
+      out.push_back({Interval(iv.start(), t - 1), seg.value});
+    }
+    TimePoint s = std::max(iv.start(), t);
+    if (add && cursor < s) {
+      out.push_back({Interval(cursor, s - 1), Value::Set({needle})});
+    }
+    std::vector<Value> elems;
+    if (seg.value.kind() == ValueKind::kSet) elems = seg.value.Elements();
+    auto it = std::find(elems.begin(), elems.end(), needle);
+    if (add && it == elems.end()) elems.push_back(needle);
+    if (!add && it != elems.end()) elems.erase(it);
+    out.push_back({Interval(s, iv.end()), Value::Set(std::move(elems))});
+    if (IsNow(iv.end())) tail_done = true;
+    cursor = IsNow(iv.end()) ? kNow : iv.end() + 1;
+  }
+  if (add && !tail_done) {
+    out.push_back({Interval(cursor, kNow), Value::Set({needle})});
+  }
+  TCH_ASSIGN_OR_RETURN(*f, TemporalFunction::Make(std::move(out)));
+  return Status::OK();
+}
+
+TemporalFunction RefWithoutOid(const TemporalFunction& f, Oid oid) {
+  const Value target = Value::OfOid(oid);
+  std::vector<TemporalFunction::Segment> segments;
+  for (const TemporalFunction::Segment& seg : f.segments()) {
+    std::vector<Value> kept;
+    for (const Value& e : seg.value.Elements()) {
+      if (!(e == target)) kept.push_back(e);
+    }
+    if (kept.empty()) continue;  // empty pieces leave the domain entirely
+    segments.push_back({seg.interval, Value::Set(std::move(kept))});
+  }
+  return *TemporalFunction::Make(std::move(segments));
+}
+
+std::vector<Oid> RefMembersAt(const TemporalFunction& f, TimePoint t) {
+  std::vector<Oid> out;
+  const Value* v = f.At(t);
+  if (v != nullptr) {
+    for (const Value& e : v->Elements()) out.push_back(e.AsOid());
+  }
+  return out;
+}
+
+IntervalSet RefMemberIntervals(const TemporalFunction& f, Oid oid,
+                               TimePoint current) {
+  std::vector<Interval> out;
+  for (const auto& seg : f.segments()) {
+    if (seg.value.Contains(Value::OfOid(oid))) {
+      out.push_back(seg.interval.Resolve(current));
+    }
+  }
+  return IntervalSet(std::move(out));
+}
+
+constexpr uint64_t kOracleOids = 10;
+
+// Per-instant membership over [0, horizon], and member intervals at
+// `clock`; with `whole`, also the paper values ext() / proper_ext().
+void ExpectMatchesReference(const ClassDef& cls, const TemporalFunction& ext,
+                            const TemporalFunction& pext, TimePoint clock,
+                            TimePoint horizon, bool whole) {
+  if (whole) {
+    ASSERT_EQ(cls.ext().ToString(), ext.ToString());
+    ASSERT_EQ(cls.proper_ext().ToString(), pext.ToString());
+  }
+  for (TimePoint t = 0; t <= horizon; ++t) {
+    ASSERT_EQ(cls.ExtentAt(t), RefMembersAt(ext, t)) << "t=" << t;
+    ASSERT_EQ(cls.ProperExtentAt(t), RefMembersAt(pext, t)) << "t=" << t;
+    for (uint64_t id = 1; id <= kOracleOids; ++id) {
+      const Oid oid{id};
+      const auto in = [&](const TemporalFunction& f) {
+        const std::vector<Oid> m = RefMembersAt(f, t);
+        return std::find(m.begin(), m.end(), oid) != m.end();
+      };
+      ASSERT_EQ(cls.InExtentAt(oid, t), in(ext)) << oid.ToString() << t;
+      ASSERT_EQ(cls.InProperExtentAt(oid, t), in(pext))
+          << oid.ToString() << t;
+    }
+  }
+  for (uint64_t id = 1; id <= kOracleOids; ++id) {
+    ASSERT_EQ(cls.MemberIntervals(Oid{id}, clock).ToString(),
+              RefMemberIntervals(ext, Oid{id}, clock).ToString());
+  }
+}
+
+TEST(ExtentRowsOracleTest, RowsMatchTheSplicedSetFunction) {
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    std::mt19937_64 rng(seed);
+    ClassDef cls("c", 0, {}, {}, {}, {}, {});
+    TemporalFunction ext;
+    TemporalFunction pext;
+    TimePoint clock = 0;
+    TimePoint last_t = 0;
+    TimePoint max_t = 0;
+    bool scrubbed = false;
+    for (int step = 0; step < 160; ++step) {
+      if (rng() % 3 == 0) clock += 1 + static_cast<TimePoint>(rng() % 3);
+      const Oid oid{1 + rng() % kOracleOids};
+      // Mostly the clock; else the previous instant (add/remove at one
+      // instant), a retroactive instant, or clock+1 (a delete's removal).
+      TimePoint t = clock;
+      switch (rng() % 6) {
+        case 0:
+        case 1:
+          t = std::min(last_t, clock);
+          break;
+        case 2:
+          t = std::max<TimePoint>(0, clock - 1 -
+                                         static_cast<TimePoint>(rng() % 12));
+          break;
+        case 3:
+          t = clock + 1;
+          break;
+        default:
+          break;
+      }
+      last_t = t;
+      max_t = std::max(max_t, t);
+      const uint64_t op = rng() % (step >= 110 ? 9 : 8);
+      switch (op) {
+        case 0:
+        case 1:
+          ASSERT_TRUE(cls.AddMember(oid, t).ok());
+          ASSERT_TRUE(RefUpdateOidSet(&ext, oid, t, true).ok());
+          break;
+        case 2:
+        case 3:
+          ASSERT_TRUE(cls.AddInstance(oid, t).ok());
+          ASSERT_TRUE(RefUpdateOidSet(&pext, oid, t, true).ok());
+          break;
+        case 4:
+        case 5:
+          ASSERT_TRUE(cls.RemoveMember(oid, t).ok());
+          ASSERT_TRUE(RefUpdateOidSet(&ext, oid, t, false).ok());
+          break;
+        case 6:
+        case 7:
+          ASSERT_TRUE(cls.RemoveInstance(oid, t).ok());
+          ASSERT_TRUE(RefUpdateOidSet(&pext, oid, t, false).ok());
+          break;
+        default:
+          // Recovery surgery: the rows keep the domain contiguous where
+          // the function dropped emptied pieces, so from here on only
+          // membership is compared.
+          cls.ScrubFromExtents(oid);
+          ext = RefWithoutOid(ext, oid);
+          pext = RefWithoutOid(pext, oid);
+          scrubbed = true;
+          break;
+      }
+      ExpectMatchesReference(cls, ext, pext, std::max(clock, max_t),
+                             max_t + 3, !scrubbed);
+      if (HasFatalFailure()) return;
+    }
+    // Class deletion at or after every change, as DropClass does it.
+    const TimePoint close = max_t + static_cast<TimePoint>(rng() % 3);
+    ASSERT_TRUE(cls.CloseLifespan(close).ok());
+    ext.CloseAt(close);
+    pext.CloseAt(close);
+    ExpectMatchesReference(cls, ext, pext, close + 3, close + 3, !scrubbed);
+  }
 }
 
 // --- Rule 6.1 refinement matrix ------------------------------------------------

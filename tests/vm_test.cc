@@ -412,6 +412,22 @@ TEST(PlanCacheTest, OnlyCompilableTextsCountLookups) {
   EXPECT_EQ(stats.hits, 0u);
   EXPECT_EQ(stats.misses, 2u);
   EXPECT_EQ(engine.plan_cache().size(), 0u);
+
+  // The statement kind is read from the first token after any leading
+  // whitespace and comments, in any case: a write there stays out of the
+  // cache, and a read there is cached under its bare text's key.
+  ASSERT_TRUE(s.Execute("  -- a write\n\t CREATE p (v: 3)").ok());
+  stats = engine.plan_cache().stats();
+  EXPECT_EQ(stats.misses, 2u);
+  EXPECT_EQ(engine.plan_cache().size(), 0u);
+  const std::string q = "select x from x in p where x.v > 0";
+  ASSERT_TRUE(s.Execute("\n  -- a read\n" + q).ok());
+  ASSERT_TRUE(s.Execute(q).ok());
+  ASSERT_TRUE(s.Execute("-- x\nWHEN i1.v > 1").ok());
+  stats = engine.plan_cache().stats();
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.misses, 4u);
+  EXPECT_EQ(engine.plan_cache().size(), 2u);
 }
 
 TEST(PlanCacheTest, NegativeEntryCountsOneHitPerExecution) {
