@@ -7,7 +7,9 @@
 // machine-readable compiled-vs-interpreted report (BENCH_query.json, a
 // CI artifact): a sweep over history length (WHEN over an object with H
 // salary segments) and extent size (WHERE over N objects), plus the
-// create-growth sweep, whose create_growth ratio the report gates on.
+// create-growth sweep, whose create_growth ratio the report gates on, as
+// it does the one-posting probe's growth (probe_growth); and pi over a
+// class that kept 10 of its 4,000 members.
 #include <benchmark/benchmark.h>
 #include <unistd.h>
 
@@ -510,6 +512,38 @@ std::vector<GrowthPoint> MeasureCreateGrowth(
   return out;
 }
 
+// pi over a class that created 4,000 members and keeps the last 10: the
+// extent scan skips every 512-row chunk whose rows all ended before now
+// (ExtentRows::At), so it reads the one chunk holding the members.
+double MeasurePiTenOf4k() {
+  Database db;
+  if (!Interpreter(&db)
+           .Execute("define class member attributes x: integer end")
+           .ok()) {
+    std::fprintf(stderr, "define class member failed\n");
+  }
+  constexpr int kCreated = 4000;
+  constexpr int kKept = 10;
+  for (int i = 0; i < kCreated; ++i) {
+    if (!db.CreateObject("member", {{"x", Value::Integer(i)}}).ok()) {
+      std::fprintf(stderr, "create %d failed\n", i);
+    }
+  }
+  db.Tick();
+  for (uint64_t id = 1; id <= kCreated - kKept; ++id) {
+    if (!db.DeleteObject(Oid{id}).ok()) {
+      std::fprintf(stderr, "delete i%llu failed\n",
+                   static_cast<unsigned long long>(id));
+    }
+  }
+  db.Tick();
+  if (db.Pi("member", db.now()).size() != kKept) {
+    std::fprintf(stderr, "pi(member) should hold %d members\n", kKept);
+  }
+  return MeasureInterleaved(
+      {[&] { benchmark::DoNotOptimize(db.Pi("member", db.now())); }})[0];
+}
+
 void AppendIndexSweep(const std::vector<IndexPoint>& points,
                       std::string* json) {
   for (size_t i = 0; i < points.size(); ++i) {
@@ -561,6 +595,7 @@ int WriteQueryReport(const std::string& path) {
   for (int h : {64, 256, 1024, 4096, 16384}) {
     during_sweep.push_back(MeasureWhenDuringPoint(h));
   }
+  const double pi_ten_of_4k_us = MeasurePiTenOf4k();
   // Per-create cost at the largest extent over the smallest; the report
   // fails (exit 1) above kMaxCreateGrowth, so CI gates on it.
   constexpr double kMaxCreateGrowth = 2.0;
@@ -570,7 +605,9 @@ int WriteQueryReport(const std::string& path) {
           : 0.0;
   // Index-vs-scan speedup on the selective WHERE at the largest extent,
   // and how much a one-posting probe grows from the smallest extent to
-  // the largest.
+  // the largest; the report fails above kMaxProbeGrowth, so CI gates on
+  // a probe that stays flat as the index grows.
+  constexpr double kMaxProbeGrowth = 1.5;
   const double index_speedup_at_max = index_select_sweep.back().speedup();
   const double probe_growth = index_select_sweep.back().probe_one_us /
                               index_select_sweep.front().probe_one_us;
@@ -617,6 +654,9 @@ int WriteQueryReport(const std::string& path) {
     json += buf;
   }
   json += "  ],\n";
+  std::snprintf(buf, sizeof(buf), "  \"pi_10_of_4k_us\": %.2f,\n",
+                pi_ten_of_4k_us);
+  json += buf;
   std::snprintf(buf, sizeof(buf),
                 "  \"history_sweep_min_speedup\": %.2f,\n"
                 "  \"index_speedup_at_max\": %.2f,\n"
@@ -643,6 +683,11 @@ int WriteQueryReport(const std::string& path) {
   if (create_growth == 0.0 || create_growth > kMaxCreateGrowth) {
     std::fprintf(stderr, "create growth %.2f is outside (0, %.1f]\n",
                  create_growth, kMaxCreateGrowth);
+    return 1;
+  }
+  if (probe_growth == 0.0 || probe_growth > kMaxProbeGrowth) {
+    std::fprintf(stderr, "probe growth %.2f is outside (0, %.1f]\n",
+                 probe_growth, kMaxProbeGrowth);
     return 1;
   }
   return 0;

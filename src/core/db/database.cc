@@ -31,6 +31,17 @@ auto SlotLowerBound(Slots& slots, uint64_t id) {
       [](const auto& entry, uint64_t key) { return entry.first < key; });
 }
 
+// The first of the index table's slots (sorted by name) whose name is
+// not below `name`.
+template <typename Slots>
+auto IndexSlotLowerBound(Slots& slots, std::string_view name) {
+  return std::lower_bound(
+      slots.begin(), slots.end(), name,
+      [](const auto& slot, std::string_view key) {
+        return slot.def->name < key;
+      });
+}
+
 // Attribute names reserved for the class history record (Definition 4.1).
 bool IsReservedName(std::string_view name) {
   return name == "ext" || name == "proper-ext";
@@ -58,13 +69,13 @@ Database::Database()
     : isa_(std::make_shared<IsaGraph>()),
       classes_(std::make_shared<ClassTable>()),
       spine_(std::make_shared<Spine>()),
-      index_defs_(
-          std::make_shared<std::map<std::string, IndexDef, std::less<>>>()) {
+      indexes_(std::make_shared<IndexTable>()) {
   const uint64_t epoch = NextCowEpoch();
   cow_epoch_.store(epoch, std::memory_order_relaxed);
   isa_epoch_ = epoch;
   classes_->epoch = epoch;
   spine_->epoch = epoch;
+  indexes_->epoch = epoch;
   for (std::shared_ptr<SpineGroup>& group : spine_->groups) {
     group = std::make_shared<SpineGroup>();
     group->epoch = epoch;
@@ -78,7 +89,7 @@ Database::Database(const Database& other)
       isa_epoch_(other.isa_epoch_),
       classes_(other.classes_),
       spine_(other.spine_),
-      index_defs_(other.index_defs_),
+      indexes_(other.indexes_),
       index_before_(other.index_before_),
       next_oid_(other.next_oid_),
       schema_version_(other.schema_version_) {
@@ -150,12 +161,12 @@ Database::SpineGroup& Database::MutableGroup(size_t s) {
 }
 
 Database::ObjectShard& Database::MutableShard(uint64_t id) {
-  if (!index_defs_->empty() && !index_before_.contains(id)) {
+  if (!indexes_->slots.empty() && !index_before_.contains(id)) {
     const Object* obj = GetObject(Oid{id});
     std::vector<IndexedFacts>& before = index_before_[id];
-    before.reserve(index_defs_->size());
-    for (const auto& [unused, def] : *index_defs_) {
-      before.push_back(CaptureIndexedFacts(def, obj));
+    before.reserve(indexes_->slots.size());
+    for (const IndexSlot& slot : indexes_->slots) {
+      before.push_back(CaptureIndexedFacts(*slot.def, obj));
     }
   }
   const uint64_t epoch = cow_epoch_.load(std::memory_order_relaxed);
@@ -173,35 +184,35 @@ Database::ObjectShard& Database::MutableShard(uint64_t id) {
   return *shard;
 }
 
-IndexShard& Database::MutableIndexShard(uint64_t id) {
+Database::IndexTable& Database::MutableIndexTable() {
   const uint64_t epoch = cow_epoch_.load(std::memory_order_relaxed);
-  const size_t s = ShardIndex(id);
-  std::shared_ptr<IndexShard>& shard =
-      MutableGroup(s).indexes[s % kSpineFanout];
-  if (shard == nullptr) {
-    shard = std::make_shared<IndexShard>();
-    shard->epoch = epoch;
-  } else if (shard->epoch != epoch) {
-    auto clone = std::make_shared<IndexShard>(*shard);
+  if (indexes_->epoch != epoch) {
+    auto clone = std::make_shared<IndexTable>(*indexes_);
     clone->epoch = epoch;
-    shard = std::move(clone);
+    indexes_ = std::move(clone);
   }
-  return *shard;
+  return *indexes_;
+}
+
+const Database::IndexSlot* Database::FindIndexSlot(
+    std::string_view name) const {
+  const std::vector<IndexSlot>& slots = indexes_->slots;
+  auto it = IndexSlotLowerBound(slots, name);
+  return it != slots.end() && it->def->name == name ? &*it : nullptr;
 }
 
 void Database::ReindexOid(uint64_t id) {
   auto captured = index_before_.find(id);
   if (captured == index_before_.end()) return;  // never touched
   const std::vector<IndexedFacts>& before = captured->second;
-  assert(before.size() == index_defs_->size());
+  assert(before.size() == indexes_->slots.size());
   const Object* obj = GetObject(Oid{id});
-  size_t i = 0;
-  for (const auto& [name, def] : *index_defs_) {
-    const IndexedFacts after = CaptureIndexedFacts(def, obj);
+  for (size_t i = 0; i < before.size(); ++i) {
+    const IndexedFacts after = CaptureIndexedFacts(*indexes_->slots[i].def, obj);
     if (!SameIndexedFacts(before[i], after)) {
-      MutableIndexShard(id).parts[name].ApplyDelta(Oid{id}, before[i], after);
+      MutableIndexTable().slots[i].postings.ApplyDelta(Oid{id}, before[i],
+                                                        after);
     }
-    ++i;
   }
   index_before_.erase(captured);
 }
@@ -210,18 +221,16 @@ void Database::ReindexCaptured() {
   while (!index_before_.empty()) ReindexOid(index_before_.begin()->first);
 }
 
-void Database::BuildIndex(const IndexDef& def) {
-  for (uint64_t s = 0; s < kObjectShardCount; ++s) {
-    std::vector<const Object*> objects;
-    if (const ObjectShard* src = ObjectShardAt(s); src != nullptr) {
-      objects.reserve(src->slots.size());
-      for (const auto& [unused, slot] : src->slots) {
+IndexPostings Database::BuildIndex(const IndexDef& def) const {
+  std::vector<const Object*> objects;
+  for (size_t s = 0; s < kObjectShardCount; ++s) {
+    if (const ObjectShard* shard = ObjectShardAt(s); shard != nullptr) {
+      for (const auto& [unused, slot] : shard->slots) {
         objects.push_back(slot.obj.get());
       }
     }
-    MutableIndexShard(s).parts[def.name] =
-        IndexPartition::Build(def, objects);
   }
+  return IndexPostings::Build(def, objects);
 }
 
 Status Database::CreateIndex(const IndexDef& def) {
@@ -229,7 +238,7 @@ Status Database::CreateIndex(const IndexDef& def) {
     return Status::InvalidArgument("index name '" + def.name +
                                    "' is not a valid identifier");
   }
-  if (index_defs_->count(def.name) != 0) {
+  if (FindIndexSlot(def.name) != nullptr) {
     return Status::AlreadyExists("index " + def.name + " already exists");
   }
   TCH_ASSIGN_OR_RETURN(const ClassDef* cls, FindClass(def.class_name));
@@ -241,54 +250,51 @@ Status Database::CreateIndex(const IndexDef& def) {
   // Index DDL is a schema-shape change: it must invalidate every cached
   // plan (schema_version gates the PlanCache, negative entries included)
   // and serialize against every concurrent commit (the full build below
-  // reads all shards).
+  // reads every object).
   footprint_.schema_changed = true;
   ++schema_version_;
+  // Captures are laid out per slot, so none may be pending across the
+  // slot insertion.
   ReindexCaptured();
-  auto defs =
-      std::make_shared<std::map<std::string, IndexDef, std::less<>>>(
-          *index_defs_);
-  (*defs)[def.name] = def;
-  index_defs_ = std::move(defs);
-  BuildIndex(def);
+  std::vector<IndexSlot>& slots = MutableIndexTable().slots;
+  slots.insert(IndexSlotLowerBound(slots, def.name),
+               IndexSlot{std::make_shared<const IndexDef>(def),
+                         BuildIndex(def)});
   return Status::OK();
 }
 
 Status Database::DropIndex(std::string_view name) {
-  if (index_defs_->find(name) == index_defs_->end()) {
+  const IndexSlot* found = FindIndexSlot(name);
+  if (found == nullptr) {
     return Status::NotFound("index " + std::string(name) +
                             " does not exist");
   }
   footprint_.schema_changed = true;
   ++schema_version_;
   ReindexCaptured();
-  auto defs =
-      std::make_shared<std::map<std::string, IndexDef, std::less<>>>(
-          *index_defs_);
-  defs->erase(defs->find(name));
-  index_defs_ = std::move(defs);
-  for (uint64_t s = 0; s < kObjectShardCount; ++s) {
-    if (IndexShardAt(s) == nullptr) continue;
-    MutableIndexShard(s).parts.erase(std::string(name));
-  }
+  const size_t at = static_cast<size_t>(found - indexes_->slots.data());
+  std::vector<IndexSlot>& slots = MutableIndexTable().slots;
+  slots.erase(slots.begin() + static_cast<ptrdiff_t>(at));
   return Status::OK();
 }
 
 const IndexDef* Database::GetIndexDef(std::string_view name) const {
-  auto it = index_defs_->find(name);
-  return it == index_defs_->end() ? nullptr : &it->second;
+  const IndexSlot* slot = FindIndexSlot(name);
+  return slot == nullptr ? nullptr : slot->def.get();
 }
 
 std::vector<IndexDef> Database::IndexDefs() const {
   std::vector<IndexDef> out;
-  out.reserve(index_defs_->size());
-  for (const auto& [unused, def] : *index_defs_) out.push_back(def);
+  out.reserve(indexes_->slots.size());
+  for (const IndexSlot& slot : indexes_->slots) out.push_back(*slot.def);
   return out;
 }
 
 const IndexDef* Database::FindValueIndex(std::string_view attr) const {
-  for (const auto& [unused, def] : *index_defs_) {
-    if (def.kind == IndexKind::kValue && def.attr == attr) return &def;
+  for (const IndexSlot& slot : indexes_->slots) {
+    if (slot.def->kind == IndexKind::kValue && slot.def->attr == attr) {
+      return slot.def.get();
+    }
   }
   return nullptr;
 }
@@ -297,19 +303,14 @@ std::vector<Oid> Database::IndexProbe(std::string_view index_name,
                                       ProbeOp op, const Value& bound,
                                       TimePoint t) const {
   std::vector<Oid> out;
-  for (size_t s = 0; s < kObjectShardCount; ++s) {
-    const IndexShard* shard = IndexShardAt(s);
-    if (shard == nullptr) continue;
-    auto it = shard->parts.find(index_name);
-    if (it == shard->parts.end()) continue;
-    const IndexPartition& part = it->second;
-    part.ForEach(ProbeRange(part, op, bound), [&](const IndexEntry& e) {
-      // Raw containment (ongoing = valid at every t >= start): matches
-      // TemporalFunction::At, which the scan path projects with, even
-      // for instants beyond the current clock.
-      if (e.valid.ContainsResolved(t)) out.push_back(e.oid);
-    });
-  }
+  const IndexSlot* slot = FindIndexSlot(index_name);
+  if (slot == nullptr) return out;
+  slot->postings.ForEachMatch(op, bound, [&](const IndexEntry& e) {
+    // Raw containment (ongoing = valid at every t >= start): matches
+    // TemporalFunction::At, which the scan path projects with, even
+    // for instants beyond the current clock.
+    if (e.valid.ContainsResolved(t)) out.push_back(e.oid);
+  });
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
@@ -317,58 +318,32 @@ std::vector<Oid> Database::IndexProbe(std::string_view index_name,
 
 size_t Database::IndexProbeEstimate(std::string_view index_name, ProbeOp op,
                                     const Value& bound) const {
-  size_t n = 0;
-  for (size_t s = 0; s < kObjectShardCount; ++s) {
-    const IndexShard* shard = IndexShardAt(s);
-    if (shard == nullptr) continue;
-    auto it = shard->parts.find(index_name);
-    if (it == shard->parts.end()) continue;
-    n += it->second.Count(ProbeRange(it->second, op, bound));
-  }
-  return n;
+  const IndexSlot* slot = FindIndexSlot(index_name);
+  return slot == nullptr ? 0 : slot->postings.CountMatches(op, bound);
 }
 
 size_t Database::IndexEntryCount(std::string_view index_name) const {
-  size_t n = 0;
-  for (size_t s = 0; s < kObjectShardCount; ++s) {
-    const IndexShard* shard = IndexShardAt(s);
-    if (shard == nullptr) continue;
-    auto it = shard->parts.find(index_name);
-    if (it != shard->parts.end()) n += it->second.size();
-  }
-  return n;
+  const IndexSlot* slot = FindIndexSlot(index_name);
+  return slot == nullptr ? 0 : slot->postings.size();
 }
 
-size_t Database::IndexChunkCount(std::string_view index_name) const {
-  size_t n = 0;
-  for (size_t s = 0; s < kObjectShardCount; ++s) {
-    const IndexShard* shard = IndexShardAt(s);
-    if (shard == nullptr) continue;
-    auto it = shard->parts.find(index_name);
-    if (it != shard->parts.end()) n += it->second.chunk_count();
-  }
-  return n;
+const IndexPostings* Database::FindIndexPostings(
+    std::string_view index_name) const {
+  const IndexSlot* slot = FindIndexSlot(index_name);
+  return slot == nullptr ? nullptr : &slot->postings;
 }
 
 std::string Database::DebugDumpIndexes() const {
   std::string out;
-  for (const auto& [name, def] : *index_defs_) {
-    out += "index " + name + " kind=" + IndexKindName(def.kind) +
+  for (const IndexSlot& slot : indexes_->slots) {
+    const IndexDef& def = *slot.def;
+    out += "index " + def.name + " kind=" + IndexKindName(def.kind) +
            " class=" + def.class_name + " attr=" +
            (def.attr.empty() ? "-" : def.attr) + "\n";
-    for (size_t s = 0; s < kObjectShardCount; ++s) {
-      const IndexShard* shard = IndexShardAt(s);
-      if (shard == nullptr) continue;
-      auto it = shard->parts.find(name);
-      if (it == shard->parts.end()) continue;
-      const IndexPartition& part = it->second;
-      if (part.empty()) continue;
-      out += " shard " + std::to_string(s) + "\n";
-      part.ForEach(part.All(), [&](const IndexEntry& e) {
-        out += "  post " + e.value.ToString() + " " + e.valid.ToString() +
-               " " + e.oid.ToString() + "\n";
-      });
-    }
+    slot.postings.ForEach([&](const IndexEntry& e) {
+      out += "  post " + e.value.ToString() + " " + e.valid.ToString() + " " +
+             e.oid.ToString() + "\n";
+    });
   }
   return out;
 }

@@ -79,8 +79,8 @@ struct WriteFootprint {
 };
 
 // Database is copy-on-write: the copy constructor shares the class
-// table, the ISA graph, the index definitions and the object/index spine
-// with the source — a handful of refcount increments, independent of
+// table, the ISA graph, the index table and the object spine with the
+// source — a handful of refcount increments, independent of
 // the number of shards, classes or objects — and gives BOTH sides fresh
 // COW epochs, so whichever side mutates first clones exactly the
 // structures on the path to the entities it touches (structural sharing
@@ -256,14 +256,15 @@ class Database final : public ExtentProvider {
   // are resolved against now()). Extent filtering is the caller's job.
   std::vector<Oid> IndexProbe(std::string_view index_name, ProbeOp op,
                               const Value& bound, TimePoint t) const;
-  // How many postings `op bound` spans across all shards, ignoring
-  // validity intervals — the planner's cardinality estimate.
+  // How many postings `op bound` spans, ignoring validity intervals —
+  // the planner's cardinality estimate.
   size_t IndexProbeEstimate(std::string_view index_name, ProbeOp op,
                             const Value& bound) const;
-  // Total postings in `index_name` across all shards, and the
-  // copy-on-write chunks holding them (core/db/index.h).
+  // Total postings in `index_name`.
   size_t IndexEntryCount(std::string_view index_name) const;
-  size_t IndexChunkCount(std::string_view index_name) const;
+  // The postings of `index_name`, base and delta (core/db/index.h);
+  // nullptr when no such index.
+  const IndexPostings* FindIndexPostings(std::string_view index_name) const;
 
   // Canonical text dump of every index's full content (defs and
   // postings). Two databases with identical objects and index defs dump
@@ -336,13 +337,17 @@ class Database final : public ExtentProvider {
   // come from a process-global counter, so two copies can never
   // accidentally agree on an epoch and mutate a shared structure.
   //
-  // Object and index shards hang off a two-level spine: the root holds
+  // Object shards hang off a two-level spine: the root holds
   // kSpineFanout groups, and group g holds object shards
-  // [g*kSpineFanout, (g+1)*kSpineFanout) with their parallel index
-  // shards. A copy shares the root (one refcount); the first mutation
-  // per epoch clones the root (kSpineFanout pointers) and the one group
-  // on the path (2*kSpineFanout pointers), each under its own epoch,
-  // before the shard itself.
+  // [g*kSpineFanout, (g+1)*kSpineFanout). A copy shares the root (one
+  // refcount); the first mutation per epoch clones the root and the one
+  // group on the path (kSpineFanout pointers each), each under its own
+  // epoch, before the shard itself.
+  //
+  // Indexes live in one table of (def, postings) slots sorted by name,
+  // cloned on a writer's first index write per epoch. A slot's postings
+  // are a shared base plus a small delta (core/db/index.h), so the clone
+  // copies a few pointers per index.
   struct ClassSlot {
     std::shared_ptr<ClassDef> def;
     uint64_t epoch = 0;
@@ -373,11 +378,18 @@ class Database final : public ExtentProvider {
   struct SpineGroup {
     uint64_t epoch = 0;
     std::array<std::shared_ptr<ObjectShard>, kSpineFanout> objects;
-    std::array<std::shared_ptr<IndexShard>, kSpineFanout> indexes;
   };
   struct Spine {
     uint64_t epoch = 0;
     std::array<std::shared_ptr<SpineGroup>, kSpineFanout> groups;
+  };
+  struct IndexSlot {
+    std::shared_ptr<const IndexDef> def;
+    IndexPostings postings;
+  };
+  struct IndexTable {
+    uint64_t epoch = 0;
+    std::vector<IndexSlot> slots;  // sorted by def->name
   };
 
   static size_t ShardIndex(uint64_t id) { return id % kObjectShardCount; }
@@ -385,9 +397,6 @@ class Database final : public ExtentProvider {
   // something is stored in it.
   const ObjectShard* ObjectShardAt(size_t s) const {
     return spine_->groups[s / kSpineFanout]->objects[s % kSpineFanout].get();
-  }
-  const IndexShard* IndexShardAt(size_t s) const {
-    return spine_->groups[s / kSpineFanout]->indexes[s % kSpineFanout].get();
   }
   // Spine-level COW: a private, mutable class table / shard (cloned from
   // the shared one on first touch per epoch).
@@ -400,11 +409,10 @@ class Database final : public ExtentProvider {
   // facts are captured before the caller changes the slot — the "before"
   // half of the per-oid index delta ReindexOid applies.
   ObjectShard& MutableShard(uint64_t id);
-  // The index shard covering `oid`'s object shard, cloned on first touch
-  // per epoch (index entries ride the same COW protocol as objects, so a
-  // commit publishes index clones for exactly the shards it wrote; a
-  // clone shares every posting chunk).
-  IndexShard& MutableIndexShard(uint64_t id);
+  // The index table, cloned on first touch per epoch.
+  IndexTable& MutableIndexTable();
+  // The slot of `name`; nullptr when no such index.
+  const IndexSlot* FindIndexSlot(std::string_view name) const;
   // Moves every registered index's entries for `id` from the facts
   // captured by MutableShard to the slot's current state (removal when
   // the slot is gone), touching only the postings that changed. Called
@@ -416,8 +424,8 @@ class Database final : public ExtentProvider {
   // after touching its slot leaves them pending. Index DDL runs this
   // first, since captures are laid out per registered index.
   void ReindexCaptured();
-  // Rebuilds all shards of `def` from scratch (index creation).
-  void BuildIndex(const IndexDef& def);
+  // `def`'s postings over every object (index creation).
+  IndexPostings BuildIndex(const IndexDef& def) const;
 
   ClassDef* GetMutableClass(std::string_view name);
   IsaGraph& MutableIsa();
@@ -431,15 +439,14 @@ class Database final : public ExtentProvider {
   std::shared_ptr<IsaGraph> isa_;
   uint64_t isa_epoch_ = 0;
   std::shared_ptr<ClassTable> classes_;
-  // Object shards and their index shards (see SpineGroup). Never null;
-  // every group exists from construction on.
+  // Object shards (see SpineGroup). Never null; every group exists from
+  // construction on.
   std::shared_ptr<Spine> spine_;
-  // Index definitions (shared, replaced wholesale by DDL).
-  std::shared_ptr<const std::map<std::string, IndexDef, std::less<>>>
-      index_defs_;
-  // oid -> its indexed facts (one per registered index, in name order)
-  // as the indexes currently hold them; present from the slot's first
-  // mutation until ReindexOid applies the delta.
+  // Every index (see IndexTable). Never null.
+  std::shared_ptr<IndexTable> indexes_;
+  // oid -> its indexed facts (one per index slot, in table order) as the
+  // indexes currently hold them; present from the slot's first mutation
+  // until ReindexOid applies the delta.
   std::map<uint64_t, std::vector<IndexedFacts>> index_before_;
   uint64_t next_oid_ = 1;
   uint64_t schema_version_ = 1;  // see schema_version()

@@ -25,7 +25,11 @@ TemporalFunction Object::NormalizedClassHistory(TimePoint now) const {
   if (IsHistorical()) return class_history_;
   std::optional<std::string> current = CurrentClass();
   if (!current.has_value()) return TemporalFunction();
-  return TemporalFunction::Constant(Interval::At(now),
+  // A dead object's one pair sits at its last instant: past its death it
+  // belongs to no class, so [now,now] could fall outside a class
+  // lifespan that closed after the object died.
+  const TimePoint at = alive() ? now : std::min(now, lifespan_.end());
+  return TemporalFunction::Constant(Interval::At(at),
                                     Value::String(*current));
 }
 

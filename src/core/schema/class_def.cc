@@ -93,9 +93,12 @@ bool ExtentRows::Contains(Oid oid, TimePoint t) const {
 
 std::vector<Oid> ExtentRows::At(TimePoint t) const {
   std::vector<Oid> out;
-  ForEachRow([&](const Row& r) {
-    if (r.iv.start() <= t && t <= r.iv.end()) out.push_back(r.oid);
-  });
+  for (size_t c = 0; c < rows_.chunk_count(); ++c) {
+    if (rows_.ChunkSummary(c).end < t) continue;
+    for (const Row& r : rows_.ChunkEntries(c)) {
+      if (r.iv.start() <= t && t <= r.iv.end()) out.push_back(r.oid);
+    }
+  }
   return out;
 }
 

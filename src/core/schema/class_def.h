@@ -23,8 +23,10 @@
 #ifndef TCHIMERA_CORE_SCHEMA_CLASS_DEF_H_
 #define TCHIMERA_CORE_SCHEMA_CLASS_DEF_H_
 
+#include <algorithm>
 #include <limits>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -128,10 +130,18 @@ class ExtentRows {
   void Replace(Oid oid, const std::vector<Interval>& old,
                const std::vector<Interval>& fresh);
 
+  // The latest raw end among a chunk's rows: At(t) skips a chunk whose
+  // rows all ended before t (a class's departed members).
+  struct MaxEnd {
+    explicit MaxEnd(std::span<const Row> rows) {
+      for (const Row& r : rows) end = std::max(end, r.iv.end());
+    }
+    TimePoint end = std::numeric_limits<TimePoint>::min();
+  };
   // Rows are 24 trivially copyable bytes, so a chunk copy is one memcpy
   // even at 512 rows, while fewer chunks keep a ClassDef clone (one per
   // committed membership change) cheap as the extent grows.
-  using Rows = SortedChunks<Row, RowOrder, 512>;
+  using Rows = SortedChunks<Row, RowOrder, 512, MaxEnd>;
   Rows rows_;
   std::optional<TimePoint> since_;
 };

@@ -44,13 +44,6 @@ struct Value::Rep {
   TemporalFunction temporal;         // kTemporal
 };
 
-Value::Value() = default;
-Value::~Value() = default;
-Value::Value(const Value&) = default;
-Value& Value::operator=(const Value&) = default;
-Value::Value(Value&&) noexcept = default;
-Value& Value::operator=(Value&&) noexcept = default;
-
 Value Value::Integer(int64_t v) {
   Value out;
   out.kind_ = ValueKind::kInteger;

@@ -70,12 +70,14 @@ class Value {
   using Field = std::pair<std::string, Value>;
 
   // The null value.
-  Value();
-  ~Value();
-  Value(const Value&);
-  Value& operator=(const Value&);
-  Value(Value&&) noexcept;
-  Value& operator=(Value&&) noexcept;
+  // Inline: index chunks and VM registers copy values in bulk, and the
+  // payload pointer's copy needs no complete Rep.
+  Value() = default;
+  ~Value() = default;
+  Value(const Value&) = default;
+  Value& operator=(const Value&) = default;
+  Value(Value&&) noexcept = default;
+  Value& operator=(Value&&) noexcept = default;
 
   static Value Null() { return Value(); }
   static Value Integer(int64_t v);

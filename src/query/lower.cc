@@ -432,6 +432,7 @@ void ForEachReadReg(Instr& in, F&& f) {
     case OpCode::kLoadConst:
     case OpCode::kLoadSelf:
     case OpCode::kPopMask:
+    case OpCode::kIndexProbe:  // access path only, never in code
       break;
     case OpCode::kLoadAttr:
     case OpCode::kNot:
@@ -836,6 +837,8 @@ std::string InstrToString(const Instr& i, const ExecProgram& prog) {
     case OpCode::kOrMerge:
       return RegName(i.dst) + " = " + OpCodeName(i.op) + " " + RegName(i.a) +
              " " + RegName(i.b);
+    case OpCode::kIndexProbe:
+      return OpCodeName(i.op);
   }
   return "?";
 }

@@ -244,6 +244,9 @@ class Vm {
         }
         return Status::OK();
       }
+      case OpCode::kIndexProbe:
+        // An access path (ExecProgram::access), never emitted into code.
+        break;
     }
     return Status::Internal("unhandled opcode");
   }

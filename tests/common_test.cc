@@ -1,7 +1,14 @@
-// Tests for the common layer: Status, Result<T>, string utilities.
+// Tests for the common layer: Status, Result<T>, string utilities, and
+// the chunked sorted sequence.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <span>
+#include <vector>
+
 #include "common/result.h"
+#include "common/sorted_chunks.h"
 #include "common/status.h"
 #include "common/string_util.h"
 
@@ -104,6 +111,86 @@ TEST(StringUtilTest, IsIdentifier) {
   for (const char* bad : {"", "9lead", "-lead", "has space", "dot.ted"}) {
     EXPECT_FALSE(IsIdentifier(bad)) << bad;
   }
+}
+
+// A chunk summary for the test: the largest entry of a chunk.
+struct MaxEntry {
+  explicit MaxEntry(std::span<const int> entries)
+      : max(*std::max_element(entries.begin(), entries.end())) {}
+  int max;
+};
+using IntChunks = SortedChunks<int, std::less<int>, 8, MaxEntry>;
+
+std::vector<int> Flatten(const IntChunks& chunks) {
+  std::vector<int> out;
+  chunks.ForEach(chunks.All(), [&](int v) { out.push_back(v); });
+  return out;
+}
+
+// Merged against a sorted vector: random erase/insert batches, from
+// empty up and back down, share untouched chunks with the source, keep
+// every chunk within capacity and every summary current, and leave the
+// source as it was.
+TEST(SortedChunksTest, MergedMatchesASortedVector) {
+  std::mt19937_64 rng(5);
+  IntChunks chunks;
+  std::vector<int> want;
+  for (int round = 0; round < 200; ++round) {
+    // Even entries only, so inserts of odd values never collide; the
+    // last rounds only erase.
+    std::vector<int> erase;
+    for (int v : want) {
+      if (rng() % (round < 150 ? 6 : 2) == 0) erase.push_back(v);
+    }
+    std::vector<int> insert;
+    if (round < 150) {
+      for (int k = static_cast<int>(rng() % 40); k > 0; --k) {
+        const int v = 2 * static_cast<int>(rng() % 5000) + round % 2;
+        if (!std::binary_search(want.begin(), want.end(), v)) {
+          insert.push_back(v);
+        }
+      }
+      std::sort(insert.begin(), insert.end());
+      insert.erase(std::unique(insert.begin(), insert.end()), insert.end());
+    }
+    const std::vector<int> before = Flatten(chunks);
+    const IntChunks merged = chunks.Merged(erase, insert);
+    EXPECT_EQ(Flatten(chunks), before);
+    std::vector<int> kept;
+    std::set_difference(want.begin(), want.end(), erase.begin(), erase.end(),
+                        std::back_inserter(kept));
+    want.clear();
+    std::merge(kept.begin(), kept.end(), insert.begin(), insert.end(),
+               std::back_inserter(want));
+    ASSERT_EQ(Flatten(merged), want) << "round " << round;
+    ASSERT_EQ(merged.size(), want.size());
+    for (size_t c = 0; c < merged.chunk_count(); ++c) {
+      const std::span<const int> entries = merged.ChunkEntries(c);
+      ASSERT_FALSE(entries.empty());
+      ASSERT_LE(entries.size(), 8u);
+      EXPECT_EQ(merged.ChunkSummary(c).max, entries.back());
+    }
+    chunks = merged;
+  }
+  EXPECT_TRUE(chunks.empty());
+}
+
+TEST(SortedChunksTest, MergedSharesChunksItDoesNotTouch) {
+  std::vector<int> sorted;
+  for (int v = 0; v < 64; v += 2) sorted.push_back(v);
+  const IntChunks chunks = IntChunks::Build(sorted);
+  ASSERT_EQ(chunks.chunk_count(), 4u);
+  // Touches the second chunk only: one erase, and an insert that lands
+  // there and splits it.
+  const std::vector<int> erase = {18};
+  std::vector<int> insert;
+  for (int v = 17; v < 30; v += 2) insert.push_back(v);
+  const IntChunks merged = chunks.Merged(erase, insert);
+  ASSERT_EQ(merged.chunk_count(), 5u);
+  EXPECT_EQ(merged.ChunkEntries(0).data(), chunks.ChunkEntries(0).data());
+  EXPECT_EQ(merged.ChunkEntries(3).data(), chunks.ChunkEntries(2).data());
+  EXPECT_EQ(merged.ChunkEntries(4).data(), chunks.ChunkEntries(3).data());
+  EXPECT_NE(merged.ChunkEntries(1).data(), chunks.ChunkEntries(1).data());
 }
 
 }  // namespace

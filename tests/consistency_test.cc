@@ -4,10 +4,17 @@
 // guards the violated clause.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <string>
+
 #include "core/db/consistency.h"
 #include "core/db/database.h"
 #include "core/types/type_registry.h"
 #include "core/values/temporal_function.h"
+#include "query/interpreter.h"
+#include "storage/journal.h"
+#include "storage/recovery.h"
+#include "storage/serializer.h"
 #include "workload/generator.h"
 #include "workload/project_schema.h"
 
@@ -204,6 +211,74 @@ TEST_F(ConsistencyTest, PopulatedDatabaseStaysConsistent) {
   EXPECT_GT(pop->migrations_applied, 0u);
   Status s = CheckDatabaseConsistency(db);
   EXPECT_TRUE(s.ok()) << s;
+}
+
+// A static object deleted and its class then dropped: Definition 5.1's
+// one class-history pair of a dead static object sits at its death, so it
+// stays inside the closed class lifespan at every later instant. Checked
+// on the live database after every statement, and after a restart that
+// replays the statements from a journal (audited, so a false violation
+// would fail recovery) and one that loads a snapshot.
+TEST(DeadStaticObjectTest, ClassHistoryEndsAtDeathLiveAndAfterRestart) {
+  const std::vector<std::string> script = {
+      "define class temp attributes x: integer end",
+      "create temp (x: 1)",
+      "tick",
+      "delete i1",
+      "tick",
+      "drop class temp",
+      "tick",
+      "tick"};
+  Database live;
+  Interpreter interp(&live);
+  for (const std::string& stmt : script) {
+    ASSERT_TRUE(interp.Execute(stmt).ok()) << stmt;
+    Status s = CheckDatabaseConsistency(live);
+    EXPECT_TRUE(s.ok()) << "after `" << stmt << "`: " << s;
+  }
+  EXPECT_TRUE(interp.Execute("check").ok());
+  const TemporalFunction history =
+      live.GetObject(Oid{1})->NormalizedClassHistory(live.now());
+  ASSERT_EQ(history.segment_count(), 1u);
+  EXPECT_EQ(history.segments()[0].interval, Interval::At(1));
+
+  namespace stdfs = std::filesystem;
+  const stdfs::path dir =
+      stdfs::temp_directory_path() / "tchimera_consistency_dead_static";
+  std::error_code ec;
+  stdfs::remove_all(dir, ec);
+  stdfs::create_directories(dir, ec);
+  const std::string snapshot = (dir / "snapshot.tchdb").string();
+  const std::string journal_path = (dir / "journal.tchl").string();
+  {
+    Journal journal;
+    ASSERT_TRUE(journal.Open(journal_path).ok());
+    for (const std::string& stmt : script) {
+      ASSERT_TRUE(journal.Append(stmt).ok());
+    }
+    journal.Close();
+  }
+  RecoveryStats stats;
+  Result<std::unique_ptr<Database>> replayed =
+      RecoveryManager(snapshot, journal_path).Recover(&stats);
+  ASSERT_TRUE(replayed.ok()) << replayed.status();
+  EXPECT_EQ(stats.statements_applied, script.size());
+  EXPECT_EQ(stats.quarantined_objects, 0u);
+  ASSERT_NE((*replayed)->GetObject(Oid{1}), nullptr);
+  EXPECT_TRUE(CheckDatabaseConsistency(**replayed).ok());
+  EXPECT_EQ(DatabaseStateHash(**replayed).value(),
+            DatabaseStateHash(live).value());
+
+  // The same state restored from a snapshot alone.
+  stdfs::remove(journal_path, ec);
+  ASSERT_TRUE(SaveDatabaseToFile(live, snapshot).ok());
+  Result<std::unique_ptr<Database>> loaded =
+      RecoveryManager(snapshot, journal_path).Recover();
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_TRUE(CheckDatabaseConsistency(**loaded).ok());
+  EXPECT_EQ(DatabaseStateHash(**loaded).value(),
+            DatabaseStateHash(live).value());
+  stdfs::remove_all(dir, ec);
 }
 
 }  // namespace

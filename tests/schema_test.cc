@@ -332,6 +332,58 @@ TEST(ExtentRowsOracleTest, RowsMatchTheSplicedSetFunction) {
   }
 }
 
+// Thousands of members that come and go, created in oid order so the
+// departed ones fill whole 512-row chunks whose rows all end early:
+// ExtentAt skips those chunks by their latest end and must still agree
+// with the reference function at every instant, before and after the
+// class closes.
+TEST(ExtentRowsOracleTest, ExtentAtSkipsEndedChunksLikeTheReference) {
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    std::mt19937_64 rng(seed);
+    ClassDef cls("c", 0, {}, {}, {}, {}, {});
+    TemporalFunction ext;
+    TemporalFunction pext;
+    constexpr uint64_t kMembers = 2000;
+    TimePoint t = 0;
+    for (uint64_t id = 1; id <= kMembers; ++id) {
+      if (rng() % 8 == 0) ++t;
+      const Oid oid{id};
+      ASSERT_TRUE(cls.AddMember(oid, t).ok());
+      ASSERT_TRUE(RefUpdateOidSet(&ext, oid, t, true).ok());
+      ASSERT_TRUE(cls.AddInstance(oid, t).ok());
+      ASSERT_TRUE(RefUpdateOidSet(&pext, oid, t, true).ok());
+      // All leave again, at once or a few instants later, except a few
+      // of the later half: the rows of the earlier half fill chunks that
+      // ExtentAt skips at every later instant.
+      if (id > kMembers / 2 && rng() % 50 == 0) continue;
+      const TimePoint gone = t + static_cast<TimePoint>(rng() % 4);
+      ASSERT_TRUE(cls.RemoveMember(oid, gone).ok());
+      ASSERT_TRUE(RefUpdateOidSet(&ext, oid, gone, false).ok());
+      ASSERT_TRUE(cls.RemoveInstance(oid, gone).ok());
+      ASSERT_TRUE(RefUpdateOidSet(&pext, oid, gone, false).ok());
+    }
+    // Some early members come back, so an old chunk holds a live row.
+    for (int k = 0; k < 3; ++k) {
+      const Oid oid{1 + rng() % (kMembers / 4)};
+      ASSERT_TRUE(cls.AddMember(oid, t + 1).ok());
+      ASSERT_TRUE(RefUpdateOidSet(&ext, oid, t + 1, true).ok());
+    }
+    const TimePoint horizon = t + 6;
+    for (TimePoint at = 0; at <= horizon; ++at) {
+      ASSERT_EQ(cls.ExtentAt(at), RefMembersAt(ext, at)) << "t=" << at;
+      ASSERT_EQ(cls.ProperExtentAt(at), RefMembersAt(pext, at)) << "t=" << at;
+    }
+    ASSERT_TRUE(cls.CloseLifespan(t + 2).ok());
+    ext.CloseAt(t + 2);
+    pext.CloseAt(t + 2);
+    for (TimePoint at = 0; at <= horizon; ++at) {
+      ASSERT_EQ(cls.ExtentAt(at), RefMembersAt(ext, at)) << "t=" << at;
+      ASSERT_EQ(cls.ProperExtentAt(at), RefMembersAt(pext, at)) << "t=" << at;
+    }
+  }
+}
+
 // --- Rule 6.1 refinement matrix ------------------------------------------------
 
 class RefinementTest : public ::testing::Test {
