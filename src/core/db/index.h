@@ -89,6 +89,7 @@ struct IndexEntry {
   Interval valid;
   Oid oid;
 };
+static_assert(sizeof(IndexEntry) == 40, "a posting is five words");
 
 // Sort key for postings: (value, oid, valid.start) under Value::Compare.
 bool IndexEntryLess(const IndexEntry& a, const IndexEntry& b);

@@ -34,6 +34,7 @@ class TemporalFunction {
       return a.interval == b.interval && a.value == b.value;
     }
   };
+  static_assert(sizeof(Segment) == 32, "a segment is an interval and a Value");
 
   // The everywhere-undefined function.
   TemporalFunction() = default;

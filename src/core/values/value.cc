@@ -37,63 +37,50 @@ const char* ValueKindName(ValueKind kind) {
 }
 
 // Structured payload. Only the member matching the value's kind is used.
-struct Value::Rep {
+struct Value::Rep : RepHeader {
   std::string str;                   // kString
   std::vector<Value> elements;       // kSet / kList
   std::vector<Value::Field> fields;  // kRecord
   TemporalFunction temporal;         // kTemporal
 };
 
+Value Value::OfRep(ValueKind kind, Rep* rep) {
+  return Value(kind, reinterpret_cast<uintptr_t>(static_cast<RepHeader*>(rep)));
+}
+
+const Value::Rep& Value::rep() const {
+  return *static_cast<const Rep*>(header());
+}
+
+void Value::Destroy(const RepHeader* header) {
+  delete static_cast<const Rep*>(header);
+}
+
 Value Value::Integer(int64_t v) {
-  Value out;
-  out.kind_ = ValueKind::kInteger;
-  out.scalar_ = v;
-  return out;
+  return Value(ValueKind::kInteger, static_cast<uint64_t>(v));
 }
 
 Value Value::Real(double v) {
-  Value out;
-  out.kind_ = ValueKind::kReal;
-  out.real_ = v;
-  return out;
+  return Value(ValueKind::kReal, std::bit_cast<uint64_t>(v));
 }
 
-Value Value::Bool(bool v) {
-  Value out;
-  out.kind_ = ValueKind::kBool;
-  out.scalar_ = v ? 1 : 0;
-  return out;
-}
+Value Value::Bool(bool v) { return Value(ValueKind::kBool, v ? 1 : 0); }
 
 Value Value::Char(char v) {
-  Value out;
-  out.kind_ = ValueKind::kChar;
-  out.scalar_ = static_cast<int64_t>(v);
-  return out;
+  return Value(ValueKind::kChar, static_cast<uint64_t>(v));
 }
 
 Value Value::String(std::string v) {
-  Value out;
-  out.kind_ = ValueKind::kString;
-  auto rep = std::make_shared<Rep>();
+  auto* rep = new Rep;
   rep->str = std::move(v);
-  out.rep_ = std::move(rep);
-  return out;
+  return OfRep(ValueKind::kString, rep);
 }
 
 Value Value::Time(TimePoint t) {
-  Value out;
-  out.kind_ = ValueKind::kTime;
-  out.scalar_ = t;
-  return out;
+  return Value(ValueKind::kTime, static_cast<uint64_t>(t));
 }
 
-Value Value::OfOid(Oid oid) {
-  Value out;
-  out.kind_ = ValueKind::kOid;
-  out.scalar_ = static_cast<int64_t>(oid.id);
-  return out;
-}
+Value Value::OfOid(Oid oid) { return Value(ValueKind::kOid, oid.id); }
 
 Value Value::Set(std::vector<Value> elements) {
   std::sort(elements.begin(), elements.end(),
@@ -103,21 +90,15 @@ Value Value::Set(std::vector<Value> elements) {
                                return Compare(a, b) == 0;
                              }),
                  elements.end());
-  Value out;
-  out.kind_ = ValueKind::kSet;
-  auto rep = std::make_shared<Rep>();
+  auto* rep = new Rep;
   rep->elements = std::move(elements);
-  out.rep_ = std::move(rep);
-  return out;
+  return OfRep(ValueKind::kSet, rep);
 }
 
 Value Value::List(std::vector<Value> elements) {
-  Value out;
-  out.kind_ = ValueKind::kList;
-  auto rep = std::make_shared<Rep>();
+  auto* rep = new Rep;
   rep->elements = std::move(elements);
-  out.rep_ = std::move(rep);
-  return out;
+  return OfRep(ValueKind::kList, rep);
 }
 
 Result<Value> Value::Record(std::vector<Field> fields) {
@@ -129,34 +110,28 @@ Result<Value> Value::Record(std::vector<Field> fields) {
                                      fields[i].first + "'");
     }
   }
-  Value out;
-  out.kind_ = ValueKind::kRecord;
-  auto rep = std::make_shared<Rep>();
+  auto* rep = new Rep;
   rep->fields = std::move(fields);
-  out.rep_ = std::move(rep);
-  return out;
+  return OfRep(ValueKind::kRecord, rep);
 }
 
 Value Value::Temporal(TemporalFunction f) {
-  Value out;
-  out.kind_ = ValueKind::kTemporal;
-  auto rep = std::make_shared<Rep>();
+  auto* rep = new Rep;
   rep->temporal = std::move(f);
-  out.rep_ = std::move(rep);
-  return out;
+  return OfRep(ValueKind::kTemporal, rep);
 }
 
-const std::string& Value::AsString() const { return rep_->str; }
+const std::string& Value::AsString() const { return rep().str; }
 
-const std::vector<Value>& Value::Elements() const { return rep_->elements; }
+const std::vector<Value>& Value::Elements() const { return rep().elements; }
 
 const std::vector<Value::Field>& Value::Fields() const {
-  return rep_->fields;
+  return rep().fields;
 }
 
 const Value* Value::FieldValue(std::string_view name) const {
   if (kind_ != ValueKind::kRecord) return nullptr;
-  const auto& fields = rep_->fields;
+  const auto& fields = rep().fields;
   auto it = std::lower_bound(
       fields.begin(), fields.end(), name,
       [](const Field& f, std::string_view n) { return f.first < n; });
@@ -164,12 +139,12 @@ const Value* Value::FieldValue(std::string_view name) const {
   return &it->second;
 }
 
-const TemporalFunction& Value::AsTemporal() const { return rep_->temporal; }
+const TemporalFunction& Value::AsTemporal() const { return rep().temporal; }
 
 bool Value::Contains(const Value& element) const {
   if (kind_ == ValueKind::kSet) {
     // Sets are sorted: binary search.
-    const auto& elems = rep_->elements;
+    const auto& elems = rep().elements;
     auto it = std::lower_bound(elems.begin(), elems.end(), element,
                                [](const Value& a, const Value& b) {
                                  return Compare(a, b) < 0;
@@ -177,7 +152,7 @@ bool Value::Contains(const Value& element) const {
     return it != elems.end() && Compare(*it, element) == 0;
   }
   if (kind_ == ValueKind::kList) {
-    for (const Value& v : rep_->elements) {
+    for (const Value& v : rep().elements) {
       if (Compare(v, element) == 0) return true;
     }
   }
@@ -191,13 +166,13 @@ void Value::CollectOids(std::vector<Oid>* out) const {
       break;
     case ValueKind::kSet:
     case ValueKind::kList:
-      for (const Value& v : rep_->elements) v.CollectOids(out);
+      for (const Value& v : rep().elements) v.CollectOids(out);
       break;
     case ValueKind::kRecord:
-      for (const Field& f : rep_->fields) f.second.CollectOids(out);
+      for (const Field& f : rep().fields) f.second.CollectOids(out);
       break;
     case ValueKind::kTemporal:
-      for (const auto& seg : rep_->temporal.segments()) {
+      for (const auto& seg : rep().temporal.segments()) {
         seg.value.CollectOids(out);
       }
       break;
@@ -213,13 +188,13 @@ void Value::CollectOidsAt(TimePoint at, std::vector<Oid>* out) const {
       break;
     case ValueKind::kSet:
     case ValueKind::kList:
-      for (const Value& v : rep_->elements) v.CollectOidsAt(at, out);
+      for (const Value& v : rep().elements) v.CollectOidsAt(at, out);
       break;
     case ValueKind::kRecord:
-      for (const Field& f : rep_->fields) f.second.CollectOidsAt(at, out);
+      for (const Field& f : rep().fields) f.second.CollectOidsAt(at, out);
       break;
     case ValueKind::kTemporal: {
-      const Value* v = rep_->temporal.At(at);
+      const Value* v = rep().temporal.At(at);
       if (v != nullptr) v->CollectOidsAt(at, out);
       break;
     }
@@ -254,17 +229,18 @@ int Value::Compare(const Value& a, const Value& b) {
     case ValueKind::kChar:
     case ValueKind::kTime:
     case ValueKind::kOid:
-      return ThreeWay(a.scalar_, b.scalar_);
+      return ThreeWay(static_cast<int64_t>(a.bits_),
+                      static_cast<int64_t>(b.bits_));
     case ValueKind::kReal:
-      return ThreeWay(a.real_, b.real_);
+      return ThreeWay(a.AsReal(), b.AsReal());
     case ValueKind::kString: {
-      int c = a.rep_->str.compare(b.rep_->str);
+      int c = a.rep().str.compare(b.rep().str);
       return c < 0 ? -1 : (c > 0 ? 1 : 0);
     }
     case ValueKind::kSet:
     case ValueKind::kList: {
-      const auto& ea = a.rep_->elements;
-      const auto& eb = b.rep_->elements;
+      const auto& ea = a.rep().elements;
+      const auto& eb = b.rep().elements;
       size_t n = std::min(ea.size(), eb.size());
       for (size_t i = 0; i < n; ++i) {
         int c = Compare(ea[i], eb[i]);
@@ -273,8 +249,8 @@ int Value::Compare(const Value& a, const Value& b) {
       return ThreeWay(ea.size(), eb.size());
     }
     case ValueKind::kRecord: {
-      const auto& fa = a.rep_->fields;
-      const auto& fb = b.rep_->fields;
+      const auto& fa = a.rep().fields;
+      const auto& fb = b.rep().fields;
       size_t n = std::min(fa.size(), fb.size());
       for (size_t i = 0; i < n; ++i) {
         int c = ThreeWay(fa[i].first, fb[i].first);
@@ -285,30 +261,30 @@ int Value::Compare(const Value& a, const Value& b) {
       return ThreeWay(fa.size(), fb.size());
     }
     case ValueKind::kTemporal:
-      return TemporalFunction::Compare(a.rep_->temporal, b.rep_->temporal);
+      return TemporalFunction::Compare(a.rep().temporal, b.rep().temporal);
   }
   return 0;
 }
 
 size_t Value::ApproxBytes() const {
   size_t bytes = sizeof(Value);
-  if (rep_ == nullptr) return bytes;
+  if (!HasRep()) return bytes;
   bytes += sizeof(Rep);
   switch (kind_) {
     case ValueKind::kString:
-      bytes += rep_->str.capacity();
+      bytes += rep().str.capacity();
       break;
     case ValueKind::kSet:
     case ValueKind::kList:
-      for (const Value& v : rep_->elements) bytes += v.ApproxBytes();
+      for (const Value& v : rep().elements) bytes += v.ApproxBytes();
       break;
     case ValueKind::kRecord:
-      for (const Field& f : rep_->fields) {
+      for (const Field& f : rep().fields) {
         bytes += f.first.capacity() + f.second.ApproxBytes();
       }
       break;
     case ValueKind::kTemporal:
-      bytes += rep_->temporal.ApproxBytes();
+      bytes += rep().temporal.ApproxBytes();
       break;
     default:
       break;

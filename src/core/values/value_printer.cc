@@ -58,14 +58,14 @@ std::string Value::ToString() const {
     case ValueKind::kNull:
       return "null";
     case ValueKind::kInteger:
-      return std::to_string(scalar_);
+      return std::to_string(AsInteger());
     case ValueKind::kReal:
-      return FormatReal(real_);
+      return FormatReal(AsReal());
     case ValueKind::kBool:
-      return scalar_ != 0 ? "true" : "false";
+      return AsBool() ? "true" : "false";
     case ValueKind::kChar: {
       std::string out;
-      AppendEscapedQuoted(std::string(1, static_cast<char>(scalar_)), &out);
+      AppendEscapedQuoted(std::string(1, AsChar()), &out);
       return "c" + out;
     }
     case ValueKind::kString: {
@@ -74,7 +74,7 @@ std::string Value::ToString() const {
       return out;
     }
     case ValueKind::kTime:
-      return "t" + InstantToString(scalar_);
+      return "t" + InstantToString(AsTime());
     case ValueKind::kOid:
       return AsOid().ToString();
     case ValueKind::kSet:

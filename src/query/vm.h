@@ -42,7 +42,7 @@ namespace tchimera {
 // Batch size bounds the per-batch column working set: every live
 // register costs kVmBatchSize x sizeof(Value) bytes, and the hot loops
 // stream over several columns at once. 256 keeps a recycled program's
-// handful of registers (~40 bytes/Value) within L1/L2 reach; measured on
+// handful of registers (16 bytes/Value) within L1/L2 reach; measured on
 // the WHEN history sweep, 256 more than halved per-row cost vs. 1024.
 inline constexpr size_t kVmBatchSize = 256;
 

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <random>
+#include <set>
 #include <span>
 #include <vector>
 
@@ -191,6 +192,53 @@ TEST(SortedChunksTest, MergedSharesChunksItDoesNotTouch) {
   EXPECT_EQ(merged.ChunkEntries(3).data(), chunks.ChunkEntries(2).data());
   EXPECT_EQ(merged.ChunkEntries(4).data(), chunks.ChunkEntries(3).data());
   EXPECT_NE(merged.ChunkEntries(1).data(), chunks.ChunkEntries(1).data());
+}
+
+// A batch that erases most of a range re-packs each run of consecutive
+// touched chunks as one unit: a rebuilt run of k entries takes
+// ceil(k / 8) chunks, not one nearly empty chunk per source chunk.
+TEST(SortedChunksTest, MergedPacksEachRunOfTouchedChunks) {
+  std::vector<int> sorted;
+  for (int v = 0; v < 2 * 30000; v += 2) sorted.push_back(v);
+  const IntChunks chunks = IntChunks::Build(sorted);
+  std::set<const int*> source;
+  for (size_t c = 0; c < chunks.chunk_count(); ++c) {
+    source.insert(chunks.ChunkEntries(c).data());
+  }
+  // Erases 60% of the 20,000 entries in the middle, three of every
+  // five, so every chunk there is touched; one insert near the front
+  // makes a second, one-chunk run.
+  std::vector<int> erase;
+  for (size_t i = 5000; i < 25000; ++i) {
+    if (i % 5 < 3) erase.push_back(sorted[i]);
+  }
+  const std::vector<int> insert = {101};
+  const IntChunks merged = chunks.Merged(erase, insert);
+  std::vector<int> want;
+  std::set_difference(sorted.begin(), sorted.end(), erase.begin(),
+                      erase.end(), std::back_inserter(want));
+  want.insert(std::upper_bound(want.begin(), want.end(), 101), 101);
+  ASSERT_EQ(Flatten(merged), want);
+  ASSERT_EQ(merged.size(), want.size());
+
+  size_t runs = 0;
+  for (size_t c = 0; c < merged.chunk_count();) {
+    if (source.contains(merged.ChunkEntries(c).data())) {
+      ++c;
+      continue;
+    }
+    size_t entries = 0;
+    size_t run_chunks = 0;
+    for (; c < merged.chunk_count() &&
+           !source.contains(merged.ChunkEntries(c).data());
+         ++c) {
+      entries += merged.ChunkEntries(c).size();
+      ++run_chunks;
+    }
+    ++runs;
+    EXPECT_EQ(run_chunks, (entries + 7) / 8) << "run " << runs;
+  }
+  EXPECT_EQ(runs, 2u);
 }
 
 }  // namespace
