@@ -9,9 +9,9 @@
 #include <map>
 
 #include "core/db/timeslice.h"
-#include "query/interpreter.h"
 #include "storage/deserializer.h"
 #include "storage/journal.h"
+#include "storage/recovery.h"
 #include "storage/serializer.h"
 #include "workload/generator.h"
 
@@ -111,11 +111,15 @@ void BM_JournalAppend(benchmark::State& state) {
 BENCHMARK(BM_JournalAppend)->Arg(0)->Arg(1)->Arg(2);
 
 void BM_JournalReplay(benchmark::State& state) {
-  // Recovery time for a journal of `n` statements.
+  // Recovery time for a journal of `n` statements: the restart routine
+  // over a directory holding only that journal.
   const int64_t n = state.range(0);
-  std::string path = (std::filesystem::temp_directory_path() /
-                      "tchimera_bench_replay.tql")
-                         .string();
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "tchimera_bench_replay";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string path = (dir / kJournalFileName).string();
+  RecoveryManager manager((dir / kSnapshotFileName).string(), path);
   {
     std::ofstream out(path, std::ios::trunc);
     out << "define class worker attributes salary: temporal(integer) "
@@ -126,19 +130,15 @@ void BM_JournalReplay(benchmark::State& state) {
     }
   }
   for (auto _ : state) {
-    Database db;
-    Interpreter interp(&db);
-    auto applied = Journal::Replay(path, [&interp](const std::string& stmt) {
-      return interp.Execute(stmt).status();
-    });
-    if (!applied.ok()) {
-      state.SkipWithError(applied.status().ToString().c_str());
+    auto recovered = manager.Recover();
+    if (!recovered.ok()) {
+      state.SkipWithError(recovered.status().ToString().c_str());
     }
-    benchmark::DoNotOptimize(applied);
+    benchmark::DoNotOptimize(recovered);
   }
   state.SetItemsProcessed(state.iterations() * (2 * n + 2));
   state.SetLabel("updates=" + std::to_string(n));
-  std::remove(path.c_str());
+  std::filesystem::remove_all(dir);
 }
 BENCHMARK(BM_JournalReplay)->Arg(64)->Arg(512);
 

@@ -87,8 +87,8 @@ int main(int argc, char** argv) {
     std::filesystem::path dir(dir_arg);
     std::error_code ec;
     std::filesystem::create_directories(dir, ec);
-    snapshot_path = (dir / "snapshot.tchdb").string();
-    journal_path = (dir / "journal.tql").string();
+    snapshot_path = (dir / tchimera::kSnapshotFileName).string();
+    journal_path = (dir / tchimera::kJournalFileName).string();
   } else {
     std::printf("(in-memory session; pass a directory to persist)\n");
   }

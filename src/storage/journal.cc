@@ -10,6 +10,8 @@ namespace tchimera {
 namespace {
 
 constexpr std::string_view kJournalMagic = "TCHIMERA-JOURNAL";
+// A rotated journal is `<journal>.e<epoch>` (Journal::RotatedPath).
+constexpr std::string_view kRotatedSuffix = ".e";
 
 // Strict all-digits parse (no sign, no trailing junk).
 bool ParseU64(std::string_view text, uint64_t* out) {
@@ -33,13 +35,6 @@ bool NextToken(std::string_view line, size_t* pos, std::string_view* token) {
   return true;
 }
 
-std::string RecordPayload(uint64_t seq, std::string_view statement) {
-  std::string payload = std::to_string(seq);
-  payload.push_back(' ');
-  payload.append(statement);
-  return payload;
-}
-
 // True when `content` starts with the v2 magic, or with a proper prefix
 // of it (a v2 header torn at creation time).
 bool HasV2Magic(std::string_view content) {
@@ -47,24 +42,62 @@ bool HasV2Magic(std::string_view content) {
   return content.substr(0, probe) == kJournalMagic.substr(0, probe);
 }
 
-// The v2 header line "TCHIMERA-JOURNAL <version> <epoch>" (without its
-// newline). Callers decide what a malformed field means to them.
-struct HeaderLine {
-  bool framed = false;  // magic and version parsed
-  uint64_t version = 0;
-  bool epoch_ok = false;
+// The directory holding `path`.
+std::string DirOf(const std::string& path) {
+  size_t slash = path.find_last_of('/');
+  if (slash == std::string::npos) return ".";
+  return slash == 0 ? "/" : path.substr(0, slash);
+}
+
+// A journal's first line "TCHIMERA-JOURNAL <version> <epoch>", as far as
+// it parsed. Each reader decides what a kind means to it.
+struct Header {
+  enum Kind {
+    kEmpty,        // no bytes at all
+    kV1,           // no v2 magic: bare statements
+    kTorn,         // v2 magic but no newline yet
+    kMalformed,    // a complete line that is not a v2 header
+    kUnsupported,  // a well-formed header of another version
+    kV2,
+  };
+  Kind kind = kEmpty;
+  Status error;       // why, for kTorn / kMalformed / kUnsupported
   uint64_t epoch = 0;
+  size_t body = 0;    // kV2: offset of the first record
 };
 
-HeaderLine ParseHeaderLine(std::string_view line) {
-  HeaderLine header;
+Header ReadHeader(std::string_view content) {
+  Header header;
+  if (content.empty()) return header;
+  if (!HasV2Magic(content)) {
+    header.kind = Header::kV1;
+    return header;
+  }
+  const size_t end = content.find('\n');
+  if (end == std::string_view::npos) {
+    header.kind = Header::kTorn;
+    header.error = Status::Corruption("torn journal header");
+    return header;
+  }
+  std::string_view line = content.substr(0, end);
   size_t pos = 0;
   std::string_view magic, version_text;
-  header.framed = NextToken(line, &pos, &magic) && magic == kJournalMagic &&
-                  NextToken(line, &pos, &version_text) &&
-                  ParseU64(version_text, &header.version);
-  if (header.framed) {
-    header.epoch_ok = ParseU64(line.substr(pos), &header.epoch);
+  uint64_t version = 0;
+  if (!NextToken(line, &pos, &magic) || magic != kJournalMagic ||
+      !NextToken(line, &pos, &version_text) ||
+      !ParseU64(version_text, &version)) {
+    header.kind = Header::kMalformed;
+    header.error = Status::Corruption("malformed journal header");
+  } else if (version != 2) {
+    header.kind = Header::kUnsupported;
+    header.error = Status::Corruption("unsupported journal version " +
+                                      std::to_string(version));
+  } else if (!ParseU64(line.substr(pos), &header.epoch)) {
+    header.kind = Header::kMalformed;
+    header.error = Status::Corruption("malformed journal epoch");
+  } else {
+    header.kind = Header::kV2;
+    header.body = end + 1;
   }
   return header;
 }
@@ -102,87 +135,124 @@ Status ParseRecordLine(std::string_view line, uint64_t expected_seq,
         "sequence gap (expected " + std::to_string(expected_seq) +
         ", found " + std::to_string(record->seq) + ")");
   }
-  if (Crc32(RecordPayload(record->seq, record->statement)) != record->crc) {
+  if (JournalRecordCrc(record->seq, record->statement) != record->crc) {
     return Status::Corruption("checksum mismatch at record " +
                               std::to_string(record->seq));
   }
   return Status::OK();
 }
 
-// Parses the v2 records of `content` starting at `offset` into `scan`.
-void ScanV2Records(std::string_view content, size_t offset,
-                   JournalScan* scan) {
-  scan->valid_bytes = offset;
-  uint64_t expected_seq = 1;
-  while (offset < content.size()) {
-    size_t newline = content.find('\n', offset);
+// Where and why a walk over record lines stopped.
+struct RecordWalk {
+  std::vector<RecordLine> records;  // views into the walked content
+  size_t end = 0;     // offset just past the last record accepted
+  bool torn = false;  // stopped at trailing bytes with no newline
+  Status error;       // stopped at a complete line that does not verify
+};
+
+// The one record loop: verifies the record lines of `content` from
+// `offset` on until the content ends, a line is torn or damaged, or
+// `max_records` were accepted. The first record must carry
+// `expected_seq` (0 accepts any), each later one its predecessor's + 1.
+RecordWalk WalkRecords(std::string_view content, size_t offset,
+                       uint64_t expected_seq, size_t max_records) {
+  RecordWalk walk;
+  walk.end = offset;
+  while (walk.end < content.size() && walk.records.size() < max_records) {
+    const size_t newline = content.find('\n', walk.end);
     if (newline == std::string_view::npos) {
-      scan->tail_error = Status::Corruption("torn record (no newline)");
+      walk.torn = true;
       break;
     }
     RecordLine record;
-    scan->tail_error = ParseRecordLine(
-        content.substr(offset, newline - offset), expected_seq, &record);
-    if (!scan->tail_error.ok()) break;
-    scan->statements.emplace_back(record.statement);
-    scan->last_seq = record.seq;
-    ++expected_seq;
-    offset = newline + 1;
-    scan->valid_bytes = offset;
+    walk.error = ParseRecordLine(
+        content.substr(walk.end, newline - walk.end), expected_seq, &record);
+    if (!walk.error.ok()) break;
+    walk.records.push_back(record);
+    expected_seq = record.seq + 1;
+    walk.end = newline + 1;
   }
-  scan->dropped_bytes = content.size() - scan->valid_bytes;
+  return walk;
 }
 
-}  // namespace
-
-Result<JournalScan> ScanJournal(const std::string& path, FileSystem* fs) {
-  if (fs == nullptr) fs = FileSystem::Default();
-  TCH_ASSIGN_OR_RETURN(std::string content, fs->ReadFileToString(path));
+// ScanJournal over a file's bytes; `path` only names it in errors.
+Result<JournalScan> ScanContent(std::string_view content,
+                                const std::string& path) {
   JournalScan scan;
-  if (content.empty()) return scan;  // format 0: a fresh, empty journal
-
-  if (!HasV2Magic(content)) {
-    // v1: bare statements, one per line, nothing to verify.
+  const Header header = ReadHeader(content);
+  if (header.kind == Header::kEmpty) return scan;  // a fresh, empty journal
+  if (header.kind == Header::kV1) {
+    // Bare statements, one per line, nothing to verify.
     scan.format = 1;
     size_t offset = 0;
     while (offset < content.size()) {
       size_t newline = content.find('\n', offset);
-      size_t end = newline == std::string::npos ? content.size() : newline;
-      std::string_view line =
-          std::string_view(content).substr(offset, end - offset);
+      size_t end = newline == std::string_view::npos ? content.size() : newline;
+      std::string_view line = content.substr(offset, end - offset);
       if (!StripWhitespace(line).empty()) scan.statements.emplace_back(line);
-      offset = newline == std::string::npos ? content.size() : newline + 1;
+      offset = end + 1;
     }
     scan.valid_bytes = content.size();
     return scan;
   }
-
+  if (header.kind == Header::kUnsupported) {
+    return Status::Corruption(header.error.message() + " in " + path);
+  }
   scan.format = 2;
-  size_t header_end = content.find('\n');
-  if (header_end == std::string::npos) {
-    scan.tail_error = Status::Corruption("torn journal header");
-    scan.dropped_bytes = content.size();
-    return scan;
-  }
-  HeaderLine header =
-      ParseHeaderLine(std::string_view(content).substr(0, header_end));
-  if (!header.framed) {
-    scan.tail_error = Status::Corruption("malformed journal header");
-    scan.dropped_bytes = content.size();
-    return scan;
-  }
-  if (header.version != 2) {
-    return Status::Corruption("unsupported journal version " +
-                              std::to_string(header.version) + " in " + path);
-  }
-  if (!header.epoch_ok) {
-    scan.tail_error = Status::Corruption("malformed journal epoch");
+  if (header.kind != Header::kV2) {  // torn or malformed: nothing is valid
+    scan.tail_error = header.error;
     scan.dropped_bytes = content.size();
     return scan;
   }
   scan.epoch = header.epoch;
-  ScanV2Records(content, header_end + 1, &scan);
+  RecordWalk walk = WalkRecords(content, header.body, /*expected_seq=*/1,
+                                std::numeric_limits<size_t>::max());
+  for (const RecordLine& record : walk.records) {
+    scan.statements.emplace_back(record.statement);
+  }
+  if (!walk.records.empty()) scan.last_seq = walk.records.back().seq;
+  scan.valid_bytes = walk.end;
+  scan.dropped_bytes = content.size() - walk.end;
+  scan.tail_error =
+      walk.torn ? Status::Corruption("torn record (no newline)") : walk.error;
   return scan;
+}
+
+}  // namespace
+
+uint32_t JournalRecordCrc(uint64_t seq, std::string_view statement) {
+  return Crc32(statement, Crc32(std::to_string(seq) + " "));
+}
+
+Result<std::vector<uint64_t>> ListJournalFiles(FileSystem* fs,
+                                               const std::string& journal_path,
+                                               bool* live) {
+  if (fs == nullptr) fs = FileSystem::Default();
+  const std::string base =
+      journal_path.substr(journal_path.find_last_of('/') + 1);
+  const std::string rotated_prefix = base + std::string(kRotatedSuffix);
+  TCH_ASSIGN_OR_RETURN(std::vector<std::string> names,
+                       fs->ListDirectory(DirOf(journal_path)));
+  std::vector<uint64_t> epochs;
+  *live = false;
+  for (const std::string& name : names) {
+    uint64_t epoch = 0;
+    if (name == base) {
+      *live = true;
+    } else if (name.starts_with(rotated_prefix) &&
+               ParseU64(std::string_view(name).substr(rotated_prefix.size()),
+                        &epoch)) {
+      epochs.push_back(epoch);
+    }
+  }
+  std::sort(epochs.begin(), epochs.end());
+  return epochs;
+}
+
+Result<JournalScan> ScanJournal(const std::string& path, FileSystem* fs) {
+  if (fs == nullptr) fs = FileSystem::Default();
+  TCH_ASSIGN_OR_RETURN(std::string content, fs->ReadFileToString(path));
+  return ScanContent(content, path);
 }
 
 Result<TailScan> ScanJournalTail(const std::string& path, uint64_t offset,
@@ -201,72 +271,49 @@ Result<TailScan> ScanJournalTail(const std::string& path, uint64_t offset,
     return scan;
   }
   if (offset == 0) {
-    if (content.empty()) {
-      // Created but header not yet durable — an open in flight.
-      scan.partial_tail = true;
-      return scan;
-    }
-    if (!HasV2Magic(content)) {
+    const Header header = ReadHeader(content);
+    if (header.kind == Header::kV1) {
       return Status::FailedPrecondition(
           "journal " + path + " is v1 (unframed); v1 journals cannot be "
           "tail-followed");
     }
-    size_t header_end = content.find('\n');
-    if (header_end == std::string::npos) {
-      // The header line itself is mid-append.
-      scan.partial_tail = true;
-      return scan;
-    }
-    HeaderLine header =
-        ParseHeaderLine(std::string_view(content).substr(0, header_end));
-    if (!header.framed || header.version != 2 || !header.epoch_ok) {
+    // Empty or torn: the open that writes the header is still in flight.
+    scan.partial_tail =
+        header.kind == Header::kEmpty || header.kind == Header::kTorn;
+    if (scan.partial_tail) return scan;
+    if (header.kind != Header::kV2) {
       scan.error = Status::Corruption("malformed journal header in " + path);
       return scan;
     }
     scan.epoch = header.epoch;
-    scan.format = 2;
-    offset = header_end + 1;
-  } else {
-    scan.format = 2;
+    offset = header.body;
   }
-  scan.end_offset = offset;
+  scan.format = 2;
 
-  std::string_view body(content);
-  while (offset < body.size() && scan.records.size() < max_records) {
-    size_t newline = body.find('\n', offset);
-    if (newline == std::string_view::npos) {
-      // An append in flight (or a torn tail recovery has not yet seen):
-      // retryable, never salvageable from here.
-      scan.partial_tail = true;
-      break;
-    }
-    RecordLine record;
-    Status parsed = ParseRecordLine(body.substr(offset, newline - offset),
-                                    expected_seq, &record);
-    if (!parsed.ok()) {
-      // A complete line that does not verify: real damage, not a torn
-      // append (torn appends have no newline).
-      scan.error = Status::Corruption(parsed.message() + " at offset " +
-                                      std::to_string(offset) + " in " +
-                                      path);
-      break;
-    }
+  RecordWalk walk = WalkRecords(content, offset, expected_seq, max_records);
+  for (const RecordLine& record : walk.records) {
     scan.records.push_back(
         TailRecord{record.seq, record.crc, std::string(record.statement)});
-    expected_seq = record.seq + 1;
-    offset = newline + 1;
-    scan.end_offset = offset;
+  }
+  scan.end_offset = walk.end;
+  // A torn line is an append in flight (or a torn tail recovery has not
+  // yet seen): retryable, never salvageable from here. A complete line
+  // that does not verify is real damage.
+  scan.partial_tail = walk.torn;
+  if (!walk.error.ok()) {
+    scan.error = Status::Corruption(walk.error.message() + " at offset " +
+                                    std::to_string(walk.end) + " in " + path);
   }
   return scan;
 }
 
 Result<JournalScan> SalvageJournal(const std::string& path, FileSystem* fs) {
   if (fs == nullptr) fs = FileSystem::Default();
-  TCH_ASSIGN_OR_RETURN(JournalScan scan, ScanJournal(path, fs));
+  TCH_ASSIGN_OR_RETURN(std::string content, fs->ReadFileToString(path));
+  TCH_ASSIGN_OR_RETURN(JournalScan scan, ScanContent(content, path));
   if (scan.format != 2 || scan.tail_error.ok() || scan.dropped_bytes == 0) {
     return scan;
   }
-  TCH_ASSIGN_OR_RETURN(std::string content, fs->ReadFileToString(path));
   std::string_view tail =
       std::string_view(content).substr(scan.valid_bytes);
   {
@@ -292,10 +339,7 @@ Status Journal::WriteHeader() {
   // The header (and the file's existence) must be durable before any
   // record: a record without its header would replay as v1 garbage.
   TCH_RETURN_IF_ERROR(file_->Sync());
-  size_t slash = path_.find_last_of('/');
-  std::string dir = slash == std::string::npos ? "." : path_.substr(0, slash);
-  if (dir.empty()) dir = "/";
-  return fs()->SyncDir(dir);
+  return fs()->SyncDir(DirOf(path_));
 }
 
 Status Journal::Open(const std::string& path, const JournalOptions& options) {
@@ -345,10 +389,9 @@ Status Journal::Append(std::string_view statement) {
     line.assign(statement);
     line.push_back('\n');
   } else {
-    uint64_t seq = next_seq_;
-    uint32_t crc = Crc32(RecordPayload(seq, statement));
-    line = "R " + std::to_string(seq) + " " +
-           std::to_string(statement.size()) + " " + Crc32Hex(crc) + " ";
+    line = "R " + std::to_string(next_seq_) + " " +
+           std::to_string(statement.size()) + " " +
+           Crc32Hex(JournalRecordCrc(next_seq_, statement)) + " ";
     line.append(statement);
     line.push_back('\n');
   }
@@ -368,7 +411,7 @@ Status Journal::Sync() {
 }
 
 std::string Journal::RotatedPath(const std::string& path, uint64_t epoch) {
-  return path + ".e" + std::to_string(epoch);
+  return path + std::string(kRotatedSuffix) + std::to_string(epoch);
 }
 
 Result<std::string> Journal::Rotate() {
@@ -396,35 +439,6 @@ void Journal::Close() {
     (void)file_->Close();
     file_.reset();
   }
-}
-
-Result<size_t> Journal::Replay(const std::string& path,
-                               const StatementExecutor& exec) {
-  return ReplayPrefix(path, exec, std::numeric_limits<size_t>::max());
-}
-
-Result<size_t> Journal::ReplayPrefix(const std::string& path,
-                                     const StatementExecutor& exec,
-                                     size_t max_statements) {
-  TCH_ASSIGN_OR_RETURN(JournalScan scan, ScanJournal(path));
-  size_t applied = 0;
-  for (const std::string& statement : scan.statements) {
-    if (applied >= max_statements) break;
-    Status s = exec(statement);
-    if (!s.ok()) {
-      return Status::Corruption(
-          "journal " + path + " statement " + std::to_string(applied + 1) +
-          " failed to replay: " + s.ToString());
-    }
-    ++applied;
-  }
-  // Strict semantics: a torn tail is an error here — but only if the
-  // requested prefix actually reaches into it.
-  if (!scan.tail_error.ok() && applied < max_statements) {
-    return Status::Corruption("journal " + path + " has a corrupt tail: " +
-                              scan.tail_error.message());
-  }
-  return applied;
 }
 
 }  // namespace tchimera

@@ -37,7 +37,6 @@
 #define TCHIMERA_STORAGE_JOURNAL_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -48,16 +47,23 @@
 
 namespace tchimera {
 
-// Executes one replayed statement (typically through an Interpreter
-// bound to the database being rebuilt). A failure stops the replay: the
-// journal only ever holds statements that applied cleanly when first
-// executed, so a replay failure is corruption.
-using StatementExecutor = std::function<Status(const std::string&)>;
-
 struct JournalOptions {
   uint64_t epoch = 0;         // epoch stamped on a newly created journal
   FileSystem* fs = nullptr;   // nullptr = FileSystem::Default()
 };
+
+// The checksum of record `seq`: CRC32 over "<seq> <statement>". The
+// writer frames it, the scanners and a replica re-verify it.
+uint32_t JournalRecordCrc(uint64_t seq, std::string_view statement);
+
+// The journal files of `journal_path`'s directory: returns the epochs of
+// the rotated journals `<journal_path>.e<N>` in ascending numeric order
+// and sets `*live` to whether `journal_path` itself exists. Any other
+// name (`.e`, `.e1x`, `.e2.corrupt`, `<journal_path>.corrupt`) is not a
+// journal. nullptr `fs` = FileSystem::Default().
+Result<std::vector<uint64_t>> ListJournalFiles(FileSystem* fs,
+                                               const std::string& journal_path,
+                                               bool* live);
 
 // The parse of one journal file: everything up to (not including) the
 // first invalid byte.
@@ -74,7 +80,10 @@ struct JournalScan {
 // Parses a journal file without executing anything. IoError if the file
 // cannot be read; a corrupt v2 tail is reported via `tail_error` /
 // `dropped_bytes`, not as a failure. v1 files cannot self-detect
-// corruption: every non-blank line is taken as a statement.
+// corruption: every non-blank line is taken as a statement. Since the
+// journal totally orders transactions, the first n statements run
+// through an ActiveDatabase rebuild the database as of transaction n
+// (transaction-time travel, docs/TQL.md).
 Result<JournalScan> ScanJournal(const std::string& path,
                                 FileSystem* fs = nullptr);
 
@@ -209,23 +218,6 @@ class Journal {
   static std::string RotatedPath(const std::string& path, uint64_t epoch);
 
   void Close();
-
-  // Replays a journal file through `exec`, statement by statement.
-  // Returns the number of statements applied. Fails fast (Corruption) on
-  // the first statement `exec` rejects, and on a torn v2 tail — strict
-  // semantics for callers that need an exact transaction count; recovery
-  // goes through RecoveryManager, which salvages instead.
-  static Result<size_t> Replay(const std::string& path,
-                               const StatementExecutor& exec);
-
-  // Replays at most the first `max_statements` statements. Since the
-  // journal totally orders all transactions, a prefix replay reconstructs
-  // the database *as of transaction n* — a transaction-time travel
-  // primitive on top of the valid-time model (the "different notions of
-  // time" extension the paper's Section 1.1 anticipates).
-  static Result<size_t> ReplayPrefix(const std::string& path,
-                                     const StatementExecutor& exec,
-                                     size_t max_statements);
 
  private:
   Status WriteHeader();

@@ -1,6 +1,5 @@
 #include "storage/recovery.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "core/db/consistency.h"
@@ -8,31 +7,6 @@
 
 namespace tchimera {
 namespace {
-
-std::pair<std::string, std::string> SplitPath(const std::string& path) {
-  size_t slash = path.find_last_of('/');
-  if (slash == std::string::npos) return {".", path};
-  if (slash == 0) return {"/", path.substr(1)};
-  return {path.substr(0, slash), path.substr(slash + 1)};
-}
-
-// Parses the epoch out of a rotated-journal file name
-// ("<base>.e<digits>"); false for everything else.
-bool ParseRotatedName(const std::string& name, const std::string& base,
-                      uint64_t* epoch) {
-  const std::string prefix = base + ".e";
-  if (name.size() <= prefix.size() || name.rfind(prefix, 0) != 0) {
-    return false;
-  }
-  uint64_t value = 0;
-  for (size_t i = prefix.size(); i < name.size(); ++i) {
-    char c = name[i];
-    if (c < '0' || c > '9') return false;
-    value = value * 10 + static_cast<uint64_t>(c - '0');
-  }
-  *epoch = value;
-  return true;
-}
 
 void Note(RecoveryStats* stats, std::string message) {
   stats->notes.push_back(std::move(message));
@@ -90,36 +64,31 @@ Result<LoadedSnapshot> RecoveryManager::LoadSnapshot(RecoveryStats* stats) {
 Status RecoveryManager::ReplayJournals(uint64_t snapshot_epoch,
                                        ActiveDatabase& active,
                                        RecoveryStats* stats) {
-  auto [dir, base] = SplitPath(journal_path_);
-
   // Discover the rotated journals next to the live one.
-  TCH_ASSIGN_OR_RETURN(std::vector<std::string> names,
-                       fs()->ListDirectory(dir));
+  bool live_exists = false;
+  TCH_ASSIGN_OR_RETURN(std::vector<uint64_t> listed,
+                       ListJournalFiles(fs(), journal_path_, &live_exists));
   std::vector<uint64_t> rotated;
-  for (const std::string& name : names) {
-    uint64_t epoch = 0;
-    if (!ParseRotatedName(name, base, &epoch)) continue;
-    if (epoch < snapshot_epoch) {
-      // Fully contained in the snapshot: stale leftover of a checkpoint
-      // that crashed between writing the snapshot and deleting these.
-      TCH_RETURN_IF_ERROR(
-          fs()->RemoveFile(Journal::RotatedPath(journal_path_, epoch)));
-      ++stats->stale_files_removed;
-      Note(stats, "removed stale journal " + name + " (epoch " +
-                      std::to_string(epoch) + " < snapshot epoch " +
-                      std::to_string(snapshot_epoch) + ")");
-    } else {
+  for (uint64_t epoch : listed) {
+    if (epoch >= snapshot_epoch) {
       rotated.push_back(epoch);
+      continue;
     }
+    // Fully contained in the snapshot: stale leftover of a checkpoint
+    // that crashed between writing the snapshot and deleting these.
+    const std::string stale = Journal::RotatedPath(journal_path_, epoch);
+    TCH_RETURN_IF_ERROR(fs()->RemoveFile(stale));
+    ++stats->stale_files_removed;
+    Note(stats, "removed stale journal " + stale + " (epoch " +
+                    std::to_string(epoch) + " < snapshot epoch " +
+                    std::to_string(snapshot_epoch) + ")");
   }
-  std::sort(rotated.begin(), rotated.end());
 
   // The live journal, if present and carrying a readable header, bounds
   // the epoch sequence from above. A live journal with no valid header
   // (empty, or a header torn by a crash during Rotate/Open before the
   // sync) carries no epoch information: it has no statements either, so
   // it is sequenced like a missing live journal and merely salvaged.
-  bool live_exists = fs()->FileExists(journal_path_);
   uint64_t live_epoch = 0;
   bool live_has_header = false;
   if (live_exists) {
@@ -296,8 +265,7 @@ Status RecoveryManager::Checkpoint(const Database& db, Journal* journal,
   // Step 1: park the live journal under its epoch; appends now go to a
   // fresh journal with the next epoch. Nothing is lost if we crash here —
   // recovery replays the rotated file like any other epoch.
-  TCH_ASSIGN_OR_RETURN(std::string rotated, journal->Rotate());
-  (void)rotated;
+  TCH_RETURN_IF_ERROR(journal->Rotate().status());
   // Step 2: the snapshot, stamped with the new epoch, lands atomically.
   uint64_t epoch = journal->epoch();
   TCH_RETURN_IF_ERROR(
@@ -305,9 +273,13 @@ Status RecoveryManager::Checkpoint(const Database& db, Journal* journal,
   // Step 3: only now are the older journals redundant. Oldest first, so a
   // crash mid-loop leaves a contiguous (stale) tail for recovery to
   // finish deleting.
-  for (uint64_t e = 0; e < epoch; ++e) {
-    std::string path = Journal::RotatedPath(journal->path(), e);
-    if (fs->FileExists(path)) TCH_RETURN_IF_ERROR(fs->RemoveFile(path));
+  bool live = false;
+  TCH_ASSIGN_OR_RETURN(std::vector<uint64_t> rotated,
+                       ListJournalFiles(fs, journal->path(), &live));
+  for (uint64_t e : rotated) {
+    if (e >= epoch) break;
+    TCH_RETURN_IF_ERROR(
+        fs->RemoveFile(Journal::RotatedPath(journal->path(), e)));
   }
   return Status::OK();
 }

@@ -53,6 +53,12 @@
 
 namespace tchimera {
 
+// The files of a database directory: the snapshot and the live journal
+// (rotated journals sit beside it, Journal::RotatedPath). The REPL, the
+// server, the recovery tool and replicas all lay a directory out so.
+inline constexpr char kSnapshotFileName[] = "snapshot.tchdb";
+inline constexpr char kJournalFileName[] = "journal.tql";
+
 // What to do with the post-recovery consistency audit.
 enum class AuditMode {
   kOff,         // trust the replay

@@ -4,23 +4,10 @@
 #include <thread>
 #include <utility>
 
-#include "common/crc32.h"
 #include "storage/deserializer.h"
 #include "storage/serializer.h"
 
 namespace tchimera {
-namespace {
-
-// The CRC payload of a framed record, exactly as journal.cc frames it —
-// the follower recomputes it to verify integrity end to end.
-std::string FramedPayload(uint64_t seq, std::string_view statement) {
-  std::string payload = std::to_string(seq);
-  payload += ' ';
-  payload.append(statement.data(), statement.size());
-  return payload;
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // ExponentialBackoff
@@ -377,7 +364,7 @@ Status Replica::Apply(const ReplicationBatch& batch) {
           ", replica expects seq " + std::to_string(cursor_.next_seq) +
           " (sequence gap in the shipping stream)");
     }
-    if (Crc32(FramedPayload(record.seq, record.statement)) != record.crc) {
+    if (JournalRecordCrc(record.seq, record.statement) != record.crc) {
       return Status::Unavailable(
           "shipped record " + std::to_string(record.seq) + " of epoch " +
           std::to_string(record.epoch) +
@@ -437,12 +424,12 @@ Status Replica::Apply(const ReplicationBatch& batch) {
 Status Replica::RemoveLocalJournals() {
   TCH_ASSIGN_OR_RETURN(std::vector<std::string> names,
                        fs()->ListDirectory(dir_));
+  const std::string live = journal_path();
   for (const std::string& name : names) {
     // The live journal, rotated epochs, and any salvage quarantine — all
     // superseded by the incoming checkpoint image.
-    if (name.rfind("journal.tql", 0) == 0) {
-      TCH_RETURN_IF_ERROR(fs()->RemoveFile(dir_ + "/" + name));
-    }
+    const std::string path = dir_ + "/" + name;
+    if (path.starts_with(live)) TCH_RETURN_IF_ERROR(fs()->RemoveFile(path));
   }
   return Status::OK();
 }

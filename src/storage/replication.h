@@ -312,8 +312,8 @@ class Replica {
 
   FileSystem* fs() const;
   Status RecoverLocal();
-  std::string snapshot_path() const { return dir_ + "/snapshot.tchdb"; }
-  std::string journal_path() const { return dir_ + "/journal.tql"; }
+  std::string snapshot_path() const { return dir_ + "/" + kSnapshotFileName; }
+  std::string journal_path() const { return dir_ + "/" + kJournalFileName; }
   // Removes local journal files (live + rotated); used by resync.
   Status RemoveLocalJournals();
 

@@ -212,12 +212,13 @@ TEST(DeserializerTest, DetectsCorruption) {
   EXPECT_FALSE(LoadDatabaseFromString(mangled).ok());
 }
 
-// A replay executor applying each statement to `db` through an
-// Interpreter.
-StatementExecutor ApplyTo(Database* db) {
-  return [interp = Interpreter(db)](const std::string& statement) mutable {
-    return interp.Execute(statement).status();
-  };
+// Recovers the journal at `path`, with no snapshot beside it, through
+// the restart routine.
+Result<std::unique_ptr<Database>> RecoverJournal(const std::string& path,
+                                                 RecoveryStats* stats) {
+  const std::string snapshot = path + ".tchdb";
+  std::remove(snapshot.c_str());
+  return RecoveryManager(snapshot, path).Recover(stats);
 }
 
 TEST(JournalTest, ReplayReproducesState) {
@@ -248,10 +249,11 @@ TEST(JournalTest, ReplayReproducesState) {
     sink.Close();
   }
   // Recovery: replay into a fresh database.
-  Database recovered;
-  Result<size_t> applied = Journal::Replay(path, ApplyTo(&recovered));
-  ASSERT_TRUE(applied.ok()) << applied.status();
-  EXPECT_EQ(*applied, 7u);  // the SELECT was not journaled
+  RecoveryStats stats;
+  Result<std::unique_ptr<Database>> replayed = RecoverJournal(path, &stats);
+  ASSERT_TRUE(replayed.ok()) << replayed.status();
+  const Database& recovered = **replayed;
+  EXPECT_EQ(stats.statements_applied, 7u);  // the SELECT was not journaled
   EXPECT_EQ(recovered.now(), 35);
   EXPECT_EQ(recovered.object_count(), 2u);
   EXPECT_EQ(recovered.HStateOf(Oid{1}, 30)
@@ -325,41 +327,17 @@ TEST(JournalTest, CheckpointPlusLogRecovery) {
   std::remove(journal_path.c_str());
 }
 
-TEST(JournalTest, ReplayPrefixBoundaries) {
-  std::string path = TempPath("prefix.tql");
-  std::remove(path.c_str());
-  {
-    Journal journal;
-    ASSERT_TRUE(journal.Open(path).ok());
-    ASSERT_TRUE(journal.Append("tick 1").ok());
-    ASSERT_TRUE(journal.Append("tick 2").ok());
-    ASSERT_TRUE(journal.Append("tick 3").ok());
-  }
-  auto replay_prefix = [&](size_t max) {
-    Database db;
-    Result<size_t> applied = Journal::ReplayPrefix(path, ApplyTo(&db), max);
-    EXPECT_TRUE(applied.ok()) << applied.status();
-    return std::make_pair(applied.ok() ? *applied : 0, db.now());
-  };
-  EXPECT_EQ(replay_prefix(0), std::make_pair(size_t{0}, TimePoint{0}));
-  EXPECT_EQ(replay_prefix(2), std::make_pair(size_t{2}, TimePoint{3}));
-  // Exactly the journal length, and past the end: both apply everything.
-  EXPECT_EQ(replay_prefix(3), std::make_pair(size_t{3}, TimePoint{6}));
-  EXPECT_EQ(replay_prefix(100), std::make_pair(size_t{3}, TimePoint{6}));
-  std::remove(path.c_str());
-}
-
 TEST(JournalTest, ReplaySkipsBlankLinesInV1Journals) {
   std::string path = TempPath("blank.tql");
   {
     std::ofstream out(path, std::ios::trunc);
     out << "tick 1\n\n\ntick 2\n   \n";
   }
-  Database db;
-  Result<size_t> applied = Journal::Replay(path, ApplyTo(&db));
-  ASSERT_TRUE(applied.ok()) << applied.status();
-  EXPECT_EQ(*applied, 2u);
-  EXPECT_EQ(db.now(), 3);
+  RecoveryStats stats;
+  Result<std::unique_ptr<Database>> db = RecoverJournal(path, &stats);
+  ASSERT_TRUE(db.ok()) << db.status();
+  EXPECT_EQ(stats.statements_applied, 2u);
+  EXPECT_EQ((*db)->now(), 3);
   std::remove(path.c_str());
 }
 
@@ -390,12 +368,79 @@ TEST(JournalTest, ReplayFailsFastOnBadStatement) {
     std::ofstream out(path, std::ios::trunc);
     out << "tick 1\nnot a statement\ntick 1\n";
   }
-  Database db;
-  Result<size_t> r = Journal::Replay(path, ApplyTo(&db));
+  RecoveryStats stats;
+  Result<std::unique_ptr<Database>> r = RecoverJournal(path, &stats);
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kCorruption);
-  EXPECT_EQ(db.now(), 1);  // the first statement applied before the stop
+  // The first statement applied before the stop.
+  EXPECT_EQ(stats.statements_applied, 1u);
   std::remove(path.c_str());
+}
+
+// A fresh directory under the temp directory.
+std::filesystem::path FreshDir(const char* name) {
+  std::filesystem::path dir = TempPath(name);
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir;
+}
+
+std::set<std::string> FileNames(const std::filesystem::path& dir) {
+  std::set<std::string> names;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    names.insert(entry.path().filename().string());
+  }
+  return names;
+}
+
+TEST(JournalFilesTest, ListsRotatedEpochsInNumericOrderAndTheLiveFile) {
+  const std::filesystem::path dir = FreshDir("listing");
+  for (const char* name :
+       {"journal.tql", "journal.tql.e2", "journal.tql.e10",
+        "journal.tql.e2.corrupt", "journal.tql.e", "journal.tql.e1x",
+        "journal.tql.corrupt", "journal.tqlx.e3", "snapshot.tchdb.tmp"}) {
+    std::ofstream(dir / name) << "x\n";
+  }
+  const std::string journal = (dir / kJournalFileName).string();
+  bool live = false;
+  Result<std::vector<uint64_t>> epochs =
+      ListJournalFiles(nullptr, journal, &live);
+  ASSERT_TRUE(epochs.ok()) << epochs.status();
+  EXPECT_EQ(*epochs, (std::vector<uint64_t>{2, 10}));
+  EXPECT_TRUE(live);
+
+  std::filesystem::remove(dir / "journal.tql");
+  epochs = ListJournalFiles(nullptr, journal, &live);
+  ASSERT_TRUE(epochs.ok()) << epochs.status();
+  EXPECT_EQ(*epochs, (std::vector<uint64_t>{2, 10}));
+  EXPECT_FALSE(live);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(JournalFilesTest, CheckpointRemovesExactlyTheEpochsBelowTheLiveOne) {
+  const std::filesystem::path dir = FreshDir("checkpoint_listing");
+  const std::string journal_path = (dir / kJournalFileName).string();
+  Journal journal;
+  JournalOptions options;
+  options.epoch = 2;
+  ASSERT_TRUE(journal.Open(journal_path, options).ok());
+  ASSERT_TRUE(journal.Append("tick 1").ok());
+  // Stale epochs below the live one, and a salvage quarantine.
+  for (const char* name :
+       {"journal.tql.e0", "journal.tql.e1", "journal.tql.e1.corrupt"}) {
+    std::ofstream(dir / name) << "x\n";
+  }
+  Database db;
+  ASSERT_TRUE(Interpreter(&db).Execute("tick 1").ok());
+  Status ckpt = RecoveryManager::Checkpoint(
+      db, &journal, (dir / kSnapshotFileName).string());
+  ASSERT_TRUE(ckpt.ok()) << ckpt;
+  EXPECT_EQ(journal.epoch(), 3u);
+  journal.Close();
+  EXPECT_EQ(FileNames(dir),
+            (std::set<std::string>{"journal.tql", "journal.tql.e1.corrupt",
+                                   "snapshot.tchdb"}));
+  std::filesystem::remove_all(dir);
 }
 
 // Records what the engine hands to its durability boundary.

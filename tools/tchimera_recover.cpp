@@ -20,7 +20,6 @@
 //
 // Nothing here ever mutates the snapshot; `salvage` only moves corrupt
 // journal bytes aside, which is information-preserving.
-#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -38,31 +37,19 @@
 namespace tchimera {
 namespace {
 
-constexpr const char* kSnapshotName = "snapshot.tchdb";
-constexpr const char* kJournalName = "journal.tql";
-
 // The journal files of `dir` in replay order: rotated epochs ascending,
 // then the live journal.
-std::vector<std::string> JournalFiles(const std::string& dir) {
-  std::vector<std::string> files;
-  auto names = FileSystem::Default()->ListDirectory(dir);
-  if (names.ok()) {
-    for (const std::string& name : *names) {
-      const std::string prefix = std::string(kJournalName) + ".e";
-      if (name.size() > prefix.size() && name.rfind(prefix, 0) == 0 &&
-          name.find_first_not_of("0123456789", prefix.size()) ==
-              std::string::npos) {
-        files.push_back(dir + "/" + name);
-      }
-    }
+Result<std::vector<std::string>> JournalPaths(const std::string& dir) {
+  const std::string live = dir + "/" + kJournalFileName;
+  bool live_exists = false;
+  TCH_ASSIGN_OR_RETURN(std::vector<uint64_t> epochs,
+                       ListJournalFiles(nullptr, live, &live_exists));
+  std::vector<std::string> paths;
+  for (uint64_t epoch : epochs) {
+    paths.push_back(Journal::RotatedPath(live, epoch));
   }
-  std::sort(files.begin(), files.end(),
-            [](const std::string& a, const std::string& b) {
-              return a.size() != b.size() ? a.size() < b.size() : a < b;
-            });
-  std::string live = dir + "/" + kJournalName;
-  if (FileSystem::Default()->FileExists(live)) files.push_back(live);
-  return files;
+  if (live_exists) paths.push_back(live);
+  return paths;
 }
 
 void PrintScan(const std::string& path, const JournalScan& scan) {
@@ -80,7 +67,7 @@ void PrintScan(const std::string& path, const JournalScan& scan) {
 
 int Inspect(const std::string& dir) {
   int corrupt = 0;
-  std::string snapshot = dir + "/" + kSnapshotName;
+  std::string snapshot = dir + "/" + kSnapshotFileName;
   if (FileSystem::Default()->FileExists(snapshot)) {
     auto info = ProbeSnapshotFile(snapshot);
     if (!info.ok()) {
@@ -107,7 +94,13 @@ int Inspect(const std::string& dir) {
                 "(recovery deletes it)\n",
                 snapshot.c_str());
   }
-  for (const std::string& file : JournalFiles(dir)) {
+  Result<std::vector<std::string>> files = JournalPaths(dir);
+  if (!files.ok()) {
+    std::printf("journals %s: unlistable: %s\n", dir.c_str(),
+                files.status().ToString().c_str());
+    return 1;
+  }
+  for (const std::string& file : *files) {
     auto scan = ScanJournal(file);
     if (!scan.ok()) {
       std::printf("journal  %s: unreadable: %s\n", file.c_str(),
@@ -123,8 +116,8 @@ int Inspect(const std::string& dir) {
 
 int Verify(const std::string& dir) {
   // The REPL's and the server's own restart, audit included.
-  RecoveryManager manager(dir + "/" + kSnapshotName,
-                          dir + "/" + kJournalName);
+  RecoveryManager manager(dir + "/" + kSnapshotFileName,
+                          dir + "/" + kJournalFileName);
   RecoveryStats stats;
   Result<std::unique_ptr<Engine>> engine = manager.RecoverEngine(&stats);
   for (const std::string& note : stats.notes) {
@@ -148,8 +141,14 @@ int Verify(const std::string& dir) {
 }
 
 int Salvage(const std::string& dir) {
+  Result<std::vector<std::string>> files = JournalPaths(dir);
+  if (!files.ok()) {
+    std::printf("journals %s: unlistable: %s\n", dir.c_str(),
+                files.status().ToString().c_str());
+    return 1;
+  }
   int failures = 0;
-  for (const std::string& file : JournalFiles(dir)) {
+  for (const std::string& file : *files) {
     auto scan = SalvageJournal(file);
     if (!scan.ok()) {
       std::printf("%s: %s\n", file.c_str(),
@@ -183,18 +182,16 @@ struct RecoveredDir {
 Status RecoverDir(const std::string& dir, RecoveredDir* out) {
   RecoveryOptions options;
   options.audit = AuditMode::kOff;
-  RecoveryManager manager(dir + "/" + kSnapshotName,
-                          dir + "/" + kJournalName, options);
+  const std::string live = dir + "/" + kJournalFileName;
+  RecoveryManager manager(dir + "/" + kSnapshotFileName, live, options);
   RecoveryStats stats;
   TCH_ASSIGN_OR_RETURN(out->engine, manager.RecoverEngine(&stats));
-  std::string live = dir + "/" + kJournalName;
   out->epoch = stats.next_epoch;
-  if (FileSystem::Default()->FileExists(live)) {
-    auto scan = ScanJournal(live);
-    if (scan.ok()) {
-      out->epoch = scan->epoch;
-      out->last_seq = scan->last_seq;
-    }
+  // A missing live journal fails the scan and keeps the recovered epoch.
+  auto scan = ScanJournal(live);
+  if (scan.ok()) {
+    out->epoch = scan->epoch;
+    out->last_seq = scan->last_seq;
   }
   return Status::OK();
 }
