@@ -29,6 +29,7 @@
 #include "query/session.h"
 #include "query/type_checker.h"
 #include "query/vm.h"
+#include "report_main.h"
 #include "workload/generator.h"
 
 namespace tchimera {
@@ -696,40 +697,7 @@ int WriteQueryReport(const std::string& path) {
 }  // namespace
 }  // namespace tchimera
 
-// Custom main: the google-benchmark suite as usual, plus the
-// machine-readable compiled-vs-interpreted report.
-//   --json[=PATH]  write BENCH_query.json (or PATH) after the suite
-//   --json-only    skip the google-benchmark suite (the CI artifact path)
 int main(int argc, char** argv) {
-  std::string json_path;
-  bool json_only = false;
-  std::vector<char*> passthrough;
-  passthrough.push_back(argv[0]);
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--json-only") {
-      json_only = true;
-      if (json_path.empty()) json_path = "BENCH_query.json";
-    } else if (arg == "--json") {
-      json_path = "BENCH_query.json";
-    } else if (arg.rfind("--json=", 0) == 0) {
-      json_path = arg.substr(7);
-    } else {
-      passthrough.push_back(argv[i]);
-    }
-  }
-  if (!json_only) {
-    int bench_argc = static_cast<int>(passthrough.size());
-    benchmark::Initialize(&bench_argc, passthrough.data());
-    if (benchmark::ReportUnrecognizedArguments(bench_argc,
-                                               passthrough.data())) {
-      return 1;
-    }
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-  }
-  if (!json_path.empty()) {
-    return tchimera::WriteQueryReport(json_path);
-  }
-  return 0;
+  return tchimera::ReportMain(argc, argv, "BENCH_query.json",
+                              tchimera::WriteQueryReport);
 }

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "query/session.h"
+#include "report_main.h"
 #include "storage/group_commit.h"
 #include "storage/journal.h"
 #include "storage/recovery.h"
@@ -228,39 +229,7 @@ int WriteReplicationReport(const std::string& path) {
 }  // namespace
 }  // namespace tchimera
 
-// Custom main, same flags as the other bench binaries:
-//   --json[=PATH]  write BENCH_replication.json (or PATH) after the suite
-//   --json-only    skip the google-benchmark suite (the CI artifact path)
 int main(int argc, char** argv) {
-  std::string json_path;
-  bool json_only = false;
-  std::vector<char*> passthrough;
-  passthrough.push_back(argv[0]);
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--json-only") {
-      json_only = true;
-      if (json_path.empty()) json_path = "BENCH_replication.json";
-    } else if (arg == "--json") {
-      json_path = "BENCH_replication.json";
-    } else if (arg.rfind("--json=", 0) == 0) {
-      json_path = arg.substr(7);
-    } else {
-      passthrough.push_back(argv[i]);
-    }
-  }
-  if (!json_only) {
-    int bench_argc = static_cast<int>(passthrough.size());
-    benchmark::Initialize(&bench_argc, passthrough.data());
-    if (benchmark::ReportUnrecognizedArguments(bench_argc,
-                                               passthrough.data())) {
-      return 1;
-    }
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-  }
-  if (!json_path.empty()) {
-    return tchimera::WriteReplicationReport(json_path);
-  }
-  return 0;
+  return tchimera::ReportMain(argc, argv, "BENCH_replication.json",
+                              tchimera::WriteReplicationReport);
 }

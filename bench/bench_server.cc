@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "query/session.h"
+#include "report_main.h"
 #include "server/client.h"
 #include "server/net.h"
 #include "server/server.h"
@@ -347,40 +348,8 @@ int WriteServerReport(const std::string& path) {
 }  // namespace
 }  // namespace tchimera
 
-// Flags (mirrors the other bench binaries):
-//   --json[=PATH]  write BENCH_server.json (or PATH) after the suite
-//   --json-only    skip the google-benchmark suite (the CI artifact path)
 int main(int argc, char** argv) {
   tchimera::IgnoreSigpipe();
-  std::string json_path;
-  bool json_only = false;
-  std::vector<char*> passthrough;
-  passthrough.push_back(argv[0]);
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--json-only") {
-      json_only = true;
-      if (json_path.empty()) json_path = "BENCH_server.json";
-    } else if (arg == "--json") {
-      json_path = "BENCH_server.json";
-    } else if (arg.rfind("--json=", 0) == 0) {
-      json_path = arg.substr(7);
-    } else {
-      passthrough.push_back(argv[i]);
-    }
-  }
-  if (!json_only) {
-    int bench_argc = static_cast<int>(passthrough.size());
-    benchmark::Initialize(&bench_argc, passthrough.data());
-    if (benchmark::ReportUnrecognizedArguments(bench_argc,
-                                               passthrough.data())) {
-      return 1;
-    }
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-  }
-  if (!json_path.empty()) {
-    return tchimera::WriteServerReport(json_path);
-  }
-  return 0;
+  return tchimera::ReportMain(argc, argv, "BENCH_server.json",
+                              tchimera::WriteServerReport);
 }

@@ -182,11 +182,15 @@ class PosixFileSystem final : public FileSystem {
     while (struct dirent* entry = ::readdir(dir)) {
       std::string name = entry->d_name;
       if (name == "." || name == "..") continue;
-      struct stat st {};
-      if (::stat((path + "/" + name).c_str(), &st) == 0 &&
-          S_ISREG(st.st_mode)) {
-        names.push_back(std::move(name));
+      // d_type names the kind without a stat; only an unknown kind (a
+      // filesystem that leaves it blank) or a symlink needs one.
+      bool regular = entry->d_type == DT_REG;
+      if (entry->d_type == DT_UNKNOWN || entry->d_type == DT_LNK) {
+        struct stat st {};
+        regular = ::stat((path + "/" + name).c_str(), &st) == 0 &&
+                  S_ISREG(st.st_mode);
       }
+      if (regular) names.push_back(std::move(name));
       errno = 0;
     }
     Status s = errno != 0 ? ErrnoStatus("readdir", path) : Status::OK();

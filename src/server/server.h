@@ -1,31 +1,34 @@
 // The tchimera socket server: an epoll front end over the concurrent
 // engine (query/session.h).
 //
-// Threading model (sized for "many connections, few cores"):
+// Threading model (sized for "many connections, few cores"): run to
+// completion. Each of the worker_threads workers owns an epoll set, ONE
+// pooled Session (Sessions are single-threaded; the worker count bounds
+// concurrent statement execution) and the connections dealt to it. It
+// reads, decodes, executes and writes each reply itself; only a short
+// write stays buffered and arms EPOLLOUT. No connection state is touched
+// by two threads, so connections need no locks. The listening socket
+// sits in every worker's epoll set (EPOLLEXCLUSIVE); the worker that
+// accepts deals the connection round-robin through the next worker's
+// mailbox (a locked vector plus an eventfd, which also carries Stop()),
+// so connections opened back to back land on different workers.
 //
-//   IO thread    — owns the listening socket, the epoll set, and ALL
-//                  per-connection state (frame decoder, output buffer).
-//                  No connection state is ever touched by two threads,
-//                  so connections need no locks. Ping frames are
-//                  answered inline; request frames become tasks.
-//   worker pool  — N threads, each owning ONE pooled Session for its
-//                  whole life (Sessions are single-threaded; the pool is
-//                  the bound on concurrent statement execution). Workers
-//                  pop tasks, execute, and post the encoded response
-//                  frame to a completion queue; an eventfd wakes the IO
-//                  thread to flush it.
+// Head-of-line blocking is the price: a long statement, or a durable
+// write waiting for its fdatasync, delays the other connections of its
+// worker, never those of another worker.
 //
-// Ordering: one request in flight per connection. The IO thread stops
-// decoding a connection's frames while its request is executing, so a
-// pipelining client still gets responses in request order, and a client
-// that streams requests faster than they execute is throttled by TCP
-// (its readable events are parked once the input buffer fills).
+// Ordering: one request in flight per connection. Each epoll round a
+// worker admits at most one request per ready connection, executes the
+// admitted ones in order, and decodes a connection's next buffered frame
+// only after its reply is queued: a pipelining client gets responses in
+// request order, and one that outruns execution is throttled by TCP.
 //
 // Backpressure (admission control) — the server sheds load instead of
 // queueing without bound:
-//   * task-queue depth > max_pending_requests  → retryable error frame
+//   * admitted requests not yet executing, counted over all workers,
+//     >= max_pending_requests                     → retryable error frame
 //   * group-commit backlog (enqueued - durable) > max_commit_backlog,
-//     for durable statements only               → retryable error frame
+//     for durable statements only                 → retryable error frame
 // Both are counted in ServerStats::admission_rejections; the client is
 // expected to back off and resend (client.h does).
 //
@@ -63,12 +66,14 @@ struct ServerOptions {
   uint16_t port = 0;  // 0 = ephemeral; Server::port() reports the real one
   int listen_backlog = 1024;
 
-  // Worker pool size == number of pooled Sessions == max concurrent
+  // Worker threads == number of pooled Sessions == max concurrent
   // statement executions. Small on purpose: throughput comes from group
   // commit, not from thousands of threads convoying on the writer lock.
   int worker_threads = 4;
 
-  // Admission control.
+  // Admission control. max_pending_requests bounds the requests, over all
+  // workers, that are decoded and admitted but not yet executing (0 =
+  // admit nothing).
   size_t max_pending_requests = 256;
   uint64_t max_commit_backlog = 1024;
   // Probe for the group-commit backlog (enqueued - durable). Unset =
@@ -111,10 +116,10 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  // Binds, listens, and spawns the IO thread + worker pool.
+  // Binds, listens, and spawns the worker threads.
   Status Start();
-  // Stops accepting, closes every connection, drains the workers, joins
-  // all threads. Idempotent.
+  // Stops accepting, lets each worker finish its current round, closes
+  // every connection, joins all threads. Idempotent.
   void Stop();
 
   // The bound port (after Start; resolves port 0).

@@ -202,6 +202,7 @@ Result<JournalScan> ScanContent(std::string_view content,
   if (header.kind != Header::kV2) {  // torn or malformed: nothing is valid
     scan.tail_error = header.error;
     scan.dropped_bytes = content.size();
+    scan.corrupt_tail = std::string(content);
     return scan;
   }
   scan.epoch = header.epoch;
@@ -213,6 +214,7 @@ Result<JournalScan> ScanContent(std::string_view content,
   if (!walk.records.empty()) scan.last_seq = walk.records.back().seq;
   scan.valid_bytes = walk.end;
   scan.dropped_bytes = content.size() - walk.end;
+  scan.corrupt_tail = std::string(content.substr(walk.end));
   scan.tail_error =
       walk.torn ? Status::Corruption("torn record (no newline)") : walk.error;
   return scan;
@@ -307,24 +309,26 @@ Result<TailScan> ScanJournalTail(const std::string& path, uint64_t offset,
   return scan;
 }
 
-Result<JournalScan> SalvageJournal(const std::string& path, FileSystem* fs) {
+Status QuarantineJournalTail(const std::string& path, const JournalScan& scan,
+                             FileSystem* fs) {
   if (fs == nullptr) fs = FileSystem::Default();
-  TCH_ASSIGN_OR_RETURN(std::string content, fs->ReadFileToString(path));
-  TCH_ASSIGN_OR_RETURN(JournalScan scan, ScanContent(content, path));
   if (scan.format != 2 || scan.tail_error.ok() || scan.dropped_bytes == 0) {
-    return scan;
+    return Status::OK();
   }
-  std::string_view tail =
-      std::string_view(content).substr(scan.valid_bytes);
   {
     TCH_ASSIGN_OR_RETURN(
         std::unique_ptr<WritableFile> corrupt,
         fs->OpenWritable(path + ".corrupt", /*truncate=*/false));
-    TCH_RETURN_IF_ERROR(corrupt->Append(tail));
+    TCH_RETURN_IF_ERROR(corrupt->Append(scan.corrupt_tail));
     TCH_RETURN_IF_ERROR(corrupt->Sync());
     TCH_RETURN_IF_ERROR(corrupt->Close());
   }
-  TCH_RETURN_IF_ERROR(fs->TruncateFile(path, scan.valid_bytes));
+  return fs->TruncateFile(path, scan.valid_bytes);
+}
+
+Result<JournalScan> SalvageJournal(const std::string& path, FileSystem* fs) {
+  TCH_ASSIGN_OR_RETURN(JournalScan scan, ScanJournal(path, fs));
+  TCH_RETURN_IF_ERROR(QuarantineJournalTail(path, scan, fs));
   return scan;
 }
 

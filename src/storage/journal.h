@@ -74,6 +74,7 @@ struct JournalScan {
   std::vector<std::string> statements;
   uint64_t valid_bytes = 0;    // byte length of the valid prefix
   uint64_t dropped_bytes = 0;  // byte length of the corrupt tail (v2)
+  std::string corrupt_tail;    // the corrupt tail's bytes (v2)
   Status tail_error;  // OK when the whole file parsed; else why it stopped
 };
 
@@ -99,6 +100,14 @@ Result<JournalScan> ScanJournal(const std::string& path,
 // as retryable instead of quarantining acknowledged-in-flight bytes.
 Result<JournalScan> SalvageJournal(const std::string& path,
                                    FileSystem* fs = nullptr);
+
+// The salvage step alone, for a caller that already holds `scan` of
+// `path` and must look at it before anything on disk changes (recovery
+// checks the live journal's epoch first): quarantines scan.corrupt_tail
+// and truncates `path` to scan.valid_bytes. No-op when the scan found no
+// corrupt v2 tail. SalvageJournal is ScanJournal followed by this.
+Status QuarantineJournalTail(const std::string& path, const JournalScan& scan,
+                             FileSystem* fs = nullptr);
 
 // One framed record as seen by a tail-follower: the statement plus the
 // framing fields a follower re-verifies on its own side.

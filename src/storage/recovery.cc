@@ -88,15 +88,16 @@ Status RecoveryManager::ReplayJournals(uint64_t snapshot_epoch,
   // the epoch sequence from above. A live journal with no valid header
   // (empty, or a header torn by a crash during Rotate/Open before the
   // sync) carries no epoch information: it has no statements either, so
-  // it is sequenced like a missing live journal and merely salvaged.
+  // it is sequenced like a missing live journal and merely salvaged. It
+  // is read once: this scan is also what gets salvaged and replayed.
+  JournalScan live_scan;
   uint64_t live_epoch = 0;
   bool live_has_header = false;
   if (live_exists) {
-    TCH_ASSIGN_OR_RETURN(JournalScan scan,
-                         ScanJournal(journal_path_, fs()));
-    live_epoch = scan.epoch;  // 0 for v1
-    live_has_header =
-        scan.format == 1 || (scan.format == 2 && scan.valid_bytes > 0);
+    TCH_ASSIGN_OR_RETURN(live_scan, ScanJournal(journal_path_, fs()));
+    live_epoch = live_scan.epoch;  // 0 for v1
+    live_has_header = live_scan.format == 1 ||
+                      (live_scan.format == 2 && live_scan.valid_bytes > 0);
     if (live_has_header && live_epoch < snapshot_epoch) {
       // The checkpoint protocol always leaves the live journal at an
       // epoch >= the snapshot's; an older live journal means files from
@@ -155,7 +156,13 @@ Status RecoveryManager::ReplayJournals(uint64_t snapshot_epoch,
   }
   if (live_exists) files.push_back(journal_path_);
   for (const std::string& file : files) {
-    TCH_ASSIGN_OR_RETURN(JournalScan scan, SalvageJournal(file, fs()));
+    JournalScan scan;
+    if (file == journal_path_) {
+      scan = std::move(live_scan);
+    } else {
+      TCH_ASSIGN_OR_RETURN(scan, ScanJournal(file, fs()));
+    }
+    TCH_RETURN_IF_ERROR(QuarantineJournalTail(file, scan, fs()));
     if (scan.dropped_bytes > 0) {
       stats->salvaged_bytes += scan.dropped_bytes;
       Note(stats, "salvaged " + file + ": dropped " +

@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -552,6 +553,81 @@ TEST(JournalSalvageTest, TornTailIsQuarantinedAndAppendsContinue) {
   ASSERT_EQ(final_scan->statements.size(), 3u);
   EXPECT_EQ(final_scan->statements[2], "tick 9");
   EXPECT_EQ(final_scan->last_seq, 3u);
+}
+
+// Counts ReadFileToString per path; everything else passes through.
+class ReadCountingFileSystem : public FileSystem {
+ public:
+  Result<std::unique_ptr<WritableFile>> OpenWritable(const std::string& path,
+                                                     bool truncate) override {
+    return base_->OpenWritable(path, truncate);
+  }
+  Status RenameFile(const std::string& from, const std::string& to) override {
+    return base_->RenameFile(from, to);
+  }
+  Status RemoveFile(const std::string& path) override {
+    return base_->RemoveFile(path);
+  }
+  Status TruncateFile(const std::string& path, uint64_t size) override {
+    return base_->TruncateFile(path, size);
+  }
+  Status SyncDir(const std::string& path) override {
+    return base_->SyncDir(path);
+  }
+  Result<std::string> ReadFileToString(const std::string& path) override {
+    ++reads[path];
+    return base_->ReadFileToString(path);
+  }
+  bool FileExists(const std::string& path) override {
+    return base_->FileExists(path);
+  }
+  Result<uint64_t> FileSize(const std::string& path) override {
+    return base_->FileSize(path);
+  }
+  Result<std::vector<std::string>> ListDirectory(
+      const std::string& path) override {
+    return base_->ListDirectory(path);
+  }
+
+  std::map<std::string, int> reads;
+
+ private:
+  FileSystem* base_ = FileSystem::Default();
+};
+
+// A restart reads each journal once: the live journal's scan serves the
+// epoch checks, the salvage of its torn tail and the replay.
+TEST(RecoveryTest, RecoverReadsEachJournalOnce) {
+  const std::string dir = FreshDir("read_once");
+  const std::string path = dir + "/journal.tql";
+  {
+    Journal journal;
+    ASSERT_TRUE(journal.Open(path).ok());
+    ASSERT_TRUE(journal.Append("tick 1").ok());
+    ASSERT_TRUE(journal.Rotate().ok());
+    ASSERT_TRUE(journal.Append("tick 2").ok());
+    ASSERT_TRUE(journal.Append("tick 3").ok());
+    journal.Close();
+  }
+  std::string content = ReadFileOrDie(path);
+  const std::string torn = content.substr(0, content.size() - 3);
+  WriteFileOrDie(path, torn);
+
+  ReadCountingFileSystem fs;
+  RecoveryOptions options;
+  options.fs = &fs;
+  RecoveryManager recovery(dir + "/snapshot.tchdb", path, options);
+  RecoveryStats stats;
+  Result<std::unique_ptr<Database>> db = recovery.Recover(&stats);
+  ASSERT_TRUE(db.ok()) << db.status();
+  EXPECT_EQ(stats.journals_replayed, 2u);
+  EXPECT_EQ(stats.statements_applied, 2u);  // tick 1, tick 2
+  EXPECT_GT(stats.salvaged_bytes, 0u);
+  EXPECT_EQ(fs.reads[path], 1);
+  EXPECT_EQ(fs.reads[Journal::RotatedPath(path, 0)], 1);
+  // The salvage quarantined the torn tail from that one read.
+  EXPECT_EQ(ReadFileOrDie(path + ".corrupt"),
+            torn.substr(torn.size() - stats.salvaged_bytes));
 }
 
 // Every single-bit flip and every truncation of a v2 snapshot must be

@@ -12,9 +12,12 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdlib>
 #include <filesystem>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -173,6 +176,111 @@ TEST(ServerTest, ManyConcurrentClients) {
   for (std::thread& th : threads) th.join();
   EXPECT_EQ(failures.load(), 0);
   ExpectServerHealthy(t);
+}
+
+// Three request frames in one send: each is answered, in request order.
+TEST(ServerTest, PipelinedRequestsAreAnsweredInOrder) {
+  TestServer t = TestServer::Start();
+  int fd = t.RawConnect();
+  // Non-blocking, so a missing reply fails after the 5 s read timeout.
+  ASSERT_TRUE(SetNonBlocking(fd, true).ok());
+  std::string burst =
+      EncodeRequest("define class p attributes v: integer end") +
+      EncodeRequest("create p (v: 7)") +
+      EncodeRequest("select x.v from x in p");
+  ASSERT_TRUE(SendAll(fd, burst, 5000).ok());
+  const std::vector<std::string> expected = {"class p defined", "i1", "7"};
+  for (const std::string& want : expected) {
+    Frame reply;
+    ASSERT_TRUE(ReadRawFrame(fd, &reply)) << want;
+    EXPECT_EQ(reply.type, FrameType::kResult) << want;
+    EXPECT_EQ(reply.payload, want);
+  }
+  CloseFd(fd);
+}
+
+// A commit sink whose Await, once closed, blocks every durable statement
+// until the test opens it again.
+class GateSink : public CommitSink {
+ public:
+  Ticket Enqueue(std::string_view) override {
+    return Ticket{seq_.fetch_add(1) + 1, Status::OK()};
+  }
+  Status Await(Ticket) override {
+    std::unique_lock<std::mutex> lk(mu_);
+    if (!closed_) return Status::OK();
+    ++parked_;
+    cv_.notify_all();
+    cv_.wait(lk, [this] { return !closed_; });
+    return Status::OK();
+  }
+  void Close() {
+    std::lock_guard<std::mutex> lk(mu_);
+    closed_ = true;
+  }
+  void Open() {
+    std::lock_guard<std::mutex> lk(mu_);
+    closed_ = false;
+    cv_.notify_all();
+  }
+  // True once a statement waits in Await (false after 5 s).
+  bool WaitForParked() {
+    std::unique_lock<std::mutex> lk(mu_);
+    return cv_.wait_for(lk, std::chrono::seconds(5),
+                        [this] { return parked_ > 0; });
+  }
+
+ private:
+  std::atomic<uint64_t> seq_{0};
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool closed_ = false;
+  int parked_ = 0;
+};
+
+// A durable write parked in the group-commit wait holds only its own
+// connection: a connection opened next is served meanwhile.
+TEST(ServerTest, ParkedWriteDoesNotStallTheNextConnection) {
+  GateSink sink;
+  Engine engine;
+  engine.set_commit_sink(&sink);
+  ServerOptions options;
+  options.port = 0;
+  options.worker_threads = 2;
+  Server server(&engine, options);
+  ASSERT_TRUE(server.Start().ok());
+  Result<int> a = ConnectTcp("127.0.0.1", server.port(), 5000);
+  ASSERT_TRUE(a.ok()) << a.status().ToString();
+  Frame reply;
+  ASSERT_TRUE(ReadRawFrame(a.value(), &reply));  // hello
+  ASSERT_TRUE(SendAll(a.value(),
+                      EncodeRequest("define class d attributes v: integer end"),
+                      5000)
+                  .ok());
+  ASSERT_TRUE(ReadRawFrame(a.value(), &reply));
+  ASSERT_EQ(reply.type, FrameType::kResult) << reply.payload;
+
+  sink.Close();
+  ASSERT_TRUE(SendAll(a.value(), EncodeRequest("create d (v: 1)"), 5000).ok());
+  EXPECT_TRUE(sink.WaitForParked());
+  // Non-blocking, so a missing reply fails after the 5 s read timeout.
+  Result<int> b = ConnectTcp("127.0.0.1", server.port(), 5000);
+  EXPECT_TRUE(b.ok()) << b.status().ToString();
+  if (b.ok()) {
+    EXPECT_TRUE(SetNonBlocking(b.value(), true).ok());
+    Frame hello, now;
+    EXPECT_TRUE(ReadRawFrame(b.value(), &hello) &&
+                SendAll(b.value(), EncodeRequest("show now"), 5000).ok() &&
+                ReadRawFrame(b.value(), &now));
+    EXPECT_EQ(now.type, FrameType::kResult) << now.payload;
+    CloseFd(b.value());
+  }
+  sink.Open();
+  ASSERT_TRUE(ReadRawFrame(a.value(), &reply));
+  EXPECT_EQ(reply.type, FrameType::kResult);
+  EXPECT_EQ(reply.payload, "i1");
+  CloseFd(a.value());
+  server.Stop();
 }
 
 // --- adversarial wire input ------------------------------------------------

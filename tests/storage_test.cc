@@ -401,6 +401,8 @@ TEST(JournalFilesTest, ListsRotatedEpochsInNumericOrderAndTheLiveFile) {
         "journal.tql.corrupt", "journal.tqlx.e3", "snapshot.tchdb.tmp"}) {
     std::ofstream(dir / name) << "x\n";
   }
+  // A directory named like a rotated journal is not one.
+  std::filesystem::create_directory(dir / "journal.tql.e7");
   const std::string journal = (dir / kJournalFileName).string();
   bool live = false;
   Result<std::vector<uint64_t>> epochs =

@@ -6,8 +6,8 @@
 //                          (recovered on start; omitted = in-memory)
 //     --host=H             listen address        (default 127.0.0.1)
 //     --port=P             listen port           (default 7411; 0 = ephemeral)
-//     --workers=N          session pool size     (default 4)
-//     --max-pending=N      request-queue admission limit   (default 256)
+//     --workers=N          worker threads, one session each (default 4)
+//     --max-pending=N      admitted-not-yet-executing limit (default 256)
 //     --max-backlog=N      group-commit backlog admission limit (default 1024)
 //     --retry-budget=N     optimistic attempts per request (default 5)
 //     --port-file=PATH     write the bound port to PATH once listening
